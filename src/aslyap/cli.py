@@ -40,7 +40,7 @@ from .values import (
     worst_case_integral_value,
     worst_case_sup_value,
 )
-from .verifier import check_supersolution, check_viability_boundary
+from .verifier import STATUS_NONFINITE, check_supersolution, check_viability_boundary
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -103,6 +103,11 @@ def _run_dir(out: str, cfg: dict) -> Path:
                    indent=2, sort_keys=True, default=str)
     )
     return d
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {seed}")
 
 
 def _vector(text: str) -> list[float]:
@@ -193,6 +198,7 @@ def cmd_value(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _check_seed(args.seed)
     parsed = _load_model(args.model)
     x0 = _vector(args.x0)
     cfg = {"cmd": "simulate", "model": args.model, "x0": args.x0, "dt": args.dt,
@@ -217,6 +223,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_gauge(args) -> int:
+    _check_seed(args.seed)
     parsed = _load_model(args.model)
     radii = _vector(args.radii)
     if any(r <= 0 for r in radii):
@@ -295,6 +302,7 @@ class _FieldValue:
 
 
 def cmd_pipeline(args) -> int:
+    _check_seed(args.seed)
     parsed = _load_model(args.model)
     model = parsed.model
     grid = _parse_grid(args.grid, parsed, args.rho)
@@ -397,7 +405,7 @@ def cmd_pipeline(args) -> int:
     nodes = grid.nodes()
     rad = np.linalg.norm(nodes[np.linalg.norm(nodes, axis=-1) > grid.rho], axis=-1)
     band = (rad >= 4 * max(grid.spacing)) & (rad <= 0.8 * cap)
-    countable = (report.statuses != 2) & band
+    countable = (report.statuses != STATUS_NONFINITE) & band
     frac = float(report.verdicts[countable].mean()) if countable.any() else 0.0
     stages["re_verify"] = {"band_pass_fraction": frac}
     if frac < 0.99:
@@ -436,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, grid=True):
         sp.add_argument("--model", required=True, help="model file path")
         sp.add_argument("--out", default="runs", help="output directory")
-        sp.add_argument("--workers", type=int, default=1)
         if grid:
             sp.add_argument("--grid", default=None,
                             help="nodes per axis 'n' / 'n1,n2' or 'lo:hi:n,...'")
@@ -467,6 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-T", "--horizon", type=float, default=10.0)
     sp.add_argument("--paths", type=int, default=1000)
     sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--increments", choices=["gaussian", "signed-bernoulli"],
                     default="gaussian")
     sp.add_argument("--thin", type=int, default=0, help="store every n-th state")
@@ -479,6 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-T", "--horizon", type=float, default=10.0)
     sp.add_argument("--paths", type=int, default=1000)
     sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--workers", type=int, default=1)
     sp.set_defaults(func=cmd_gauge)
 
     sp = sub.add_parser("viability", help="boundary viability of a sublevel set")
@@ -496,6 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-T", "--horizon", type=float, default=8.0)
     sp.add_argument("--paths", type=int, default=500)
     sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--supermax-tol", type=float, default=0.05)
     sp.add_argument("--build-gauge", action="store_true")
     sp.add_argument("--gauge-levels", type=int, default=8)

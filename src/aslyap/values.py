@@ -2,10 +2,12 @@
 
 The almost-sure criteria are robust criteria: the essential supremum over
 Brownian paths is approximated by an adversary choosing signed increments
-(+/- sqrt(dt) per channel, plus the zero increment).  All three operators
-below are monotone with multilinear interpolation and saturation outside the
-box, so iterates are pointwise nondecreasing and converge under the cap;
-monotonicity is asserted every sweep.
+(+/- sqrt(dt) per channel, plus the zero increment).  The three iterations
+below and feedback synthesis read one transition operator: multilinear
+interpolation at x + f dt + sigma w with saturation outside the box, reduced
+over increments and then over controls.  It is monotone, so iterates are
+pointwise nondecreasing and converge under the cap; monotonicity is asserted
+every sweep.
 
 Convergence is measured in the sup norm; the discounted construction uses
 risk-neutral expectation over increments instead of the worst case.
@@ -130,75 +132,65 @@ class ValueResult:
         return self.field.converged
 
 
-def _prepare_stencils(model, grid, scheme, point_fn=None):
-    """Precompute interpolation stencils for x + f dt + sigma w per (a, w).
+class _Transition:
+    """The robust transition operator, built once per (model, grid, scheme).
 
-    ``point_fn`` additionally evaluates a function at the (raw) next points,
-    e.g. the running cost in closed form.
-    """
-    interp = BoxInterpolator(grid)
-    nodes = grid.nodes()
-    prepared = []
-    extras = []
-    for ai in range(model.n_controls):
-        f = model.drift(nodes, ai)
-        s = model.sigma(nodes, ai)
-        per_w = []
-        per_w_extra = []
-        for w in scheme.increments:
-            nxt = nodes + f * scheme.dt + s @ w
-            per_w.append(interp.prepare(nxt))
-            if point_fn is not None:
-                with np.errstate(all="ignore"):
-                    per_w_extra.append(np.asarray(point_fn(nxt), dtype=float))
-        prepared.append(per_w)
-        extras.append(per_w_extra)
-    return interp, prepared, extras
-
-
-def _sweep_minmax(interp, prepared, flat_values, fill):
-    """min over controls of max over increments of the interpolated field."""
-    out = None
-    for per_w in prepared:
-        inner = None
-        for prep in per_w:
-            vals = interp.apply(flat_values, prep, fill=fill)
-            inner = vals if inner is None else np.maximum(inner, vals)
-        out = inner if out is None else np.minimum(out, inner)
-    return out
-
-
-def _sweep_minmax_anchored(interp, prepared, cost_next, excess, cap):
-    """As _sweep_minmax, but reads cost(next) in closed form plus the
-    interpolated excess over the cost.
-
+    Holds one BoxInterpolator stencil per (control, increment) for the next
+    point x + f(x, a) dt + sigma(x, a) w.  With ``cost_fn`` it also holds the
+    running cost at the next points, in closed form, capped, and exactly the
+    cap off the box; reads then add the interpolated excess over the cost.
     Interpolating the excess instead of the value removes the systematic
     overshoot of multilinear interpolation on cone-shaped fields, which
     otherwise accumulates along trajectories that spiral into the origin.
     """
-    out = None
-    for per_w, per_w_cost in zip(prepared, cost_next):
-        inner = None
-        for prep, cn in zip(per_w, per_w_cost):
-            vals = np.minimum(cn, cap) + interp.apply(excess, prep, fill=0.0)
-            vals = np.where(prep[2], vals, cap)
-            inner = vals if inner is None else np.maximum(inner, vals)
-        out = inner if out is None else np.minimum(out, inner)
-    return out
+
+    def __init__(self, model, grid, scheme, cost_fn=None):
+        self.interp = BoxInterpolator(grid)
+        nodes = grid.nodes()
+        self.stencils = []
+        self.cost_next = []
+        for ai in range(model.n_controls):
+            f = model.drift(nodes, ai)
+            s = model.sigma(nodes, ai)
+            per_w = []
+            per_w_cost = []
+            for w in scheme.increments:
+                nxt = nodes + f * scheme.dt + s @ w
+                st = self.interp.prepare(nxt)
+                per_w.append(st)
+                if cost_fn is not None:
+                    with np.errstate(all="ignore"):
+                        cn = np.minimum(np.asarray(cost_fn(nxt), dtype=float), scheme.cap)
+                    cn[~st[2]] = scheme.cap
+                    per_w_cost.append(cn)
+            self.stencils.append(per_w)
+            self.cost_next.append(per_w_cost)
+
+    def continuation(self, flat_values, fill, mean=False):
+        """(controls, nodes) table of the worst next value over increments,
+        or their mean with ``mean``.  With a running cost, ``flat_values`` is
+        the excess over the cost and ``fill`` must be 0.
+        """
+        table = np.empty((len(self.stencils), flat_values.size))
+        for row, per_w, per_w_cost in zip(table, self.stencils, self.cost_next):
+            if mean:
+                row[:] = 0.0
+            for k, st in enumerate(per_w):
+                vals = self.interp.apply(flat_values, st, fill=fill)
+                if per_w_cost:
+                    vals += per_w_cost[k]
+                if mean:
+                    row += vals
+                elif k == 0:
+                    row[:] = vals
+                else:
+                    np.maximum(row, vals, out=row)
+            if mean:
+                row /= len(per_w)
+        return table
 
 
-def _sweep_minmean(interp, prepared, flat_values, fill):
-    out = None
-    for per_w in prepared:
-        acc = 0.0
-        for prep in per_w:
-            acc = acc + interp.apply(flat_values, prep, fill=fill)
-        inner = acc / len(per_w)
-        out = inner if out is None else np.minimum(out, inner)
-    return out
-
-
-def _iterate(update, v0, scheme, require_monotone=True, snapshot_every=0):
+def _iterate(update, v0, scheme, grid, name, require_monotone=True, snapshot_every=0):
     v = v0
     residuals = []
     snapshots = []
@@ -222,7 +214,10 @@ def _iterate(update, v0, scheme, require_monotone=True, snapshot_every=0):
         if resid < scheme.tolerance:
             converged = True
             break
-    return v, residuals, snapshots, converged, iterations
+    fld = ScalarField(grid=grid, values=v, name=name, iterations=iterations,
+                      residual=residuals[-1] if residuals else float("nan"),
+                      converged=converged)
+    return ValueResult(field=fld, residuals=residuals, snapshots=snapshots)
 
 
 def worst_case_sup_value(
@@ -250,24 +245,19 @@ def worst_case_sup_value(
     else:
         cost_fn = cost
     cost_vals = np.asarray(cost_fn(nodes), dtype=float)
-    interp, prepared, cost_next = _prepare_stencils(model, grid, scheme, point_fn=cost_fn)
+    op = _Transition(model, grid, scheme, cost_fn=cost_fn)
     cap = scheme.cap
     floor = np.minimum(cost_vals, cap)
 
     def update(v):
-        swept = _sweep_minmax_anchored(interp, prepared, cost_next, v - floor, cap)
+        swept = op.continuation(v - floor, fill=0.0).min(axis=0)
         vn = np.minimum(cap, np.maximum(floor, swept))
         if pin_mask is not None:
             vn[pin_mask] = floor[pin_mask]
         return vn
 
-    v, residuals, snapshots, converged, iterations = _iterate(
-        update, floor.copy(), scheme, snapshot_every=snapshot_every
-    )
-    fld = ScalarField(grid=grid, values=v, name="sup-value", iterations=iterations,
-                      residual=residuals[-1] if residuals else float("nan"),
-                      converged=converged)
-    return ValueResult(field=fld, residuals=residuals, snapshots=snapshots)
+    return _iterate(update, floor.copy(), scheme, grid, "sup-value",
+                    snapshot_every=snapshot_every)
 
 
 def worst_case_integral_value(
@@ -292,23 +282,17 @@ def worst_case_integral_value(
     pin = np.linalg.norm(nodes, axis=-1) <= (
         grid.rho if pin_radius is None else pin_radius
     )
-    interp, prepared, _ = _prepare_stencils(model, grid, scheme)
+    op = _Transition(model, grid, scheme)
     cap = scheme.cap
 
     def update(v):
-        swept = _sweep_minmax(interp, prepared, v, fill=cap)
+        swept = op.continuation(v, fill=cap).min(axis=0)
         vn = np.minimum(cap, run_cost + swept)
         vn[pin] = 0.0
         return vn
 
-    v0 = np.zeros(grid.n_nodes)
-    v, residuals, snapshots, converged, iterations = _iterate(
-        update, v0, scheme, snapshot_every=snapshot_every
-    )
-    fld = ScalarField(grid=grid, values=v, name="integral-value", iterations=iterations,
-                      residual=residuals[-1] if residuals else float("nan"),
-                      converged=converged)
-    return ValueResult(field=fld, residuals=residuals, snapshots=snapshots)
+    return _iterate(update, np.zeros(grid.n_nodes), scheme, grid, "integral-value",
+                    snapshot_every=snapshot_every)
 
 
 def discounted_value_and_prop_set(
@@ -342,19 +326,14 @@ def discounted_value_and_prop_set(
         base = default_scheme(model, grid, cap=max(w_cap, theta), dt=dt)
         scheme = base
     disc = np.exp(-lam * scheme.dt)
-    interp, prepared, _ = _prepare_stencils(model, grid, scheme)
+    op = _Transition(model, grid, scheme)
 
     def update(v):
-        swept = _sweep_minmean(interp, prepared, v, fill=w_cap)
+        swept = op.continuation(v, fill=w_cap, mean=True).min(axis=0)
         return np.minimum(w_cap, run_cost * scheme.dt + disc * swept)
 
-    v0 = np.zeros(grid.n_nodes)
-    v, residuals, _, converged, iterations = _iterate(update, v0, scheme)
-    fld = ScalarField(grid=grid, values=v, name="discounted-value", iterations=iterations,
-                      residual=residuals[-1] if residuals else float("nan"),
-                      converged=converged)
-    prop_mask = v <= theta
-    return ValueResult(field=fld, residuals=residuals), prop_mask
+    result = _iterate(update, np.zeros(grid.n_nodes), scheme, grid, "discounted-value")
+    return result, result.field.flat <= theta
 
 
 @dataclass
@@ -388,16 +367,7 @@ def synthesize_feedback(
 
     Ties break toward the lowest control index.
     """
-    interp, prepared, _ = _prepare_stencils(model, value.grid, scheme)
-    flat = value.flat
-    rows = []
-    for per_w in prepared:
-        inner = None
-        for prep in per_w:
-            vals = interp.apply(flat, prep, fill=scheme.cap)
-            inner = vals if inner is None else np.maximum(inner, vals)
-        rows.append(inner)
-    table = np.stack(rows, axis=0)
+    table = _Transition(model, value.grid, scheme).continuation(value.flat, fill=scheme.cap)
     indices = np.argmin(table, axis=0)  # first minimum wins
     return FeedbackMap(grid=value.grid, control_indices=indices,
                        provenance=value.name or "value-field")

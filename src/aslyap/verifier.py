@@ -165,8 +165,12 @@ def tangential_controls(model: ControlledDiffusion, x, p, eps_tan: float = 1e-6)
     return out
 
 
-def _margin_arrays(model, nodes, grads, hessians, eps_tan):
+def _margin_arrays(model, nodes, grads, hessians, eps_tan, gate_norm=None):
     """Per-node best tangential margin, witness, and tangency residual.
+
+    The margin of control alpha is -p . f - trace[a Y] with p = ``grads`` and
+    Y = ``hessians``; it counts only where |sigma^T p| <= eps_tan * gate_norm *
+    max(1, |sigma|_F), with ``gate_norm`` defaulting to |p|.
 
     Returns (best_margin with -inf where no tangential control, witness index
     or -1, residual of the witness or the minimum residual seen).
@@ -176,7 +180,8 @@ def _margin_arrays(model, nodes, grads, hessians, eps_tan):
     witness = np.full(n, -1, dtype=np.int64)
     wit_resid = np.full(n, np.inf)
     min_resid = np.full(n, np.inf)
-    pnorm = np.linalg.norm(grads, axis=-1)
+    if gate_norm is None:
+        gate_norm = np.linalg.norm(grads, axis=-1)
     for idx in range(model.n_controls):
         f = model.drift(nodes, idx)
         s = model.sigma(nodes, idx)
@@ -184,7 +189,7 @@ def _margin_arrays(model, nodes, grads, hessians, eps_tan):
         a = 0.5 * (a + np.swapaxes(a, -1, -2))
         resid = np.linalg.norm(np.einsum("nim,ni->nm", s, grads), axis=-1)
         snorm = np.linalg.norm(s.reshape(n, -1), axis=-1)
-        gate = eps_tan * pnorm * np.maximum(1.0, snorm)
+        gate = eps_tan * gate_norm * np.maximum(1.0, snorm)
         tangential = resid <= gate
         m = -np.einsum("ni,ni->n", grads, f) - np.einsum("nij,nji->n", a, hessians)
         min_resid = np.minimum(min_resid, resid)
@@ -194,6 +199,19 @@ def _margin_arrays(model, nodes, grads, hessians, eps_tan):
         wit_resid = np.where(better, resid, wit_resid)
     resid_out = np.where(witness >= 0, wit_resid, min_resid)
     return best, witness, resid_out
+
+
+def _finite_derivatives(vals, grads, hessians):
+    """Mask of nodes with finite value, gradient and Hessian, plus the
+    gradients and Hessians zeroed where the mask fails."""
+    finite = (
+        np.isfinite(vals)
+        & np.all(np.isfinite(grads), axis=-1)
+        & np.all(np.isfinite(hessians), axis=(-2, -1))
+    )
+    safe_grads = np.where(finite[:, None], grads, 0.0)
+    safe_hess = np.where(finite[:, None, None], hessians, 0.0)
+    return finite, safe_grads, safe_hess
 
 
 def _node_tolerance(model, nodes, grads, hessians, h_max, tol):
@@ -284,15 +302,8 @@ def check_supersolution(
     nodes = grid.nodes()
     radii = np.linalg.norm(nodes, axis=-1)
     keep = radii > grid.rho
-    nodes, grads_k, hess_k, radii = nodes[keep], grads[keep], hess[keep], radii[keep]
-
-    finite = (
-        np.isfinite(vals[keep])
-        & np.all(np.isfinite(grads_k), axis=-1)
-        & np.all(np.isfinite(hess_k), axis=(-2, -1))
-    )
-    safe_grads = np.where(finite[:, None], grads_k, 0.0)
-    safe_hess = np.where(finite[:, None, None], hess_k, 0.0)
+    nodes, radii = nodes[keep], radii[keep]
+    finite, safe_grads, safe_hess = _finite_derivatives(vals[keep], grads[keep], hess[keep])
 
     best, witness, resid = _margin_arrays(model, nodes, safe_grads, safe_hess, eps_tan)
     l_vals = l(radii)
@@ -338,23 +349,9 @@ def radial_sufficient_check(
     n = len(nodes)
     radii = np.linalg.norm(nodes, axis=-1)
     h_max = max(grid.spacing)
-    best = np.full(n, -np.inf)
-    witness = np.full(n, -1, dtype=np.int64)
-    resid_out = np.full(n, np.inf)
-    for idx in range(model.n_controls):
-        f = model.drift(nodes, idx)
-        s = model.sigma(nodes, idx)
-        a = model.a(nodes, idx)
-        resid = np.linalg.norm(np.einsum("nim,ni->nm", s, nodes), axis=-1)
-        snorm = np.linalg.norm(s.reshape(n, -1), axis=-1)
-        gate = eps_tan * np.maximum(radii, h_max) * np.maximum(1.0, snorm)
-        tangential = resid <= gate
-        m = -(np.einsum("ni,ni->n", f, nodes) + np.trace(a, axis1=-2, axis2=-1))
-        better = tangential & (m > best)
-        best = np.where(better, m, best)
-        witness = np.where(better, idx, witness)
-        resid_out = np.minimum(resid_out, resid)
-
+    eye = np.broadcast_to(np.eye(grid.dim), (n, grid.dim, grid.dim))
+    best, witness, resid_out = _margin_arrays(model, nodes, nodes, eye, eps_tan,
+                                              gate_norm=np.maximum(radii, h_max))
     tol_nodes = (np.full(n, float(tol)) if tol is not None
                  else 10.0 * h_max**2 * (1.0 + radii**2))
     verdicts = (witness >= 0) & (best >= -tol_nodes)
@@ -394,18 +391,12 @@ def check_geometric_invariance(
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     Y = np.asarray(Y, dtype=float)
+    if np.linalg.norm(p) == 0.0:
+        raise ValueError("tangential test needs a nonzero direction p")
 
     def fvalue(pv, Yv):
-        best = -np.inf
-        empty = True
-        for idx in tangential_controls(model, x, pv, eps_tan):
-            f = model.drift(x, idx)
-            a = model.a(x, idx)
-            m = float(-pv @ f - np.trace(a @ Yv))
-            empty = False
-            if m > best:
-                best = m
-        return best, empty
+        best, witness, _ = _margin_arrays(model, x[None], pv[None], Yv[None], eps_tan)
+        return float(best[0]), bool(witness[0] < 0)
 
     f1, e1 = fvalue(p, Y)
     f2, e2 = fvalue(lam * p, lam * Y + mu * np.outer(p, p))
@@ -499,24 +490,8 @@ def check_viability_boundary(
     finite = (pnorm > 0) & np.all(np.isfinite(p), axis=-1) & np.all(
         np.isfinite(Y), axis=(-2, -1)
     )
-
-    best = np.full(n, -np.inf)
-    witness = np.full(n, -1, dtype=np.int64)
-    resid_out = np.full(n, np.inf)
-    for idx in range(model.n_controls):
-        f = model.drift(nodes, idx)
-        s = model.sigma(nodes, idx)
-        a = 0.5 * np.einsum("nim,njm->nij", s, s)
-        a = 0.5 * (a + np.swapaxes(a, -1, -2))
-        resid = np.linalg.norm(np.einsum("nim,ni->nm", s, p), axis=-1)
-        snorm = np.linalg.norm(s.reshape(n, -1), axis=-1)
-        gate = eps_tan * pnorm * np.maximum(1.0, snorm)
-        tangential = resid <= gate
-        m = np.einsum("ni,ni->n", f, p) + np.einsum("nij,nji->n", a, Y)
-        better = tangential & (m > best)
-        best = np.where(better, m, best)
-        witness = np.where(better, idx, witness)
-        resid_out = np.minimum(resid_out, resid)
+    # the margin of (-p, -Y) is exactly f . p + trace[a Y]
+    best, witness, resid_out = _margin_arrays(model, nodes, -p, -Y, eps_tan)
 
     tol_nodes = _node_tolerance(model, nodes, np.where(finite[:, None], p, 0.0),
                                 np.where(finite[:, None, None], Y, 0.0), h_max, tol)
@@ -582,15 +557,8 @@ def check_set_lyapunov(
     keep = d_all > grid.rho
     nodes_k = nodes[keep]
     d = d_all[keep]
-    vals_k, grads_k, hess_k = vals[keep], grads[keep], hess[keep]
-
-    finite = (
-        np.isfinite(vals_k)
-        & np.all(np.isfinite(grads_k), axis=-1)
-        & np.all(np.isfinite(hess_k), axis=(-2, -1))
-    )
-    safe_grads = np.where(finite[:, None], grads_k, 0.0)
-    safe_hess = np.where(finite[:, None, None], hess_k, 0.0)
+    vals_k = vals[keep]
+    finite, safe_grads, safe_hess = _finite_derivatives(vals_k, grads[keep], hess[keep])
 
     best, witness, resid = _margin_arrays(model, nodes_k, safe_grads, safe_hess, eps_tan)
     margins = best - l(d)

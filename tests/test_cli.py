@@ -52,6 +52,24 @@ def test_unknown_flag_is_config_error(tmp_path):
     assert main(["check", "--model", ROT, "--bogus", "1"]) == 2
 
 
+@pytest.mark.parametrize("argv", [["check"], ["value", "sup"],
+                                  ["viability", "--mu", "0.5"]])
+def test_workers_only_on_ensemble_commands(tmp_path, argv):
+    # only simulate, gauge and pipeline run ensembles, so only they take --workers
+    assert main([*argv, "--model", ROT, "--grid", "21", "--workers", "2",
+                 "--out", _runs(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--x0", "0.5,0", "-T", "0.01", "--paths", "2"],
+    ["gauge", "--radii", "0.2", "-T", "0.01", "--paths", "2"],
+    ["pipeline", "--grid", "21"],
+])
+def test_negative_seed_is_config_error(tmp_path, capsys, argv):
+    assert main([*argv, "--model", ROT, "--seed", "-1", "--out", _runs(tmp_path)]) == 2
+    assert "--seed must be nonnegative" in capsys.readouterr().err
+
+
 def test_value_sup_writes_field(tmp_path):
     assert main(["value", "sup", "--model", LIN, "--grid", "81",
                  "--out", _runs(tmp_path)]) == 0

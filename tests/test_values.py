@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import aslyap as al
+from aslyap.fields import BoxInterpolator
 from aslyap.values import default_increments, max_drift_norm
 
 
@@ -200,6 +201,100 @@ def test_discounted_parameter_validation(rotational):
                                          theta=0.1)
 
 
+# ------------------------------------------------ brute-force operator reference
+
+def _brute_table(model, grid, scheme, values, fill, cost=None, mean=False):
+    """Per control, the worst (or mean) next value over increments, read by a
+    fresh BoxInterpolator stencil per (control, increment).
+
+    With ``cost``, a read is cost(next) in closed form, capped, plus the
+    interpolated excess ``values``, and the cap off the box.
+    """
+    interp = BoxInterpolator(grid)
+    nodes = grid.nodes()
+    rows = []
+    for ai in range(model.n_controls):
+        f = model.drift(nodes, ai)
+        s = model.sigma(nodes, ai)
+        acc = 0.0 if mean else None
+        for w in scheme.increments:
+            nxt = nodes + f * scheme.dt + s @ w
+            st = interp.prepare(nxt)
+            if cost is None:
+                vals = interp.apply(values, st, fill=fill)
+            else:
+                vals = np.minimum(cost(nxt), scheme.cap) + interp.apply(values, st, fill=0.0)
+                vals = np.where(grid.contains(nxt), vals, scheme.cap)
+            if mean:
+                acc = acc + vals
+            else:
+                acc = vals if acc is None else np.maximum(acc, vals)
+        rows.append(acc / len(scheme.increments) if mean else acc)
+    return np.stack(rows)
+
+
+def _brute_min(table):
+    out = table[0]
+    for row in table[1:]:
+        out = np.minimum(out, row)
+    return out
+
+
+def _norm(points):
+    return np.linalg.norm(points, axis=-1)
+
+
+_OPERATOR_CASES = [("bang1d", ((-1.0,), (1.0,), (41,))),
+                   ("rotational", ((-1.0, -1.0), (1.0, 1.0), (21, 21)))]
+
+
+@pytest.mark.parametrize("sweeps", [1, 3])
+@pytest.mark.parametrize("name,box", _OPERATOR_CASES)
+def test_operator_matches_brute_force(request, name, box, sweeps):
+    # each iteration's sweeps (up to ``sweeps``; fewer once converged) must
+    # equal the per-(control, increment) reference loop bit for bit
+    pm = request.getfixturevalue(name)
+    model = pm.model
+    grid = al.Grid(*box)
+    nodes = grid.nodes()
+
+    # off center, the sup value on the rotational model exceeds the cost
+    def cost(points):
+        return np.abs(points[:, 0] - 0.3)
+
+    scheme = al.default_scheme(model, grid, cap=1.0, max_iterations=sweeps)
+    res = al.worst_case_sup_value(model, grid, scheme, cost=cost)
+    floor = np.minimum(cost(nodes), scheme.cap)
+    v = floor.copy()
+    for _ in range(res.field.iterations):
+        swept = _brute_min(_brute_table(model, grid, scheme, v - floor, 0.0, cost=cost))
+        v = np.minimum(scheme.cap, np.maximum(floor, swept))
+    assert np.array_equal(res.field.flat, v)
+
+    scheme = al.default_scheme(model, grid, cap=2.0, max_iterations=sweeps)
+    res = al.worst_case_integral_value(model, grid, pm.gauge, scheme)
+    run_cost = pm.gauge.of_points(nodes) * scheme.dt
+    pin = _norm(nodes) <= grid.rho
+    v = np.zeros(grid.n_nodes)
+    for _ in range(res.field.iterations):
+        v = np.minimum(scheme.cap, run_cost + _brute_min(
+            _brute_table(model, grid, scheme, v, scheme.cap)))
+        v[pin] = 0.0
+    assert np.array_equal(res.field.flat, v)
+
+    K, lam = 0.5, 1.0
+    scheme = al.default_scheme(model, grid, cap=1.0, max_iterations=sweeps)
+    run_cost = np.maximum(0.0, _norm(nodes) - K)
+    w_cap = float(run_cost.max()) / lam
+    res, _ = al.discounted_value_and_prop_set(model, grid, K=K, lam=lam, theta=0.1,
+                                              scheme=scheme)
+    v = np.zeros(grid.n_nodes)
+    for _ in range(res.field.iterations):
+        v = np.minimum(w_cap, run_cost * scheme.dt + np.exp(-lam * scheme.dt) * _brute_min(
+            _brute_table(model, grid, scheme, v, w_cap, mean=True)))
+    assert np.array_equal(res.field.flat, v)
+
+
 # ------------------------------------------------------------------ feedback
 
 def test_feedback_two_controls_brute_force(bang1d):
@@ -207,24 +302,10 @@ def test_feedback_two_controls_brute_force(bang1d):
     scheme = al.default_scheme(bang1d.model, grid, cap=1.0)
     res = al.worst_case_sup_value(bang1d.model, grid, scheme)
     fb = al.synthesize_feedback(bang1d.model, res.field, scheme)
-    nodes = grid.nodes()
-    # brute force: compare the two interpolated continuations per node
-    from aslyap.fields import BoxInterpolator
-
-    interp = BoxInterpolator(grid)
-    best = []
-    for ai in range(2):
-        f = bang1d.model.drift(nodes, ai)
-        s = bang1d.model.sigma(nodes, ai)
-        worst = None
-        for w in scheme.increments:
-            nxt = nodes + f * scheme.dt + s @ w
-            vals = interp.apply(res.field.flat, interp.prepare(nxt), fill=scheme.cap)
-            worst = vals if worst is None else np.maximum(worst, vals)
-        best.append(worst)
-    expected = np.argmin(np.stack(best), axis=0)
+    expected = np.argmin(_brute_table(bang1d.model, grid, scheme, res.field.flat,
+                                      fill=scheme.cap), axis=0)
     assert np.array_equal(fb.control_indices, expected)
-    r = np.abs(nodes[:, 0])
+    r = np.abs(grid.nodes()[:, 0])
     assert (fb.control_indices[r > 2 * max(grid.spacing)] == 0).all()  # brake
 
 

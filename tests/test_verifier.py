@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import aslyap as al
 from aslyap import expr as ex
+from aslyap.fields import LevelSet
 from aslyap.model import ControlledDiffusion
 from aslyap.verifier import STATUS_NO_TANGENTIAL, STATUS_SANDWICH
 
@@ -359,3 +362,88 @@ def test_report_serialization(rotational, tmp_path):
     assert len(text.splitlines()) == len(rep.margins) + 1
     summary = rep.to_json()
     assert '"all_pass": true' in summary
+
+
+# ------------------------------------------------------------- margin kernel
+
+# control 0 spins (noise tangential to circles), control 1 kicks along x1
+# (noise tangential only where p1 = 0), so gates open and close per control
+_TWO_CONTROLS = _inline(
+    "f1 = -x1 + a1*x2\nf2 = -x2 - a1*x1 + (1 - a1)*x1\n"
+    "s1_1 = -a1*x2 + (1 - a1)\ns2_1 = a1*x1",
+    n=2, controls="spin = 1.0\nkick = 0.0",
+).model
+
+
+def _pointwise_best_margin(model, x, p, Y, eps_tan):
+    """max of -p.f - tr(aY) over tangential_controls, one point at a time."""
+    best = -np.inf
+    for idx in al.tangential_controls(model, x, p, eps_tan):
+        m = float(-p @ model.drift(x, idx) - np.trace(model.a(x, idx) @ Y))
+        best = max(best, m)
+    return best
+
+
+_coord = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+_scale = st.floats(min_value=0.1, max_value=10.0)
+
+
+@st.composite
+def _point_data(draw):
+    x = np.array([draw(_coord), draw(_coord)])
+    assume(np.linalg.norm(x) >= 0.1)
+    c = draw(_scale) * draw(st.sampled_from([-1.0, 1.0]))
+    kind = draw(st.sampled_from(["radial", "vertical", "free"]))
+    if kind == "radial":
+        p = c * x  # control 0 tangential
+    elif kind == "vertical":
+        p = np.array([0.0, c])  # control 1 tangential
+    else:
+        p = np.array([draw(_coord), draw(_coord)])
+        assume(np.linalg.norm(p) >= 0.1)
+    y = [draw(st.floats(min_value=-5.0, max_value=5.0)) for _ in range(3)]
+    Y = np.array([[y[0], y[1]], [y[1], y[2]]])
+    return x, p, Y
+
+
+def _agree(got, want):
+    if want == -np.inf:
+        return got == -np.inf
+    return got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+@given(data=st.lists(_point_data(), min_size=1, max_size=6),
+       lam=_scale, mu=st.floats(min_value=-10.0, max_value=10.0))
+@settings(max_examples=100, deadline=None)
+def test_margin_wrappers_match_pointwise_reference(data, lam, mu):
+    model, eps_tan = _TWO_CONTROLS, 1e-6
+    for x, p, Y in data:
+        res = al.check_geometric_invariance(model, x, p, Y, lam, mu, eps_tan)
+        assert _agree(res.value, _pointwise_best_margin(model, x, p, Y, eps_tan))
+        p2, Y2 = lam * p, lam * Y + mu * np.outer(p, p)
+        assert _agree(res.value_scaled, _pointwise_best_margin(model, x, p2, Y2, eps_tan))
+
+    # viability margins are f.p + tr(aY): the kernel margin of (-p, -Y)
+    xs, ps, Ys = (np.array(v) for v in zip(*data))
+    grid = al.Grid((-1.0, -1.0), (1.0, 1.0), (5, 5))
+    ls = LevelSet(field=al.ScalarField(grid=grid, values=np.zeros(grid.n_nodes)),
+                  level=0.0, node_indices=np.arange(len(xs)), coords=xs, normals=ps,
+                  curvatures=Ys, edge_flags=np.zeros(len(xs), dtype=bool))
+    rep = al.check_viability_boundary(model, ls, eps_tan=eps_tan)
+    for i, (x, p, Y) in enumerate(data):
+        assert _agree(rep.margins[i], _pointwise_best_margin(model, x, -p, -Y, eps_tan))
+
+
+@given(counts=st.tuples(st.integers(3, 12), st.integers(3, 12)),
+       lower=st.tuples(st.floats(-2.0, -0.1), st.floats(-2.0, -0.1)),
+       upper=st.tuples(st.floats(0.1, 2.0), st.floats(0.1, 2.0)))
+@settings(max_examples=50, deadline=None)
+def test_radial_margin_matches_pointwise_reference(counts, lower, upper):
+    # with p = x and Y = I the radial gate max(|x|, h) is |x| once |x| >= h
+    model, eps_tan = _TWO_CONTROLS, 1e-6
+    grid = al.Grid(lower, upper, counts)
+    rep = al.radial_sufficient_check(model, grid, eps_tan=eps_tan)
+    h = max(grid.spacing)
+    for x, m in zip(rep.coords, rep.margins):
+        if np.linalg.norm(x) >= h:
+            assert _agree(m, _pointwise_best_margin(model, x, x, np.eye(2), eps_tan))
