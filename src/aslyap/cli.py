@@ -110,6 +110,17 @@ def _check_seed(seed: int) -> None:
         raise ConfigError(f"--seed must be nonnegative, got {seed}")
 
 
+def _check_ensemble_flags(args, dt_flag: str, dt: float) -> None:
+    """Reject the flags of an ensemble command before any run directory exists."""
+    _check_seed(args.seed)
+    for flag, value in ((dt_flag, dt), ("-T", args.horizon)):
+        if not (np.isfinite(value) and value > 0):
+            raise ConfigError(f"{flag} must be a positive finite number, got {value}")
+    for flag, value in (("--paths", args.paths), ("--workers", args.workers)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be at least 1, got {value}")
+
+
 def _vector(text: str) -> list[float]:
     try:
         return [float(p) for p in text.split(",")]
@@ -198,7 +209,9 @@ def cmd_value(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _check_seed(args.seed)
+    _check_ensemble_flags(args, "--dt", args.dt)
+    if args.thin < 0:
+        raise ConfigError(f"--thin must be nonnegative, got {args.thin}")
     parsed = _load_model(args.model)
     x0 = _vector(args.x0)
     cfg = {"cmd": "simulate", "model": args.model, "x0": args.x0, "dt": args.dt,
@@ -223,7 +236,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_gauge(args) -> int:
-    _check_seed(args.seed)
+    _check_ensemble_flags(args, "--dt", args.dt)
     parsed = _load_model(args.model)
     radii = _vector(args.radii)
     if any(r <= 0 for r in radii):
@@ -245,6 +258,7 @@ def cmd_gauge(args) -> int:
     ]
     decay = estimate_decay_envelope(ensembles)
     out = {
+        "integrator": ensembles[0].integrator,
         "stabilizability": {
             "consistent": stab.consistent,
             "reason": stab.reason,
@@ -302,7 +316,7 @@ class _FieldValue:
 
 
 def cmd_pipeline(args) -> int:
-    _check_seed(args.seed)
+    _check_ensemble_flags(args, "--sim-dt", args.sim_dt)
     parsed = _load_model(args.model)
     model = parsed.model
     grid = _parse_grid(args.grid, parsed, args.rho)

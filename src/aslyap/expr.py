@@ -451,16 +451,21 @@ def _pysource(node: Node) -> str:
     return f"{_NP_FNS[node.fn]}({args})"
 
 
+def _compile_bare(node: Node, arg_names: list[str]):
+    """``compile_fn`` without the error-state scope; the caller sets ``np.errstate``."""
+    unknown = free_vars(node) - set(arg_names)
+    if unknown:
+        raise ExprError(f"unknown identifier(s): {', '.join(sorted(unknown))}")
+    src = f"lambda {', '.join(arg_names)}: {_pysource(node)}"
+    return eval(src, {"np": np})  # noqa: S307 - source generated above
+
+
 def compile_fn(node: Node, arg_names: list[str]):
     """Compile a tree into a numpy-vectorized callable of ``arg_names``.
 
     Unknown identifiers are rejected here rather than at call time.
     """
-    unknown = free_vars(node) - set(arg_names)
-    if unknown:
-        raise ExprError(f"unknown identifier(s): {', '.join(sorted(unknown))}")
-    src = f"lambda {', '.join(arg_names)}: {_pysource(node)}"
-    fn = eval(src, {"np": np})  # noqa: S307 - source generated above
+    fn = _compile_bare(node, arg_names)
 
     def quiet(*args):
         # non-finite values are legitimate here; callers mask or flag them

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -48,6 +49,11 @@ __all__ = [
 ]
 
 _BLOCK_STEPS = 1024
+# Fewest paths per worker chunk.  A step is a few dozen numpy calls whose
+# Python side holds the interpreter lock, so two threads on small chunks run
+# slower than one thread on the whole batch: on 2 cores, 1.4 to 3.0 times
+# slower for 500 to 10 000 paths.
+_MIN_CHUNK_PATHS = 5000
 
 
 def _path_generator(seed: int, path_index: int) -> np.random.Generator:
@@ -175,6 +181,9 @@ def _sum(terms):
 def _compile_steps(model, control_indices, integrator):
     """One compiled update of (x, w, dt) per state row for each control.
 
+    The row functions run without an error-state scope of their own; the
+    step loop enters one per block.
+
     Returns the per-control row functions and the integrator they implement:
     a Milstein request falls back to Euler when some control's noise is not
     commutative.  Terms whose coefficient simplifies to 0 are dropped, so for
@@ -207,107 +216,166 @@ def _compile_steps(model, control_indices, integrator):
             for part in parts:
                 if part is not None:
                     tree = ex.Bin("+", tree, part)
-            rows.append(ex.compile_fn(tree, xvars + wvars + ["dt"]))
+            rows.append(ex._compile_bare(tree, xvars + wvars + ["dt"]))
         steps[ci] = rows
     return steps, integrator
 
 
-def _step(rows, x, w, dt):
+def _step(rows, x, w, dt, out):
+    """Write one step of every path into ``out``; rows are bare lambdas."""
     args = [*x.T, *w.T, dt]
-    return np.stack([fn(*args) for fn in rows], axis=-1)
+    for i, fn in enumerate(rows):
+        out[:, i] = fn(*args)
+    return out
+
+
+def _radius(x, out):
+    """Row norms of x into ``out``, bit-equal to ``np.linalg.norm(x, axis=-1)``.
+
+    numpy adds fewer than eight squares left to right and more pairwise, so
+    wider states take numpy's own norm.
+    """
+    if x.shape[1] >= 8:
+        out[:] = np.linalg.norm(x, axis=-1)
+        return out
+    cols = x.T
+    np.multiply(cols[0], cols[0], out=out)
+    for c in cols[1:]:
+        out += c * c
+    return np.sqrt(out, out=out)
+
+
+def _inside(x, lower, upper, ok, flag):
+    """Flag into ``ok`` the rows of x inside the box; ``flag`` is scratch."""
+    for i, col in enumerate(x.T):
+        if i:
+            ok &= np.greater_equal(col, lower[i], out=flag)
+        else:
+            np.greater_equal(col, lower[i], out=ok)
+        ok &= np.less_equal(col, upper[i], out=flag)
+    return ok
 
 
 def _simulate_chunk(model, x0, dt, n_steps, path_lo, path_hi, seed, increment_mode,
                     lower, upper, control_index, feedback, steps, cand, gauge,
                     occ_radii, target_fn, thin):
+    """Simulate paths path_lo..path_hi-1 and return their full-size statistics.
+
+    Only live paths are stepped.  The per-path arrays in ``live`` hold the
+    live paths in index order; when a step leaves the box for some of them,
+    their pre-step state and statistics are copied into ``final`` (frozen at
+    the exit) and every live array is compacted.  The step runs with one
+    ``np.errstate`` scope per block of increments, and states, box flags and
+    radii go into buffers reused from step to step.  The outputs equal the
+    masked loop that steps every path bit for bit.  ``feedback`` is None when
+    one control serves every path (``control_index``).
+    """
     n = path_hi - path_lo
     dim = model.dim_state
     m = model.dim_noise
     root_dt = np.sqrt(dt)
     gens = [_path_generator(seed, i) for i in range(path_lo, path_hi)]
+    # clamped to the finite range, one comparison per side also rejects inf and NaN
+    big = np.finfo(float).max
+    lower = np.broadcast_to(np.maximum(lower, -big), (dim,))
+    upper = np.broadcast_to(np.minimum(upper, big), (dim,))
 
     x = np.tile(np.asarray(x0, dtype=float), (n, 1))
-    alive = np.ones(n, dtype=bool)
-    exit_times = np.full(n, np.inf)
-    radius = np.linalg.norm(x, axis=-1)
-    sup_radius = radius.copy()
+    radius = _radius(x, np.empty(n))
     timeline = np.zeros(n_steps + 1)
     timeline[0] = radius.max()
-
-    v0 = cand.value(x0) if cand is not None else None
-    sup_v = np.full(n, v0) if cand is not None else None
-    acc_l = np.zeros(n) if gauge is not None or cand is not None else None
-    supermax = np.zeros(n) if cand is not None else None
-    supermax_t = np.zeros(n) if cand is not None else None
-    occupation = np.zeros((len(occ_radii), n)) if occ_radii is not None else None
-    sup_d = (np.abs(np.asarray(target_fn(x), dtype=float)) if target_fn is not None
-             else None)
+    live = SimpleNamespace(x=x, radius=radius, sup_radius=radius.copy())
+    if cand is not None:
+        v0 = cand.value(x0)
+        live.sup_v, live.supermax, live.supermax_t = np.full(n, v0), np.zeros(n), np.zeros(n)
+    if gauge is not None or cand is not None:
+        live.acc_l = np.zeros(n)
+    if occ_radii is not None:
+        live.occupation = np.zeros((n, len(occ_radii)))  # path-major while stepping
+    if target_fn is not None:
+        live.sup_d = np.abs(np.asarray(target_fn(x), dtype=float))
+    final = {key: np.empty_like(arr) for key, arr in vars(live).items()}
+    index = np.arange(n)
+    alive = np.ones(n, dtype=bool)
+    exit_times = np.full(n, np.inf)
     if thin:
-        n_samples = n_steps // thin + 1
-        stored = np.empty((n_samples, n, dim))
+        stored = np.empty((n_steps // thin + 1, n, dim))
         stored[0] = x
         sample_row = 1
 
-    single = model.n_controls == 1
+    def buffers(size):
+        return np.empty((size, dim)), np.empty(size, dtype=bool), np.empty(size, dtype=bool)
+
+    xn, ok, flag = buffers(n)
     step_index = 0
-    while step_index < n_steps:
+    while step_index < n_steps and len(index):
         block = min(_BLOCK_STEPS, n_steps - step_index)
         if increment_mode == "gaussian":
-            incs = np.stack([g.standard_normal((block, m)) for g in gens], axis=1) * root_dt
+            incs = np.stack([g.standard_normal((block, m)) for g in gens], axis=1)
         else:  # signed-bernoulli
             incs = np.stack(
                 [g.integers(0, 2, size=(block, m)) * 2.0 - 1.0 for g in gens], axis=1
-            ) * root_dt
-        for b in range(block):
-            k = step_index + b
-            w = incs[b]
-            # pre-step state carries the running integrals over [t_k, t_k + dt)
-            if acc_l is not None and gauge is not None:
-                acc_l[alive] += gauge.of_points(x[alive]) * dt
-            if occupation is not None:
-                out = radius[None, :] > np.asarray(occ_radii)[:, None]
-                occupation[:, alive] += dt * out[:, alive]
+            )
+        incs *= root_dt
+        with np.errstate(all="ignore"):
+            for b in range(block):
+                k = step_index + b
+                w = incs[b]
+                x = live.x
+                # pre-step state carries the running integrals over [t_k, t_k + dt)
+                if gauge is not None:
+                    live.acc_l += gauge(live.radius) * dt
+                if occ_radii is not None:
+                    live.occupation += dt * (live.radius[:, None] > occ_radii)
 
-            if single or feedback is None:
-                xn = _step(steps[control_index], x, w, dt)
-            else:
-                indices = feedback.lookup(x)
-                xn = np.empty_like(x)
-                for ci in np.unique(indices):
-                    mask = indices == ci
-                    xn[mask] = _step(steps[ci], x[mask], w[mask], dt)
+                if feedback is None:
+                    _step(steps[control_index], x, w, dt, xn)
+                else:
+                    indices = feedback.lookup(x)
+                    for ci in np.unique(indices):
+                        mask = indices == ci
+                        xm = x[mask]
+                        xn[mask] = _step(steps[ci], xm, w[mask], dt, np.empty_like(xm))
 
-            inside = np.all(np.isfinite(xn), axis=-1)
-            inside &= np.all((xn >= lower) & (xn <= upper), axis=-1)
-            newly_exited = alive & ~inside
-            exit_times[newly_exited] = (k + 1) * dt
-            x = np.where((alive & inside)[:, None], xn, x)
-            alive = alive & inside
+                if not _inside(xn, lower, upper, ok, flag).all():
+                    kept, gone = np.flatnonzero(ok), np.flatnonzero(~ok)
+                    at = index[gone]
+                    alive[at] = False
+                    exit_times[at] = (k + 1) * dt
+                    if thin:
+                        stored[sample_row:, at] = x[gone]
+                    for key, arr in vars(live).items():
+                        final[key][at] = arr[gone]
+                        setattr(live, key, arr[kept])
+                    index, gens, incs = index[kept], [gens[j] for j in kept], incs[:, kept]
+                    xn = xn[kept]
+                    x, ok, flag = buffers(len(index))
+                    if not len(index):
+                        break
+                live.x, xn = xn, x  # the pre-step buffer takes the next step
 
-            radius = np.linalg.norm(x, axis=-1)
-            np.maximum(sup_radius, np.where(alive, radius, -np.inf), out=sup_radius)
-            timeline[k + 1] = radius[alive].max() if alive.any() else 0.0
-            if cand is not None:
-                vx = cand.value(x)
-                np.maximum(sup_v, np.where(alive, vx, -np.inf), out=sup_v)
-                excess = vx + (acc_l if gauge is not None else 0.0) - v0
-                better = alive & (excess > supermax)
-                supermax_t[better] = (k + 1) * dt
-                np.maximum(supermax, np.where(alive, excess, -np.inf), out=supermax)
-            if sup_d is not None:
-                dx = np.abs(np.asarray(target_fn(x), dtype=float))
-                np.maximum(sup_d, np.where(alive, dx, -np.inf), out=sup_d)
-            if thin and (k + 1) % thin == 0:
-                stored[sample_row] = x
-                sample_row += 1
+                radius = _radius(live.x, live.radius)
+                np.maximum(live.sup_radius, radius, out=live.sup_radius)
+                timeline[k + 1] = radius.max()
+                if cand is not None:
+                    vx = cand.value(live.x)
+                    np.maximum(live.sup_v, vx, out=live.sup_v)
+                    excess = vx + live.acc_l - v0
+                    live.supermax_t[excess > live.supermax] = (k + 1) * dt
+                    np.maximum(live.supermax, excess, out=live.supermax)
+                if target_fn is not None:
+                    dx = np.abs(np.asarray(target_fn(live.x), dtype=float))
+                    np.maximum(live.sup_d, dx, out=live.sup_d)
+                if thin and (k + 1) % thin == 0:
+                    stored[sample_row, index] = live.x
+                    sample_row += 1
         step_index += block
 
-    out = {
-        "x": x, "alive": alive, "exit_times": exit_times, "sup_radius": sup_radius,
-        "timeline": timeline, "sup_v": sup_v, "acc_l": acc_l, "supermax": supermax,
-        "supermax_t": supermax_t, "occupation": occupation, "sup_d": sup_d,
-        "radius": radius,
-    }
+    for key, arr in vars(live).items():
+        final[key][index] = arr
+    if occ_radii is not None:
+        final["occupation"] = final["occupation"].T
+    out = {**final, "alive": alive, "exit_times": exit_times, "timeline": timeline}
     if thin:
         out["stored"] = stored
     return out
@@ -342,8 +410,13 @@ def simulate_ensemble(
     truncated at exit).  ``thin`` > 0 stores every thin-th state for
     plotting; running statistics always use every step.
     """
-    if dt <= 0 or T <= 0 or n_paths < 1:
-        raise ValueError("need dt > 0, T > 0, n_paths >= 1")
+    for name, value, need, ok in (
+        ("dt", dt, "> 0", dt > 0), ("T", T, "> 0", T > 0),
+        ("n_paths", n_paths, ">= 1", n_paths >= 1),
+        ("workers", workers, ">= 1", workers >= 1), ("thin", thin, ">= 0", thin >= 0),
+    ):
+        if not ok:
+            raise ValueError(f"need {name} {need}, got {value!r}")
     if increment_mode not in ("gaussian", "signed-bernoulli"):
         raise ValueError(f"unknown increment mode {increment_mode!r}")
     if integrator not in ("milstein", "euler"):
@@ -355,6 +428,8 @@ def simulate_ensemble(
         used_controls = [control_index]
     else:
         used_controls = [int(ci) for ci in np.unique(feedback.control_indices)]
+    if len(used_controls) == 1:  # a feedback map with one control needs no lookup
+        control_index, feedback = used_controls[0], None
     if increment_mode != "gaussian":
         integrator = "euler"
     steps, integrator = _compile_steps(model, used_controls, integrator)
@@ -372,8 +447,8 @@ def simulate_ensemble(
         target_fn = _distance_evaluator(target_distance, model.dim_state)
     occ = np.asarray(occupation_radii, dtype=float) if occupation_radii is not None else None
 
-    chunk_bounds = np.linspace(0, n_paths, max(1, int(workers)) + 1).astype(int)
-    chunk_bounds = np.unique(chunk_bounds)
+    n_chunks = max(1, min(int(workers), n_paths // _MIN_CHUNK_PATHS))
+    chunk_bounds = np.linspace(0, n_paths, n_chunks + 1).astype(int)
     args = [
         (model, x0, dt, n_steps, int(lo), int(hi), seed, increment_mode, lower, upper,
          control_index, feedback, steps, candidate, gauge, occ, target_fn, thin)
@@ -386,7 +461,7 @@ def simulate_ensemble(
             results = list(pool.map(lambda a: _simulate_chunk(*a), args))
 
     def cat(key):
-        parts = [r[key] for r in results]
+        parts = [r.get(key) for r in results]
         if parts[0] is None:
             return None
         return np.concatenate(parts, axis=-1 if key == "occupation" else 0)

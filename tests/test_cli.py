@@ -70,6 +70,26 @@ def test_negative_seed_is_config_error(tmp_path, capsys, argv):
     assert "--seed must be nonnegative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["simulate", "--x0", "0.5,0", "--workers", "0"], "--workers"),
+    (["simulate", "--x0", "0.5,0", "--thin", "-1"], "--thin"),
+    (["simulate", "--x0", "0.5,0", "--paths", "0"], "--paths"),
+    (["simulate", "--x0", "0.5,0", "--dt", "0"], "--dt"),
+    (["simulate", "--x0", "0.5,0", "-T", "-1"], "-T"),
+    (["simulate", "--x0", "0.5,0", "-T", "inf"], "-T"),
+    (["gauge", "--radii", "0.2", "--dt", "-0.001"], "--dt"),
+    (["gauge", "--radii", "0.2", "--paths", "0"], "--paths"),
+    (["gauge", "--radii", "0.2", "--workers", "0"], "--workers"),
+    (["pipeline", "--sim-dt", "nan"], "--sim-dt"),
+    (["pipeline", "-T", "0"], "-T"),
+    (["pipeline", "--paths", "0"], "--paths"),
+])
+def test_bad_ensemble_flags_are_config_errors(tmp_path, capsys, argv, flag):
+    assert main([*argv, "--model", ROT, "--out", _runs(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {flag} must be ")
+    assert not (tmp_path / "runs").exists()  # rejected before any run directory
+
+
 def test_value_sup_writes_field(tmp_path):
     assert main(["value", "sup", "--model", LIN, "--grid", "81",
                  "--out", _runs(tmp_path)]) == 0
@@ -136,6 +156,7 @@ def test_gauge_command(tmp_path):
     gauges = json.loads((run / "gauges.json").read_text())
     assert gauges["stabilizability"]["consistent"] is True
     assert gauges["decay"]["kappa"] == pytest.approx(0.5, abs=0.15)
+    assert gauges["integrator"] == "milstein"
 
 
 def test_viability_command(tmp_path):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aslyap as al
+from aslyap import simulate
 from aslyap.simulate import _path_generator, build_decay_gauge, default_weight_rule
 
 
@@ -30,7 +31,8 @@ def test_same_seed_bit_identical(rotational):
     assert a.to_csv() == b.to_csv()
 
 
-def test_workers_do_not_change_results(rotational):
+def test_workers_do_not_change_results(monkeypatch, rotational):
+    monkeypatch.setattr(simulate, "_MIN_CHUNK_PATHS", 1)  # 128 paths still split
     kw = dict(x0=[0.5, 0.0], dt=1e-3, T=0.5, n_paths=128, seed=5)
     a = al.simulate_ensemble(rotational.model, **kw, workers=1)
     b = al.simulate_ensemble(rotational.model, **kw, workers=3)
@@ -41,6 +43,218 @@ def test_workers_do_not_change_results(rotational):
 def test_single_path_runs(linear1d):
     ens = al.simulate_ensemble(linear1d.model, [0.4], dt=1e-3, T=1.0, n_paths=1, seed=1)
     assert ens.final_states.shape == (1, 1)
+
+
+# ----------------------------------------------------- reference step loop
+
+def _reference_step(rows, x, w, dt):
+    args = [*x.T, *w.T, dt]
+    return np.stack([fn(*args) for fn in rows], axis=-1)
+
+
+def _reference_chunk(model, x0, dt, n_steps, path_lo, path_hi, seed, increment_mode,
+                     lower, upper, control_index, feedback, steps, cand, gauge,
+                     occ_radii, target_fn, thin):
+    """The masked loop: every path is stepped every step, exited or not."""
+    # the compiled rows set no error state of their own
+    with np.errstate(all="ignore"):
+        n = path_hi - path_lo
+        dim = model.dim_state
+        m = model.dim_noise
+        root_dt = np.sqrt(dt)
+        gens = [_path_generator(seed, i) for i in range(path_lo, path_hi)]
+
+        x = np.tile(np.asarray(x0, dtype=float), (n, 1))
+        alive = np.ones(n, dtype=bool)
+        exit_times = np.full(n, np.inf)
+        radius = np.linalg.norm(x, axis=-1)
+        sup_radius = radius.copy()
+        timeline = np.zeros(n_steps + 1)
+        timeline[0] = radius.max()
+
+        v0 = cand.value(x0) if cand is not None else None
+        sup_v = np.full(n, v0) if cand is not None else None
+        acc_l = np.zeros(n) if gauge is not None or cand is not None else None
+        supermax = np.zeros(n) if cand is not None else None
+        supermax_t = np.zeros(n) if cand is not None else None
+        occupation = np.zeros((len(occ_radii), n)) if occ_radii is not None else None
+        sup_d = (np.abs(np.asarray(target_fn(x), dtype=float)) if target_fn is not None
+                 else None)
+        if thin:
+            n_samples = n_steps // thin + 1
+            stored = np.empty((n_samples, n, dim))
+            stored[0] = x
+            sample_row = 1
+
+        single = model.n_controls == 1
+        step_index = 0
+        while step_index < n_steps:
+            block = min(simulate._BLOCK_STEPS, n_steps - step_index)
+            if increment_mode == "gaussian":
+                incs = np.stack([g.standard_normal((block, m)) for g in gens],
+                                axis=1) * root_dt
+            else:  # signed-bernoulli
+                incs = np.stack(
+                    [g.integers(0, 2, size=(block, m)) * 2.0 - 1.0 for g in gens], axis=1
+                ) * root_dt
+            for b in range(block):
+                k = step_index + b
+                w = incs[b]
+                if acc_l is not None and gauge is not None:
+                    acc_l[alive] += gauge.of_points(x[alive]) * dt
+                if occupation is not None:
+                    out = radius[None, :] > np.asarray(occ_radii)[:, None]
+                    occupation[:, alive] += dt * out[:, alive]
+
+                if single or feedback is None:
+                    xn = _reference_step(steps[control_index], x, w, dt)
+                else:
+                    indices = feedback.lookup(x)
+                    xn = np.empty_like(x)
+                    for ci in np.unique(indices):
+                        mask = indices == ci
+                        xn[mask] = _reference_step(steps[ci], x[mask], w[mask], dt)
+
+                inside = np.all(np.isfinite(xn), axis=-1)
+                inside &= np.all((xn >= lower) & (xn <= upper), axis=-1)
+                newly_exited = alive & ~inside
+                exit_times[newly_exited] = (k + 1) * dt
+                x = np.where((alive & inside)[:, None], xn, x)
+                alive = alive & inside
+
+                radius = np.linalg.norm(x, axis=-1)
+                np.maximum(sup_radius, np.where(alive, radius, -np.inf), out=sup_radius)
+                timeline[k + 1] = radius[alive].max() if alive.any() else 0.0
+                if cand is not None:
+                    vx = cand.value(x)
+                    np.maximum(sup_v, np.where(alive, vx, -np.inf), out=sup_v)
+                    excess = vx + (acc_l if gauge is not None else 0.0) - v0
+                    better = alive & (excess > supermax)
+                    supermax_t[better] = (k + 1) * dt
+                    np.maximum(supermax, np.where(alive, excess, -np.inf), out=supermax)
+                if sup_d is not None:
+                    dx = np.abs(np.asarray(target_fn(x), dtype=float))
+                    np.maximum(sup_d, np.where(alive, dx, -np.inf), out=sup_d)
+                if thin and (k + 1) % thin == 0:
+                    stored[sample_row] = x
+                    sample_row += 1
+            step_index += block
+
+    out = {
+        "x": x, "alive": alive, "exit_times": exit_times, "sup_radius": sup_radius,
+        "timeline": timeline, "sup_v": sup_v, "acc_l": acc_l, "supermax": supermax,
+        "supermax_t": supermax_t, "occupation": occupation, "sup_d": sup_d,
+        "radius": radius,
+    }
+    if thin:
+        out["stored"] = stored
+    return out
+
+
+_ENSEMBLE_ARRAYS = ("sup_radius", "final_states", "exited", "exit_times",
+                    "timeline_max_radius", "integral_gauge", "sup_candidate",
+                    "supermax_excess", "supermax_excess_time", "paths", "occupation",
+                    "sup_target_distance", "outside_at_horizon")
+
+_NOISY_REPELLER = (  # paths leave the box one by one, some never
+    "[dimensions]\nstate = 2\nnoise = 1\n[controls]\nhold = 0.0\n"
+    "[dynamics]\nf1 = 0.5*x1\nf2 = -x2\ns1_1 = 0.4\ns2_1 = x1\n"
+    "[candidate]\nV = x1^2 + x2^2\nl = 0.5*r\n[domain]\nlower = -1, -1\nupper = 1, 1\n"
+)
+_REPELLER_3D = (  # three coordinates, so the order of the squares in |x| matters
+    "[dimensions]\nstate = 3\nnoise = 1\n[controls]\nhold = 0.0\n"
+    "[dynamics]\nf1 = 0.5*x1\nf2 = -x2\nf3 = x1*x2 - x3\ns1_1 = 0.4\ns2_1 = x1\n"
+    "s3_1 = 0.3*x3\n[candidate]\nV = x1^2 + x2^2 + x3^2\nl = 0.5*r\n"
+    "[domain]\nlower = -1, -1, -1\nupper = 1, 1, 1\n"
+)
+_BLOW_UP = (  # past |x1| = 1 the state runs to +inf or -inf; below x2 = -0.5 it turns NaN
+    "[dimensions]\nstate = 2\nnoise = 2\n[controls]\nhold = 0.0\n"
+    "[dynamics]\nf1 = x1^3 - x1\nf2 = sqrt(x2 + 0.5) - x2\ns1_1 = 0.6\ns2_2 = 0.8\n"
+    "[candidate]\nV = x1^2 + x2^2\nl = r\n[domain]\nlower = -1, -1\nupper = 1, 1\n"
+)
+_TWO_CONTROL_GRID = al.Grid((-1.0,), (1.0,), (41,))
+
+
+def _case(name, rotational, unstable1d, unstable2d, bang1d):
+    """(parsed model, simulate_ensemble keywords) for one case."""
+    if name == "unstable1d":
+        pm = unstable1d
+        kw = dict(x0=[0.3], dt=1e-3, T=3.0, n_paths=7, seed=3, thin=100)
+    elif name == "unstable2d":
+        pm = unstable2d
+        kw = dict(x0=[0.3, -0.2], dt=1e-3, T=3.0, n_paths=5, seed=4)
+    elif name == "noisy-repeller":
+        pm = al.parse_model(_NOISY_REPELLER)
+        kw = dict(x0=[0.2, 0.1], dt=1e-3, T=3.0, n_paths=60, seed=5, thin=50,
+                  occupation_radii=[0.5, 0.25])
+    elif name == "bang1d-two-controls":
+        # brake outside |x| <= 0.3, coast inside: the paths use both controls
+        pm = bang1d
+        nodes = _TWO_CONTROL_GRID.nodes()[:, 0]
+        fb = al.FeedbackMap(_TWO_CONTROL_GRID, (np.abs(nodes) <= 0.3).astype(int))
+        assert pm.model.controls[1].label == "coast"
+        kw = dict(x0=[0.8], dt=1e-3, T=2.0, n_paths=9, seed=6, feedback=fb)
+    elif name == "occupation-target-thin":
+        pm = rotational
+        kw = dict(x0=[0.5, 0.0], dt=1e-3, T=2.5, n_paths=40, seed=7, thin=9,
+                  occupation_radii=[0.4, 0.2, 0.1], target_distance="abs(x1)")
+    elif name == "signed-bernoulli":
+        pm = al.parse_model(_NOISY_REPELLER)
+        kw = dict(x0=[0.2, 0.1], dt=1e-3, T=3.0, n_paths=30, seed=8,
+                  increment_mode="signed-bernoulli")
+    elif name == "infinite-domain":
+        pm = al.parse_model(_BLOW_UP)
+        inf = np.inf
+        kw = dict(x0=[0.0, 0.0], dt=1e-2, T=3.0, n_paths=40, seed=9, thin=4,
+                  domain=([-inf, -inf], [inf, inf]), target_distance="abs(x2)")
+    else:  # uneven-workers
+        pm = al.parse_model(_REPELLER_3D)
+        kw = dict(x0=[0.2, 0.1, 0.3], dt=1e-3, T=2.0, n_paths=50, seed=10, thin=25,
+                  occupation_radii=[0.3], workers=3)
+    return pm, {**kw, "candidate": pm.candidate, "gauge": pm.gauge}
+
+
+@pytest.mark.parametrize("name", [
+    "unstable1d", "unstable2d", "noisy-repeller", "bang1d-two-controls",
+    "occupation-target-thin", "signed-bernoulli", "infinite-domain", "uneven-workers",
+])
+def test_step_loop_matches_reference(monkeypatch, name, rotational, unstable1d,
+                                     unstable2d, bang1d):
+    pm, kw = _case(name, rotational, unstable1d, unstable2d, bang1d)
+    # small chunks still split, so the workers case runs three uneven chunks
+    monkeypatch.setattr(simulate, "_MIN_CHUNK_PATHS", 1)
+    seen = {"rows": set(), "+inf": False, "-inf": False, "nan": False}
+    step = simulate._step
+
+    def spy(rows, x, w, dt, out):
+        out = step(rows, x, w, dt, out)
+        seen["rows"].add(id(rows))
+        seen["+inf"] |= bool(np.isposinf(out).any())
+        seen["-inf"] |= bool(np.isneginf(out).any())
+        seen["nan"] |= bool(np.isnan(out).any())
+        return out
+
+    with monkeypatch.context() as mp:
+        mp.setattr(simulate, "_step", spy)
+        new = al.simulate_ensemble(pm.model, **kw)
+    with monkeypatch.context() as mp:
+        mp.setattr(simulate, "_simulate_chunk", _reference_chunk)
+        ref = al.simulate_ensemble(pm.model, **{**kw, "workers": 1})
+    for field in _ENSEMBLE_ARRAYS:
+        a, b = getattr(new, field), getattr(ref, field)
+        if b is None:
+            assert a is None, field
+            continue
+        assert a.dtype == b.dtype and a.shape == b.shape, field
+        assert a.tobytes() == b.tobytes(), field
+    # each case reaches the regime it is named for
+    if name in ("unstable1d", "unstable2d"):
+        assert ref.exited.all() and ref.exit_times.max() < kw["T"] / 2
+    elif name in ("noisy-repeller", "signed-bernoulli", "infinite-domain",
+                  "uneven-workers"):
+        assert 0 < ref.exited.sum() < kw["n_paths"]
+    assert len(seen["rows"]) == (2 if name == "bang1d-two-controls" else 1)
+    assert seen["+inf"] == seen["-inf"] == seen["nan"] == (name == "infinite-domain")
 
 
 # ----------------------------------------------------------- path statistics
@@ -127,6 +341,31 @@ def test_increment_mode_validation(rotational):
     with pytest.raises(ValueError, match="increment"):
         al.simulate_ensemble(rotational.model, [0.1, 0], dt=1e-3, T=0.1,
                              n_paths=1, seed=0, increment_mode="cauchy")
+
+
+@pytest.mark.parametrize("bad", [dict(dt=0.0), dict(T=-1.0), dict(n_paths=0),
+                                 dict(workers=0), dict(thin=-1)])
+def test_ensemble_arguments_validated(rotational, bad):
+    kw = {**dict(x0=[0.1, 0], dt=1e-3, T=0.1, n_paths=1, seed=0), **bad}
+    name = next(iter(bad))
+    with pytest.raises(ValueError, match=f"need {name} "):
+        al.simulate_ensemble(rotational.model, **kw)
+
+
+def test_small_batches_run_in_one_chunk(monkeypatch, rotational):
+    bounds = []
+    chunk = simulate._simulate_chunk
+
+    def spy(*args):
+        bounds.append(args[4:6])
+        return chunk(*args)
+
+    monkeypatch.setattr(simulate, "_simulate_chunk", spy)
+    n = 2 * simulate._MIN_CHUNK_PATHS
+    for paths in (n - 1, n):
+        al.simulate_ensemble(rotational.model, [0.5, 0.0], dt=1e-3, T=2e-3,
+                             n_paths=paths, seed=1, workers=2)
+    assert bounds == [(0, n - 1), (0, n // 2), (n // 2, n)]
 
 
 def test_integrator_validation(rotational):
