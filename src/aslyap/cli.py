@@ -6,7 +6,7 @@ the config hash, so identical configs land in identical directories and
 reproduce identical outputs bit for bit.
 
 Exit codes: 0 success, 1 verification/convergence failure, 2 configuration
-error, 3 numerical abort.
+error, 3 numerical abort or internal error.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import argparse
 import hashlib
 import json
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +46,7 @@ from .verifier import STATUS_NONFINITE, check_supersolution, check_viability_bou
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_CONFIG = 2
-EXIT_NUMERICAL = 3
+EXIT_NUMERICAL = 3  # also internal errors
 
 
 class ConfigError(ValueError):
@@ -214,6 +215,9 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"--thin must be nonnegative, got {args.thin}")
     parsed = _load_model(args.model)
     x0 = _vector(args.x0)
+    if len(x0) != parsed.model.dim_state:
+        raise ConfigError(f"--x0 must have {parsed.model.dim_state} component(s), "
+                          f"got {len(x0)}")
     cfg = {"cmd": "simulate", "model": args.model, "x0": args.x0, "dt": args.dt,
            "T": args.horizon, "paths": args.paths, "seed": args.seed,
            "increments": args.increments, "thin": args.thin,
@@ -546,6 +550,11 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except NumericalError as err:
         print(f"numerical abort: {err}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except Exception as err:
+        # a fault in aslyap itself, not a failed verification (exit 1)
+        traceback.print_exc()
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -11,10 +11,13 @@ signed-Bernoulli increments (where w^2 = dt) take the Euler-Maruyama step.
 Each state row's update is compiled once per control and ensemble.
 
 Paths use counter-based per-path RNG streams keyed by (seed, path index), so
-ensembles are bit-identical across chunk sizes and worker counts.  All
-pathwise verdicts are statistical lower bounds on essential suprema: a max
-over finitely many paths never proves an almost-sure bound, so results are
-reported as "consistent with" the property, never as proof.
+ensembles are bit-identical for any worker count or chunk size, and whether
+they run alone or in a batch: the stabilizability estimate steps the
+ensembles of all its start points in one loop, each path keeping its own
+start point and stream.  All pathwise verdicts are statistical lower bounds
+on essential suprema: a max over finitely many paths never proves an
+almost-sure bound, so results are reported as "consistent with" the
+property, never as proof.
 """
 
 from __future__ import annotations
@@ -54,6 +57,9 @@ _BLOCK_STEPS = 1024
 # slower than one thread on the whole batch: on 2 cores, 1.4 to 3.0 times
 # slower for 500 to 10 000 paths.
 _MIN_CHUNK_PATHS = 5000
+# Paths whose increments are drawn into one slab before it is copied, transposed,
+# into the block; 128 paths of 1024 steps and one noise channel take 1 MB.
+_SLAB_PATHS = 128
 
 
 def _path_generator(seed: int, path_index: int) -> np.random.Generator:
@@ -256,38 +262,74 @@ def _inside(x, lower, upper, ok, flag):
     return ok
 
 
-def _simulate_chunk(model, x0, dt, n_steps, path_lo, path_hi, seed, increment_mode,
-                    lower, upper, control_index, feedback, steps, cand, gauge,
-                    occ_radii, target_fn, thin):
-    """Simulate paths path_lo..path_hi-1 and return their full-size statistics.
+def _draw(gens, increment_mode, root_dt, slab, out):
+    """Scaled increments of ``gens`` into ``out``, shape (block, paths, m).
+
+    Each path's draws fill one row of ``slab`` (up to ``_SLAB_PATHS`` paths)
+    and the slab is copied into ``out`` transposed, so the block is held
+    once, not once per path and once stacked.
+    """
+    block = out.shape[0]
+    for lo in range(0, len(gens), len(slab)):
+        rows = slab[:len(gens) - lo, :block]
+        for g, row in zip(gens[lo:lo + len(slab)], rows):
+            if increment_mode == "gaussian":
+                g.standard_normal(out=row)
+            else:  # signed-bernoulli
+                row[...] = g.integers(0, 2, size=row.shape) * 2.0 - 1.0
+        out[:, lo:lo + len(rows)] = rows.transpose(1, 0, 2)
+    out *= root_dt
+    return out
+
+
+def _group_starts(groups):
+    """The groups present in the sorted ``groups`` and where each one starts."""
+    starts = np.flatnonzero(np.diff(groups, prepend=-1))
+    return groups[starts], starts
+
+
+def _simulate_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
+                    increment_mode, lower, upper, control_index, feedback, steps, cand,
+                    gauge, occ_radii, target_fn, thin):
+    """Simulate batch paths path_lo..path_hi-1 and return their full-size statistics.
+
+    Batch path p is path j = p % n_paths of ensemble g = p // n_paths: it
+    starts at ``x0s[g]``, draws from the stream keyed (seeds[g], j), and its
+    supermartingale excess subtracts V(x0s[g]).  The timeline has one row
+    per ensemble, the max over that ensemble's live paths.
 
     Only live paths are stepped.  The per-path arrays in ``live`` hold the
     live paths in index order; when a step leaves the box for some of them,
     their pre-step state and statistics are copied into ``final`` (frozen at
     the exit) and every live array is compacted.  The step runs with one
-    ``np.errstate`` scope per block of increments, and states, box flags and
-    radii go into buffers reused from step to step.  The outputs equal the
-    masked loop that steps every path bit for bit.  ``feedback`` is None when
-    one control serves every path (``control_index``).
+    ``np.errstate`` scope per block of increments; increments, states, box
+    flags and radii go into buffers reused from step to step.  A block has
+    ``_BLOCK_STEPS // len(x0s)`` steps, so a batch holds no more increments
+    than one ensemble.  The outputs equal the masked loop that steps every
+    path bit for bit.  ``feedback`` is None when one control serves every
+    path (``control_index``).
     """
     n = path_hi - path_lo
     dim = model.dim_state
     m = model.dim_noise
     root_dt = np.sqrt(dt)
-    gens = [_path_generator(seed, i) for i in range(path_lo, path_hi)]
+    group = np.arange(path_lo, path_hi) // n_paths
+    gens = [_path_generator(seeds[p // n_paths], p % n_paths) for p in range(path_lo, path_hi)]
     # clamped to the finite range, one comparison per side also rejects inf and NaN
     big = np.finfo(float).max
     lower = np.broadcast_to(np.maximum(lower, -big), (dim,))
     upper = np.broadcast_to(np.minimum(upper, big), (dim,))
 
-    x = np.tile(np.asarray(x0, dtype=float), (n, 1))
+    x = x0s[group]
     radius = _radius(x, np.empty(n))
-    timeline = np.zeros(n_steps + 1)
-    timeline[0] = radius.max()
+    timeline = np.zeros((len(x0s), n_steps + 1))
+    present, starts = _group_starts(group)
+    timeline[present, 0] = np.maximum.reduceat(radius, starts)
     live = SimpleNamespace(x=x, radius=radius, sup_radius=radius.copy())
     if cand is not None:
-        v0 = cand.value(x0)
-        live.sup_v, live.supermax, live.supermax_t = np.full(n, v0), np.zeros(n), np.zeros(n)
+        v0s = np.array([cand.value(x0) for x0 in x0s])
+        v0 = v0s[group]
+        live.sup_v, live.supermax, live.supermax_t = v0.copy(), np.zeros(n), np.zeros(n)
     if gauge is not None or cand is not None:
         live.acc_l = np.zeros(n)
     if occ_radii is not None:
@@ -307,16 +349,13 @@ def _simulate_chunk(model, x0, dt, n_steps, path_lo, path_hi, seed, increment_mo
         return np.empty((size, dim)), np.empty(size, dtype=bool), np.empty(size, dtype=bool)
 
     xn, ok, flag = buffers(n)
+    block_steps = min(max(1, _BLOCK_STEPS // len(x0s)), n_steps)
+    incs_buffer = np.empty((block_steps, n, m))
+    slab = np.empty((min(_SLAB_PATHS, n), block_steps, m))
     step_index = 0
     while step_index < n_steps and len(index):
-        block = min(_BLOCK_STEPS, n_steps - step_index)
-        if increment_mode == "gaussian":
-            incs = np.stack([g.standard_normal((block, m)) for g in gens], axis=1)
-        else:  # signed-bernoulli
-            incs = np.stack(
-                [g.integers(0, 2, size=(block, m)) * 2.0 - 1.0 for g in gens], axis=1
-            )
-        incs *= root_dt
+        block = min(block_steps, n_steps - step_index)
+        incs = _draw(gens, increment_mode, root_dt, slab, incs_buffer[:block, :len(index)])
         with np.errstate(all="ignore"):
             for b in range(block):
                 k = step_index + b
@@ -347,16 +386,22 @@ def _simulate_chunk(model, x0, dt, n_steps, path_lo, path_hi, seed, increment_mo
                     for key, arr in vars(live).items():
                         final[key][at] = arr[gone]
                         setattr(live, key, arr[kept])
-                    index, gens, incs = index[kept], [gens[j] for j in kept], incs[:, kept]
+                    index, gens = index[kept], [gens[j] for j in kept]
+                    rest = incs[b + 1:, kept]
+                    incs = incs_buffer[:block, :len(index)]
+                    incs[b + 1:] = rest
                     xn = xn[kept]
                     x, ok, flag = buffers(len(index))
                     if not len(index):
                         break
+                    present, starts = _group_starts(group[index])
+                    if cand is not None:
+                        v0 = v0s[group[index]]
                 live.x, xn = xn, x  # the pre-step buffer takes the next step
 
                 radius = _radius(live.x, live.radius)
                 np.maximum(live.sup_radius, radius, out=live.sup_radius)
-                timeline[k + 1] = radius.max()
+                timeline[present, k + 1] = np.maximum.reduceat(radius, starts)
                 if cand is not None:
                     vx = cand.value(live.x)
                     np.maximum(live.sup_v, vx, out=live.sup_v)
@@ -379,6 +424,125 @@ def _simulate_chunk(model, x0, dt, n_steps, path_lo, path_hi, seed, increment_mo
     if thin:
         out["stored"] = stored
     return out
+
+
+def _simulate_batch(model, x0s, dt, T, n_paths, seeds, control=None, feedback=None,
+                    increment_mode="gaussian", domain=None, candidate=None, gauge=None,
+                    occupation_radii=None, target_distance=None, thin=0, workers=1,
+                    integrator="milstein") -> list[TrajectoryEnsemble]:
+    """One step loop for the ensembles from each of ``x0s``; one ensemble per start.
+
+    Ensemble g equals ``simulate_ensemble(model, x0s[g], ..., seed=seeds[g])``
+    bit for bit; the other arguments are those of ``simulate_ensemble``.
+    """
+    for name, value, need, ok in (
+        ("dt", dt, "> 0", dt > 0), ("T", T, "> 0", T > 0),
+        ("n_paths", n_paths, ">= 1", n_paths >= 1),
+        ("workers", workers, ">= 1", workers >= 1), ("thin", thin, ">= 0", thin >= 0),
+    ):
+        if not ok:
+            raise ValueError(f"need {name} {need}, got {value!r}")
+    if increment_mode not in ("gaussian", "signed-bernoulli"):
+        raise ValueError(f"unknown increment mode {increment_mode!r}")
+    if integrator not in ("milstein", "euler"):
+        raise ValueError(f"unknown integrator {integrator!r}")
+    x0s = [np.asarray(x0, dtype=float) for x0 in x0s]
+    for x0 in x0s:
+        if np.atleast_1d(x0).shape != (model.dim_state,):
+            raise ValueError(f"x0 must have {model.dim_state} component(s), got shape "
+                             f"{x0.shape}")
+    if len(seeds) != len(x0s):
+        raise ValueError(f"need one seed per start point, got {len(seeds)} seeds for "
+                         f"{len(x0s)} x0")
+    n_steps = int(round(T / dt))
+    control_index = _resolve_control(model, control)
+    if model.n_controls == 1 or feedback is None:
+        used_controls = [control_index]
+    else:
+        used_controls = [int(ci) for ci in np.unique(feedback.control_indices)]
+    if len(used_controls) == 1:  # a feedback map with one control needs no lookup
+        control_index, feedback = used_controls[0], None
+    if increment_mode != "gaussian":
+        integrator = "euler"
+    steps, integrator = _compile_steps(model, used_controls, integrator)
+    if domain is None:
+        lower = np.asarray(model.domain_lower)
+        upper = np.asarray(model.domain_upper)
+    else:
+        lower = np.asarray(domain[0], dtype=float)
+        upper = np.asarray(domain[1], dtype=float)
+
+    target_fn = None
+    if target_distance is not None:
+        from .verifier import _distance_evaluator
+
+        target_fn = _distance_evaluator(target_distance, model.dim_state)
+    occ = np.asarray(occupation_radii, dtype=float) if occupation_radii is not None else None
+
+    total = len(x0s) * n_paths
+    n_chunks = max(1, min(int(workers), total // _MIN_CHUNK_PATHS))
+    chunk_bounds = np.linspace(0, total, n_chunks + 1).astype(int)
+    points = np.array([np.atleast_1d(x0) for x0 in x0s])
+    args = [
+        (model, points, dt, n_steps, int(lo), int(hi), seeds, n_paths, increment_mode,
+         lower, upper, control_index, feedback, steps, candidate, gauge, occ, target_fn, thin)
+        for lo, hi in zip(chunk_bounds[:-1], chunk_bounds[1:])
+    ]
+    if len(args) == 1:
+        results = [_simulate_chunk(*args[0])]
+    else:
+        with ThreadPoolExecutor(max_workers=len(args)) as pool:
+            results = list(pool.map(lambda a: _simulate_chunk(*a), args))
+
+    stats = {
+        key: np.concatenate([r[key] for r in results], axis=-1 if key == "occupation" else 0)
+        for key, arr in results[0].items()
+        if arr is not None and key not in ("timeline", "stored")
+    }
+    timeline = results[0]["timeline"]
+    for r in results[1:]:
+        timeline = np.maximum(timeline, r["timeline"])
+    if thin:
+        stored = np.concatenate([r["stored"] for r in results], axis=1)
+
+    ensembles = []
+    for g, (x0, seed) in enumerate(zip(x0s, seeds)):
+        paths = slice(g * n_paths, (g + 1) * n_paths)
+        stat = {key: arr[..., paths] if key == "occupation" else arr[paths]
+                for key, arr in stats.items()}
+        exited = ~stat["alive"]
+        ens = TrajectoryEnsemble(
+            x0=x0,
+            dt=dt,
+            horizon=T,
+            n_paths=n_paths,
+            seed=seed,
+            increment_mode=increment_mode,
+            integrator=integrator,
+            sup_radius=stat["sup_radius"],
+            final_states=stat["x"],
+            exited=exited,
+            exit_times=np.where(exited, stat["exit_times"], np.inf),
+            timeline_times=np.arange(n_steps + 1) * dt,
+            timeline_max_radius=timeline[g],
+            integral_gauge=stat["acc_l"] if gauge is not None else None,
+            sup_candidate=stat.get("sup_v"),
+            supermax_excess=stat.get("supermax"),
+            supermax_excess_time=stat.get("supermax_t"),
+            sup_target_distance=stat.get("sup_d"),
+            occupation_radii=occ,
+            occupation=stat.get("occupation"),
+            outside_at_horizon=(
+                (stat["radius"][None, :] > occ[:, None]) if occ is not None else None
+            ),
+            candidate_ref=candidate,
+            gauge_ref=gauge,
+        )
+        if thin:
+            ens.path_times = np.arange(0, n_steps + 1, thin) * dt
+            ens.paths = stored[:, paths]
+        ensembles.append(ens)
+    return ensembles
 
 
 def simulate_ensemble(
@@ -410,99 +574,12 @@ def simulate_ensemble(
     truncated at exit).  ``thin`` > 0 stores every thin-th state for
     plotting; running statistics always use every step.
     """
-    for name, value, need, ok in (
-        ("dt", dt, "> 0", dt > 0), ("T", T, "> 0", T > 0),
-        ("n_paths", n_paths, ">= 1", n_paths >= 1),
-        ("workers", workers, ">= 1", workers >= 1), ("thin", thin, ">= 0", thin >= 0),
-    ):
-        if not ok:
-            raise ValueError(f"need {name} {need}, got {value!r}")
-    if increment_mode not in ("gaussian", "signed-bernoulli"):
-        raise ValueError(f"unknown increment mode {increment_mode!r}")
-    if integrator not in ("milstein", "euler"):
-        raise ValueError(f"unknown integrator {integrator!r}")
-    x0 = np.asarray(x0, dtype=float)
-    n_steps = int(round(T / dt))
-    control_index = _resolve_control(model, control)
-    if model.n_controls == 1 or feedback is None:
-        used_controls = [control_index]
-    else:
-        used_controls = [int(ci) for ci in np.unique(feedback.control_indices)]
-    if len(used_controls) == 1:  # a feedback map with one control needs no lookup
-        control_index, feedback = used_controls[0], None
-    if increment_mode != "gaussian":
-        integrator = "euler"
-    steps, integrator = _compile_steps(model, used_controls, integrator)
-    if domain is None:
-        lower = np.asarray(model.domain_lower)
-        upper = np.asarray(model.domain_upper)
-    else:
-        lower = np.asarray(domain[0], dtype=float)
-        upper = np.asarray(domain[1], dtype=float)
-
-    target_fn = None
-    if target_distance is not None:
-        from .verifier import _distance_evaluator
-
-        target_fn = _distance_evaluator(target_distance, model.dim_state)
-    occ = np.asarray(occupation_radii, dtype=float) if occupation_radii is not None else None
-
-    n_chunks = max(1, min(int(workers), n_paths // _MIN_CHUNK_PATHS))
-    chunk_bounds = np.linspace(0, n_paths, n_chunks + 1).astype(int)
-    args = [
-        (model, x0, dt, n_steps, int(lo), int(hi), seed, increment_mode, lower, upper,
-         control_index, feedback, steps, candidate, gauge, occ, target_fn, thin)
-        for lo, hi in zip(chunk_bounds[:-1], chunk_bounds[1:])
-    ]
-    if len(args) == 1:
-        results = [_simulate_chunk(*args[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=len(args)) as pool:
-            results = list(pool.map(lambda a: _simulate_chunk(*a), args))
-
-    def cat(key):
-        parts = [r.get(key) for r in results]
-        if parts[0] is None:
-            return None
-        return np.concatenate(parts, axis=-1 if key == "occupation" else 0)
-
-    timeline = results[0]["timeline"]
-    for r in results[1:]:
-        timeline = np.maximum(timeline, r["timeline"])
-
-    exited = ~cat("alive")
-    radius_end = cat("radius")
-    ens = TrajectoryEnsemble(
-        x0=x0,
-        dt=dt,
-        horizon=T,
-        n_paths=n_paths,
-        seed=seed,
-        increment_mode=increment_mode,
-        integrator=integrator,
-        sup_radius=cat("sup_radius"),
-        final_states=cat("x"),
-        exited=exited,
-        exit_times=np.where(exited, cat("exit_times"), np.inf),
-        timeline_times=np.arange(n_steps + 1) * dt,
-        timeline_max_radius=timeline,
-        integral_gauge=cat("acc_l") if gauge is not None else None,
-        sup_candidate=cat("sup_v"),
-        supermax_excess=cat("supermax"),
-        supermax_excess_time=cat("supermax_t"),
-        sup_target_distance=cat("sup_d"),
-        occupation_radii=occ,
-        occupation=cat("occupation"),
-        outside_at_horizon=(
-            (radius_end[None, :] > occ[:, None]) if occ is not None else None
-        ),
-        candidate_ref=candidate,
-        gauge_ref=gauge,
-    )
-    if thin:
-        ens.path_times = np.arange(0, n_steps + 1, thin) * dt
-        ens.paths = np.concatenate([r["stored"] for r in results], axis=1)
-    return ens
+    return _simulate_batch(
+        model, [x0], dt, T, n_paths, [seed], control=control, feedback=feedback,
+        increment_mode=increment_mode, domain=domain, candidate=candidate, gauge=gauge,
+        occupation_radii=occupation_radii, target_distance=target_distance, thin=thin,
+        workers=workers, integrator=integrator,
+    )[0]
 
 
 @dataclass
@@ -530,18 +607,22 @@ def estimate_stabilizability_gauge(
 
     The envelope is the least monotone majorant of r -> max over paths of
     sup_t |X_t|.  The verdict is "consistent with" the pathwise bound; any
-    exited path makes it negative immediately.
+    exited path makes it negative, reported for the smallest radius with an
+    exit.  The ensembles of all start points run in one step loop.
     """
+    if len(x0_list) == 0:
+        raise ValueError("x0_list holds no start point")
     feedback = control_or_feedback if isinstance(control_or_feedback, FeedbackMap) else None
     control = None if feedback is not None else control_or_feedback
-    radii = np.array([np.linalg.norm(np.asarray(x, dtype=float)) for x in x0_list])
+    ensembles = _simulate_batch(
+        model, x0_list, dt, T, n_paths, [seed + j for j in range(len(x0_list))],
+        control=control, feedback=feedback, increment_mode=increment_mode, workers=workers,
+    )
+    radii = np.array([ens.initial_radius for ens in ensembles])
     order = np.argsort(radii)
     worst = np.empty(len(x0_list))
     for rank, j in enumerate(order):
-        ens = simulate_ensemble(
-            model, x0_list[j], dt, T, n_paths, seed + j, control=control,
-            feedback=feedback, increment_mode=increment_mode, workers=workers,
-        )
+        ens = ensembles[j]
         if ens.exited.any():
             gauge = ComparisonGauge("K", np.array([0.0, max(radii)]),
                                     np.array([0.0, max(radii)]))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import aslyap as al
+from aslyap import cli
 from aslyap.cli import main
 
 from conftest import MODELS
@@ -195,6 +196,24 @@ def test_pipeline_multi_cap_monotone(tmp_path):
     run = next((tmp_path / "runs").iterdir())
     stages = json.loads((run / "pipeline.json").read_text())
     assert stages["multi_cap"]["monotone_in_cap"] is True
+
+
+def test_x0_of_wrong_length_is_config_error(tmp_path, capsys):
+    assert main(["simulate", "--model", ROT, "--x0", "0.5", "--out", _runs(tmp_path)]) == 2
+    assert "--x0 must have 2 component(s), got 1" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_internal_error_exits_3(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise TypeError("boom")
+
+    monkeypatch.setattr(cli, "simulate_ensemble", broken)
+    assert main(["simulate", "--model", ROT, "--x0", "0.5,0", "-T", "0.01", "--paths", "2",
+                 "--out", _runs(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == "internal error: TypeError: boom"
+    assert "config error" not in err
 
 
 def test_version_flag():

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aslyap import expr as ex
+from aslyap.gauges import GaugeFunction
 
 
 def test_parse_and_evaluate_basics():
@@ -132,3 +135,22 @@ def _trees(depth):
 def test_source_round_trip(tree):
     # rendering and reparsing preserves the tree exactly
     assert ex.parse_expr(ex.to_source(tree)) == tree
+
+
+@pytest.mark.parametrize("text", ["0.5*r", "r", "2*r^2", "1", "min(r, 0.3)",
+                                  "sqrt(r)*exp(-r)", "-r", "log(r)", "r/(r - 1)"])
+def test_compiled_gauge_matches_tree_walk(text):
+    gauge = GaugeFunction.from_expression(text)
+    node = ex.parse_expr(text)
+    for r in (np.linspace(0.0, 2.0, 101), np.array(0.7), np.zeros((3, 4))):
+        # the tree walk the gauge used to do on every call; neither warns at
+        # log(0) or 1/0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            walk = np.asarray(ex.evaluate(node, {"r": r}), dtype=float) + np.zeros_like(r)
+            got = gauge(r)
+        assert type(got) is type(walk) and np.shape(got) == np.shape(walk)
+        assert np.asarray(got).tobytes() == np.asarray(walk).tobytes()
+    r = np.linspace(0.0, 1.0, 5)
+    gauge(r)[:] = 7.0  # the result is never the argument itself
+    assert r[-1] == 1.0

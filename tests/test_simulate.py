@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,10 +55,11 @@ def _reference_step(rows, x, w, dt):
     return np.stack([fn(*args) for fn in rows], axis=-1)
 
 
-def _reference_chunk(model, x0, dt, n_steps, path_lo, path_hi, seed, increment_mode,
-                     lower, upper, control_index, feedback, steps, cand, gauge,
-                     occ_radii, target_fn, thin):
-    """The masked loop: every path is stepped every step, exited or not."""
+def _reference_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
+                     increment_mode, lower, upper, control_index, feedback, steps, cand,
+                     gauge, occ_radii, target_fn, thin):
+    """The masked loop for one ensemble: every path is stepped every step, exited or not."""
+    (x0,), (seed,) = x0s, seeds
     # the compiled rows set no error state of their own
     with np.errstate(all="ignore"):
         n = path_hi - path_lo
@@ -146,6 +150,7 @@ def _reference_chunk(model, x0, dt, n_steps, path_lo, path_hi, seed, increment_m
         "supermax_t": supermax_t, "occupation": occupation, "sup_d": sup_d,
         "radius": radius,
     }
+    out["timeline"] = timeline[None]  # one row per ensemble
     if thin:
         out["stored"] = stored
     return out
@@ -255,6 +260,139 @@ def test_step_loop_matches_reference(monkeypatch, name, rotational, unstable1d,
         assert 0 < ref.exited.sum() < kw["n_paths"]
     assert len(seen["rows"]) == (2 if name == "bang1d-two-controls" else 1)
     assert seen["+inf"] == seen["-inf"] == seen["nan"] == (name == "infinite-domain")
+
+
+# ------------------------------------------------------------- batched loop
+
+def _batch_case(name, rotational, unstable1d, bang1d):
+    """(model, start points, keywords shared by every ensemble) for one batch."""
+    if name == "staggered-exits":
+        # x0 e^t leaves [-1, 1] at t = 0.11 and 0.69; the start 0.2 never does
+        pm = unstable1d
+        x0s = [[0.9], [0.2], [0.5]]
+        kw = dict(dt=1e-3, T=1.5, n_paths=6, thin=7)
+    elif name == "bang1d-two-controls":
+        pm = bang1d
+        nodes = _TWO_CONTROL_GRID.nodes()[:, 0]
+        fb = al.FeedbackMap(_TWO_CONTROL_GRID, (np.abs(nodes) <= 0.3).astype(int))
+        x0s = [[0.8], [-0.5], [0.2]]
+        kw = dict(dt=1e-3, T=2.0, n_paths=9, feedback=fb)
+    elif name == "occupation-target-thin":
+        pm = rotational
+        x0s = [[0.5, 0.0], [0.0, 0.3], [0.2, -0.2]]
+        kw = dict(dt=1e-3, T=2.5, n_paths=20, thin=9, occupation_radii=[0.4, 0.2, 0.1],
+                  target_distance="abs(x1)")
+    elif name == "signed-bernoulli":
+        pm = al.parse_model(_NOISY_REPELLER)
+        x0s = [[0.2, 0.1], [0.05, -0.3], [0.6, 0.0]]
+        kw = dict(dt=1e-3, T=3.0, n_paths=30, increment_mode="signed-bernoulli")
+    else:  # workers: chunk bounds fall inside ensembles
+        pm = al.parse_model(_REPELLER_3D)
+        x0s = [[0.2, 0.1, 0.3], [0.1, -0.4, 0.0]]
+        kw = dict(dt=1e-3, T=2.0, n_paths=25, thin=25, occupation_radii=[0.3], workers=3)
+    return pm, x0s, {**kw, "candidate": pm.candidate, "gauge": pm.gauge}
+
+
+@pytest.mark.parametrize("name", ["staggered-exits", "bang1d-two-controls",
+                                  "occupation-target-thin", "signed-bernoulli", "workers"])
+def test_batch_matches_separate_ensembles(monkeypatch, name, rotational, unstable1d, bang1d):
+    pm, x0s, kw = _batch_case(name, rotational, unstable1d, bang1d)
+    monkeypatch.setattr(simulate, "_MIN_CHUNK_PATHS", 1)
+    seeds = [40 + 3 * g for g in range(len(x0s))]
+    batch = simulate._simulate_batch(pm.model, x0s, seeds=seeds, **kw)
+    assert len(batch) == len(x0s)
+    for x0, seed, got in zip(x0s, seeds, batch):
+        alone = al.simulate_ensemble(pm.model, x0, seed=seed, **{**kw, "workers": 1})
+        for f in dataclasses.fields(al.TrajectoryEnsemble):
+            a, b = getattr(got, f.name), getattr(alone, f.name)
+            if isinstance(b, np.ndarray):
+                assert a.dtype == b.dtype and a.shape == b.shape, f.name
+                assert a.tobytes() == b.tobytes(), f.name
+            else:
+                assert a is b or a == b, f.name
+    exited = [ens.exited.all() for ens in batch]
+    if name == "staggered-exits":  # two ensembles empty while the third runs on
+        assert exited == [True, False, True]
+        assert not batch[1].exited.any()
+    elif name in ("signed-bernoulli", "workers"):
+        assert any(0 < ens.exited.sum() < kw["n_paths"] for ens in batch)
+
+
+def test_block_length_rule(monkeypatch, rotational):
+    shapes = []
+    draw = simulate._draw
+
+    def spy(gens, increment_mode, root_dt, slab, out):
+        shapes.append(out.shape)
+        return draw(gens, increment_mode, root_dt, slab, out)
+
+    monkeypatch.setattr(simulate, "_draw", spy)
+    kw = dict(dt=1e-3, T=2.0, n_paths=4)
+    for n_starts in (1, 3):
+        shapes.clear()
+        simulate._simulate_batch(rotational.model, [[0.5, 0.0]] * n_starts,
+                                 seeds=list(range(n_starts)), **kw)
+        block = simulate._BLOCK_STEPS // n_starts  # 1024 and 341
+        full, last = divmod(2000, block)
+        assert shapes == [(block, 4 * n_starts, 1)] * full + [(last, 4 * n_starts, 1)]
+        # a batch holds no more increments than one ensemble
+        assert block * 4 * n_starts <= simulate._BLOCK_STEPS * 4
+
+
+def test_increment_block_is_held_once(rotational):
+    n_paths = 4000
+    block_bytes = simulate._BLOCK_STEPS * n_paths * 8
+    tracemalloc.start()
+    try:
+        al.simulate_ensemble(rotational.model, [0.5, 0.0], dt=1e-3, T=1.024,
+                             n_paths=n_paths, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (steps, paths, noise) block and per-path state, not a per-path copy as well
+    assert block_bytes <= peak < 1.5 * block_bytes
+
+
+def _per_start_estimate(model, x0_list, dt, T, n_paths, seed):
+    """Worst sup radii and verdict of one simulate_ensemble call per start, as before."""
+    radii = np.array([np.linalg.norm(x) for x in x0_list])
+    worst = []
+    for j in np.argsort(radii):
+        ens = al.simulate_ensemble(model, x0_list[j], dt, T, n_paths, seed + j)
+        if ens.exited.any():
+            return (f"{int(ens.exited.sum())} path(s) left the domain from "
+                    f"|x0|={radii[j]:.4g}"), None
+        worst.append(float(ens.sup_radius.max()))
+    return None, np.array(worst)
+
+
+@pytest.mark.parametrize("name", ["middle-radius-exits", "bounded"])
+def test_gauge_estimate_matches_per_start_loop(name, rotational, unstable1d):
+    if name == "middle-radius-exits":  # sorted radii 0.05, 0.5, 0.9: 0.5 exits first
+        pm, x0s, T = unstable1d, [[0.9], [0.05], [0.5]], 1.0
+    else:
+        pm, x0s, T = rotational, [[0.4, 0.0], [0.1, 0.0], [0.0, 0.25]], 0.5
+    est = al.estimate_stabilizability_gauge(pm.model, 0, x0s, dt=1e-3, T=T, n_paths=20,
+                                            seed=11)
+    reason, worst = _per_start_estimate(pm.model, x0s, 1e-3, T, 20, 11)
+    if name == "middle-radius-exits":
+        assert not est.consistent and est.reason == reason
+        assert "|x0|=0.5" in reason
+    else:
+        assert est.consistent and worst is not None
+        assert est.worst_sup.tobytes() == worst.tobytes()
+
+
+def test_start_points_validated(rotational):
+    kw = dict(dt=1e-3, T=0.1, n_paths=2, seed=0)
+    with pytest.raises(ValueError, match="x0 must have 2 component"):
+        al.simulate_ensemble(rotational.model, [0.1, 0.0, 0.0], **kw)
+    with pytest.raises(ValueError, match="x0 must have 2 component"):
+        al.estimate_stabilizability_gauge(rotational.model, 0, [[0.1, 0.0], [0.2]], **kw)
+    with pytest.raises(ValueError, match="x0_list"):
+        al.estimate_stabilizability_gauge(rotational.model, 0, [], **kw)
+    with pytest.raises(ValueError, match="2 seeds for 3 x0"):
+        simulate._simulate_batch(rotational.model, [[0.1, 0.0]] * 3, 1e-3, 0.1, 2, [0, 1])
 
 
 # ----------------------------------------------------------- path statistics
