@@ -48,10 +48,7 @@ class GaugeFunction:
         if (self.expression is None) == (self.knots_r is None):
             raise ValueError("gauge needs exactly one of knots or expression")
         if self.expression is not None:
-            # an error-state scope costs more than "0.5*r" itself, so only trees
-            # that can divide by zero or leave a function's domain get one
-            compile_fn = ex.compile_fn if _may_warn(self.expression) else ex._compile_bare
-            object.__setattr__(self, "_fn", compile_fn(self.expression, ["r"]))
+            object.__setattr__(self, "_fn", ex.compile_fn(self.expression, ["r"]))
         if self.knots_r is not None:
             r = np.asarray(self.knots_r, dtype=float)
             v = np.asarray(self.knots_v, dtype=float)
@@ -105,15 +102,6 @@ class GaugeFunction:
         if self.knots_v is not None:
             return bool(np.all(self.knots_v == 0.0))
         return self.expression == ex.Num(0.0)
-
-
-def _may_warn(node) -> bool:
-    """Whether the tree divides, raises to a power or calls a function."""
-    if isinstance(node, ex.Bin):
-        return node.op in "/^" or _may_warn(node.left) or _may_warn(node.right)
-    if isinstance(node, ex.Neg):
-        return _may_warn(node.arg)
-    return isinstance(node, ex.Call)
 
 
 def monotone_envelope(radii, values, strict: bool = True) -> np.ndarray:

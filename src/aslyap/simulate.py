@@ -290,7 +290,7 @@ def _group_starts(groups):
 
 def _simulate_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
                     increment_mode, lower, upper, control_index, feedback, steps, cand,
-                    gauge, occ_radii, target_fn, thin):
+                    gauge, occ_radii, target_fn, thin, stop_after_exit):
     """Simulate batch paths path_lo..path_hi-1 and return their full-size statistics.
 
     Batch path p is path j = p % n_paths of ensemble g = p // n_paths: it
@@ -301,13 +301,16 @@ def _simulate_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
     Only live paths are stepped.  The per-path arrays in ``live`` hold the
     live paths in index order; when a step leaves the box for some of them,
     their pre-step state and statistics are copied into ``final`` (frozen at
-    the exit) and every live array is compacted.  The step runs with one
-    ``np.errstate`` scope per block of increments; increments, states, box
-    flags and radii go into buffers reused from step to step.  A block has
+    the exit) and every live array is compacted; the rest of the block's
+    increments are read through the live paths' columns.  The step runs
+    with one ``np.errstate`` scope per block of increments; increments,
+    states, box flags and radii go into buffers reused from step to step.  A block has
     ``_BLOCK_STEPS // len(x0s)`` steps, so a batch holds no more increments
     than one ensemble.  The outputs equal the masked loop that steps every
     path bit for bit.  ``feedback`` is None when one control serves every
-    path (``control_index``).
+    path (``control_index``).  With ``stop_after_exit``, a step in which
+    paths of ensemble g exit also stops the live paths of every later
+    ensemble; they count as exited at that step.
     """
     n = path_hi - path_lo
     dim = model.dim_state
@@ -356,10 +359,11 @@ def _simulate_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
     while step_index < n_steps and len(index):
         block = min(block_steps, n_steps - step_index)
         incs = _draw(gens, increment_mode, root_dt, slab, incs_buffer[:block, :len(index)])
+        cols = None  # after an exit, the block's columns of the live paths
         with np.errstate(all="ignore"):
             for b in range(block):
                 k = step_index + b
-                w = incs[b]
+                w = incs[b] if cols is None else incs[b, cols]
                 x = live.x
                 # pre-step state carries the running integrals over [t_k, t_k + dt)
                 if gauge is not None:
@@ -377,6 +381,8 @@ def _simulate_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
                         xn[mask] = _step(steps[ci], xm, w[mask], dt, np.empty_like(xm))
 
                 if not _inside(xn, lower, upper, ok, flag).all():
+                    if stop_after_exit:
+                        ok &= group[index] <= group[index[~ok]].min()
                     kept, gone = np.flatnonzero(ok), np.flatnonzero(~ok)
                     at = index[gone]
                     alive[at] = False
@@ -387,9 +393,7 @@ def _simulate_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
                         final[key][at] = arr[gone]
                         setattr(live, key, arr[kept])
                     index, gens = index[kept], [gens[j] for j in kept]
-                    rest = incs[b + 1:, kept]
-                    incs = incs_buffer[:block, :len(index)]
-                    incs[b + 1:] = rest
+                    cols = kept if cols is None else cols[kept]
                     xn = xn[kept]
                     x, ok, flag = buffers(len(index))
                     if not len(index):
@@ -429,11 +433,14 @@ def _simulate_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
 def _simulate_batch(model, x0s, dt, T, n_paths, seeds, control=None, feedback=None,
                     increment_mode="gaussian", domain=None, candidate=None, gauge=None,
                     occupation_radii=None, target_distance=None, thin=0, workers=1,
-                    integrator="milstein") -> list[TrajectoryEnsemble]:
+                    integrator="milstein", stop_after_exit=False) -> list[TrajectoryEnsemble]:
     """One step loop for the ensembles from each of ``x0s``; one ensemble per start.
 
     Ensemble g equals ``simulate_ensemble(model, x0s[g], ..., seed=seeds[g])``
     bit for bit; the other arguments are those of ``simulate_ensemble``.
+    With ``stop_after_exit`` that holds only up to the first ensemble with an
+    exit: an exit stops the paths of later ensembles that share its worker
+    chunk, and they count as exited.
     """
     for name, value, need, ok in (
         ("dt", dt, "> 0", dt > 0), ("T", T, "> 0", T > 0),
@@ -479,13 +486,14 @@ def _simulate_batch(model, x0s, dt, T, n_paths, seeds, control=None, feedback=No
         target_fn = _distance_evaluator(target_distance, model.dim_state)
     occ = np.asarray(occupation_radii, dtype=float) if occupation_radii is not None else None
 
-    total = len(x0s) * n_paths
-    n_chunks = max(1, min(int(workers), total // _MIN_CHUNK_PATHS))
-    chunk_bounds = np.linspace(0, total, n_chunks + 1).astype(int)
+    # chunked by the size of one ensemble, as when each ensemble ran alone
+    n_chunks = max(1, min(int(workers), n_paths // _MIN_CHUNK_PATHS))
+    chunk_bounds = np.linspace(0, len(x0s) * n_paths, n_chunks + 1).astype(int)
     points = np.array([np.atleast_1d(x0) for x0 in x0s])
     args = [
         (model, points, dt, n_steps, int(lo), int(hi), seeds, n_paths, increment_mode,
-         lower, upper, control_index, feedback, steps, candidate, gauge, occ, target_fn, thin)
+         lower, upper, control_index, feedback, steps, candidate, gauge, occ, target_fn, thin,
+         stop_after_exit)
         for lo, hi in zip(chunk_bounds[:-1], chunk_bounds[1:])
     ]
     if len(args) == 1:
@@ -608,21 +616,22 @@ def estimate_stabilizability_gauge(
     The envelope is the least monotone majorant of r -> max over paths of
     sup_t |X_t|.  The verdict is "consistent with" the pathwise bound; any
     exited path makes it negative, reported for the smallest radius with an
-    exit.  The ensembles of all start points run in one step loop.
+    exit.  The ensembles of all start points run in one step loop, by
+    increasing radius; an exit stops the ensembles of larger radii.
     """
     if len(x0_list) == 0:
         raise ValueError("x0_list holds no start point")
     feedback = control_or_feedback if isinstance(control_or_feedback, FeedbackMap) else None
     control = None if feedback is not None else control_or_feedback
-    ensembles = _simulate_batch(
-        model, x0_list, dt, T, n_paths, [seed + j for j in range(len(x0_list))],
-        control=control, feedback=feedback, increment_mode=increment_mode, workers=workers,
-    )
-    radii = np.array([ens.initial_radius for ens in ensembles])
+    radii = np.array([np.linalg.norm(np.asarray(x, dtype=float)) for x in x0_list])
     order = np.argsort(radii)
+    ensembles = _simulate_batch(
+        model, [x0_list[j] for j in order], dt, T, n_paths, [seed + j for j in order],
+        control=control, feedback=feedback, increment_mode=increment_mode, workers=workers,
+        stop_after_exit=True,
+    )
     worst = np.empty(len(x0_list))
-    for rank, j in enumerate(order):
-        ens = ensembles[j]
+    for rank, (j, ens) in enumerate(zip(order, ensembles)):
         if ens.exited.any():
             gauge = ComparisonGauge("K", np.array([0.0, max(radii)]),
                                     np.array([0.0, max(radii)]))

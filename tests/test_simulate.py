@@ -57,8 +57,11 @@ def _reference_step(rows, x, w, dt):
 
 def _reference_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
                      increment_mode, lower, upper, control_index, feedback, steps, cand,
-                     gauge, occ_radii, target_fn, thin):
-    """The masked loop for one ensemble: every path is stepped every step, exited or not."""
+                     gauge, occ_radii, target_fn, thin, stop_after_exit):
+    """The masked loop for one ensemble: every path is stepped every step, exited or not.
+
+    With one ensemble, none comes after it for ``stop_after_exit`` to stop.
+    """
     (x0,), (seed,) = x0s, seeds
     # the compiled rows set no error state of their own
     with np.errstate(all="ignore"):
@@ -293,6 +296,16 @@ def _batch_case(name, rotational, unstable1d, bang1d):
     return pm, x0s, {**kw, "candidate": pm.candidate, "gauge": pm.gauge}
 
 
+def _assert_same_ensemble(got, alone):
+    for f in dataclasses.fields(al.TrajectoryEnsemble):
+        a, b = getattr(got, f.name), getattr(alone, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape, f.name
+            assert a.tobytes() == b.tobytes(), f.name
+        else:
+            assert a is b or a == b, f.name
+
+
 @pytest.mark.parametrize("name", ["staggered-exits", "bang1d-two-controls",
                                   "occupation-target-thin", "signed-bernoulli", "workers"])
 def test_batch_matches_separate_ensembles(monkeypatch, name, rotational, unstable1d, bang1d):
@@ -303,19 +316,29 @@ def test_batch_matches_separate_ensembles(monkeypatch, name, rotational, unstabl
     assert len(batch) == len(x0s)
     for x0, seed, got in zip(x0s, seeds, batch):
         alone = al.simulate_ensemble(pm.model, x0, seed=seed, **{**kw, "workers": 1})
-        for f in dataclasses.fields(al.TrajectoryEnsemble):
-            a, b = getattr(got, f.name), getattr(alone, f.name)
-            if isinstance(b, np.ndarray):
-                assert a.dtype == b.dtype and a.shape == b.shape, f.name
-                assert a.tobytes() == b.tobytes(), f.name
-            else:
-                assert a is b or a == b, f.name
+        _assert_same_ensemble(got, alone)
     exited = [ens.exited.all() for ens in batch]
     if name == "staggered-exits":  # two ensembles empty while the third runs on
         assert exited == [True, False, True]
         assert not batch[1].exited.any()
     elif name in ("signed-bernoulli", "workers"):
         assert any(0 < ens.exited.sum() < kw["n_paths"] for ens in batch)
+
+
+def test_exit_stops_later_ensembles():
+    pm = al.parse_model(_NOISY_REPELLER)
+    x0s, seeds = [[0.05, 0.0], [0.3, 0.0], [0.0, 0.6], [0.7, 0.0]], [7, 8, 9, 10]
+    kw = dict(dt=1e-3, T=3.0, n_paths=30)
+    batch = simulate._simulate_batch(pm.model, x0s, seeds=seeds, stop_after_exit=True, **kw)
+    alone = [al.simulate_ensemble(pm.model, x0, seed=s, **kw) for x0, s in zip(x0s, seeds)]
+    # the first ensemble runs on as alone, with some paths left at the horizon
+    assert 0 < alone[0].exited.sum() < kw["n_paths"]
+    _assert_same_ensemble(batch[0], alone[0])
+    for h in range(1, len(x0s)):
+        # every later one stops at the first exit of an ensemble before it
+        assert not alone[h].exited.all() and batch[h].exited.all()
+        first_exit = min(ens.exit_times.min() for ens in alone[:h])
+        assert batch[h].exit_times.max() == first_exit
 
 
 def test_block_length_rule(monkeypatch, rotational):
@@ -366,18 +389,32 @@ def _per_start_estimate(model, x0_list, dt, T, n_paths, seed):
     return None, np.array(worst)
 
 
-@pytest.mark.parametrize("name", ["middle-radius-exits", "bounded"])
-def test_gauge_estimate_matches_per_start_loop(name, rotational, unstable1d):
+@pytest.mark.parametrize("name", ["middle-radius-exits", "smallest-radius-exits",
+                                  "smallest-radius-exits-in-chunks", "bounded"])
+def test_gauge_estimate_matches_per_start_loop(monkeypatch, name, rotational, unstable1d):
+    workers = 1
     if name == "middle-radius-exits":  # sorted radii 0.05, 0.5, 0.9: 0.5 exits first
         pm, x0s, T = unstable1d, [[0.9], [0.05], [0.5]], 1.0
+    elif name.startswith("smallest-radius-exits"):
+        pm, x0s, T = al.parse_model(_NOISY_REPELLER), [[0.7, 0.0], [0.05, 0.0], [0.3, 0.0]], 2.0
+        if name.endswith("in-chunks"):  # two chunks, split inside the middle ensemble
+            monkeypatch.setattr(simulate, "_MIN_CHUNK_PATHS", 1)
+            workers = 2
     else:
         pm, x0s, T = rotational, [[0.4, 0.0], [0.1, 0.0], [0.0, 0.25]], 0.5
+    batches, batch = [], simulate._simulate_batch
+    monkeypatch.setattr(simulate, "_simulate_batch",
+                        lambda *a, **kw: batches.append(batch(*a, **kw)) or batches[-1])
     est = al.estimate_stabilizability_gauge(pm.model, 0, x0s, dt=1e-3, T=T, n_paths=20,
-                                            seed=11)
+                                            seed=11, workers=workers)
     reason, worst = _per_start_estimate(pm.model, x0s, 1e-3, T, 20, 11)
-    if name == "middle-radius-exits":
+    if name == "smallest-radius-exits":  # its exits stopped the larger radii
+        assert all(ens.exited.all() for ens in batches[0][1:])
+        assert not any(al.simulate_ensemble(pm.model, x0s[j], 1e-3, T, 20, 11 + j).exited.all()
+                       for j in (0, 2))
+    if name != "bounded":
         assert not est.consistent and est.reason == reason
-        assert "|x0|=0.5" in reason
+        assert ("|x0|=0.5" if name.startswith("middle") else "|x0|=0.05") in reason
     else:
         assert est.consistent and worst is not None
         assert est.worst_sup.tobytes() == worst.tobytes()
@@ -504,6 +541,12 @@ def test_small_batches_run_in_one_chunk(monkeypatch, rotational):
         al.simulate_ensemble(rotational.model, [0.5, 0.0], dt=1e-3, T=2e-3,
                              n_paths=paths, seed=1, workers=2)
     assert bounds == [(0, n - 1), (0, n // 2), (n // 2, n)]
+    # a batch splits as one of its ensembles would, not by its total size
+    bounds.clear()
+    small = simulate._MIN_CHUNK_PATHS
+    simulate._simulate_batch(rotational.model, [[0.5, 0.0]] * 3, 1e-3, 2e-3, small - 1,
+                             [1, 2, 3], workers=2)
+    assert bounds == [(0, 3 * (small - 1))]
 
 
 def test_integrator_validation(rotational):
