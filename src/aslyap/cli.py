@@ -25,6 +25,7 @@ from .fields import Grid, ScalarField, extract_level_set
 from .gauges import GaugeFunction
 from .model import CandidateFunction, ModelError, ParsedModel, parse_model
 from .simulate import (
+    _simulate_batch,
     build_decay_gauge,
     check_supermaxingale,
     empirical_viability,
@@ -64,31 +65,28 @@ def _load_model(path: str) -> ParsedModel:
 
 
 def _parse_grid(spec: str | None, parsed: ParsedModel, rho: float | None) -> Grid:
-    model = parsed.model
-    lo, up = model.domain_lower, model.domain_upper
+    """The grid of ``--grid``; every error in the spec, also from ``Grid``, names the flag."""
+    lo, up = parsed.model.domain_lower, parsed.model.domain_upper
+    if rho is not None and not rho >= 0:
+        raise ConfigError(f"--rho must be nonnegative, got {rho}")
     if spec is None:
-        counts = tuple(61 for _ in lo)
-        return Grid(lo, up, counts, rho=rho)
+        return Grid(lo, up, tuple(61 for _ in lo), rho=rho)
     parts = spec.split(",")
-    if all(":" not in p for p in parts):
-        counts = tuple(int(p) for p in parts)
-        if len(counts) == 1:
-            counts = counts * len(lo)
-        if len(counts) != len(lo):
-            raise ConfigError("grid counts must match the state dimension")
-        return Grid(lo, up, counts, rho=rho)
-    if len(parts) != len(lo):
-        raise ConfigError("grid spec needs one lo:hi:n block per axis")
-    lows, ups, counts = [], [], []
-    for p in parts:
-        try:
-            a, b, n = p.split(":")
-            lows.append(float(a))
-            ups.append(float(b))
-            counts.append(int(n))
-        except ValueError:
-            raise ConfigError(f"bad grid block {p!r} (expected lo:hi:n)") from None
-    return Grid(tuple(lows), tuple(ups), tuple(counts), rho=rho)
+    try:
+        if all(":" not in p for p in parts):
+            counts = tuple(int(p) for p in parts)
+            if len(counts) == 1:
+                counts = counts * len(lo)
+            if len(counts) != len(lo):
+                raise ValueError("grid counts must match the state dimension")
+            return Grid(lo, up, counts, rho=rho)
+        if len(parts) != len(lo) or any(p.count(":") != 2 for p in parts):
+            raise ValueError("expected one lo:hi:n block per axis")
+        lows, ups, counts = zip(*(p.split(":") for p in parts))
+        return Grid(tuple(map(float, lows)), tuple(map(float, ups)), tuple(map(int, counts)),
+                    rho=rho)
+    except ValueError as err:
+        raise ConfigError(f"--grid {spec}: {err}") from None
 
 
 def _config_hash(cfg: dict) -> str:
@@ -255,11 +253,9 @@ def cmd_gauge(args) -> int:
         model, 0, x0s, dt=args.dt, T=args.horizon, n_paths=args.paths,
         seed=args.seed, workers=args.workers,
     )
-    ensembles = [
-        simulate_ensemble(model, x0, dt=args.dt, T=args.horizon, n_paths=args.paths,
-                          seed=args.seed + 1000 + i, workers=args.workers)
-        for i, x0 in enumerate(x0s)
-    ]
+    ensembles = _simulate_batch(model, x0s, args.dt, args.horizon, args.paths,
+                                [args.seed + 1000 + i for i in range(len(x0s))],
+                                workers=args.workers)
     decay = estimate_decay_envelope(ensembles)
     out = {
         "integrator": ensembles[0].integrator,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import aslyap as al
-from aslyap import cli
+from aslyap import cli, simulate
 from aslyap.cli import main
 
 from conftest import MODELS
@@ -158,6 +158,46 @@ def test_gauge_command(tmp_path):
     assert gauges["stabilizability"]["consistent"] is True
     assert gauges["decay"]["kappa"] == pytest.approx(0.5, abs=0.15)
     assert gauges["integrator"] == "milstein"
+
+
+def test_gauge_decay_batch_equals_separate_ensembles(tmp_path, monkeypatch):
+    monkeypatch.setattr(simulate, "_MIN_CHUNK_PATHS", 1)  # chunks cut ensembles
+    argv = ["gauge", "--model", ROT, "--radii", "0.1,0.2,0.3,0.4", "--paths", "30",
+            "-T", "1", "--seed", "3", "--workers", "2"]
+    assert main([*argv, "--out", str(tmp_path / "batch")]) == 0
+    used = []
+
+    def separate(model, x0s, dt, T, n_paths, seeds, **kw):
+        used.extend(seeds)
+        return [al.simulate_ensemble(model, x0, dt, T, n_paths, s, **kw)
+                for x0, s in zip(x0s, seeds)]
+
+    monkeypatch.setattr(cli, "_simulate_batch", separate)
+    assert main([*argv, "--out", str(tmp_path / "alone")]) == 0
+    assert used == [1003, 1004, 1005, 1006]
+    batch, alone = (next((tmp_path / d).iterdir()) / "gauges.json" for d in ("batch", "alone"))
+    assert batch.read_bytes() == alone.read_bytes()
+
+
+@pytest.mark.parametrize("grid, reason", [
+    ("abc", "invalid literal for int()"),
+    ("2", "need at least 3 nodes per axis"),
+    ("1:-1:5,-1:1:5", "bounds must be finite with upper > lower"),
+    ("21,21,21", "grid counts must match the state dimension"),
+    ("0:1:5", "expected one lo:hi:n block per axis"),
+    ("0:1,0:1", "expected one lo:hi:n block per axis"),
+    ("0:1:x,0:1:5", "invalid literal for int()"),
+])
+def test_bad_grid_names_the_flag(tmp_path, capsys, grid, reason):
+    assert main(["check", "--model", ROT, "--grid", grid, "--out", _runs(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: --grid {grid}: ") and reason in err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_negative_rho_names_the_flag(tmp_path, capsys):
+    assert main(["check", "--model", ROT, "--rho=-1", "--out", _runs(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: --rho must be nonnegative")
 
 
 def test_viability_command(tmp_path):

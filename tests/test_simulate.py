@@ -1,4 +1,5 @@
 import dataclasses
+import threading
 import tracemalloc
 
 import numpy as np
@@ -547,6 +548,23 @@ def test_small_batches_run_in_one_chunk(monkeypatch, rotational):
     simulate._simulate_batch(rotational.model, [[0.5, 0.0]] * 3, 1e-3, 2e-3, small - 1,
                              [1, 2, 3], workers=2)
     assert bounds == [(0, 3 * (small - 1))]
+
+
+def test_chunks_run_in_order_on_the_calling_thread(monkeypatch, rotational):
+    monkeypatch.setattr(simulate, "_MIN_CHUNK_PATHS", 1)
+    calls = []
+    chunk = simulate._simulate_chunk
+
+    def spy(*args):
+        calls.append((threading.get_ident(), args[4:6]))
+        return chunk(*args)
+
+    monkeypatch.setattr(simulate, "_simulate_chunk", spy)
+    simulate._simulate_batch(rotational.model, [[0.5, 0.0]] * 2, 1e-3, 2e-3, 6, [1, 2],
+                             workers=3)
+    me = threading.get_ident()
+    assert calls == [(me, (0, 4)), (me, (4, 8)), (me, (8, 12))]
+    assert not hasattr(simulate, "ThreadPoolExecutor")
 
 
 def test_integrator_validation(rotational):
