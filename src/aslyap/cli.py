@@ -65,11 +65,17 @@ def _load_model(path: str) -> ParsedModel:
 
 
 def _parse_grid(spec: str | None, parsed: ParsedModel, rho: float | None) -> Grid:
-    """The grid of ``--grid``; every error in the spec, also from ``Grid``, names the flag."""
+    """The grid of ``--grid``, else 61 nodes per axis on the model's finite
+    ``[domain]``; every error in the spec, also from ``Grid``, names the flag."""
     lo, up = parsed.model.domain_lower, parsed.model.domain_upper
     if rho is not None and not rho >= 0:
         raise ConfigError(f"--rho must be nonnegative, got {rho}")
     if spec is None:
+        if not np.all(np.isfinite(lo + up)):
+            raise ConfigError(
+                f"model [domain] lower = {', '.join(map(str, lo))}, upper = "
+                f"{', '.join(map(str, up))} is not a finite box; give the grid with "
+                "--grid lo:hi:n per axis")
         return Grid(lo, up, tuple(61 for _ in lo), rho=rho)
     parts = spec.split(",")
     try:

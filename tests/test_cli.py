@@ -195,6 +195,19 @@ def test_bad_grid_names_the_flag(tmp_path, capsys, grid, reason):
     assert not (tmp_path / "runs").exists()
 
 
+def test_infinite_domain_without_grid_asks_for_the_flag(tmp_path, capsys):
+    unbounded = tmp_path / "unbounded.model"
+    unbounded.write_text(
+        "[dimensions]\nstate = 1\nnoise = 1\n[controls]\nhold = 0\n"
+        "[dynamics]\nf1 = -x1\n[candidate]\nV = abs(x1)\nl = 0.5*r\n"
+        "[domain]\nlower = -inf\nupper = inf\n"
+    )
+    assert main(["check", "--model", str(unbounded), "--out", _runs(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "[domain] lower = -inf, upper = inf" in err and "--grid" in err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_negative_rho_names_the_flag(tmp_path, capsys):
     assert main(["check", "--model", ROT, "--rho=-1", "--out", _runs(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("config error: --rho must be nonnegative")

@@ -1,7 +1,13 @@
+import concurrent.futures
+import faulthandler
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 import aslyap as al
+from aslyap import values
 from aslyap.fields import BoxInterpolator
 from aslyap.values import default_increments, max_drift_norm
 
@@ -376,3 +382,130 @@ def test_value_result_metadata(linear1d):
     res = al.worst_case_sup_value(linear1d.model, grid, scheme)
     assert res.field.iterations == len(res.residuals)
     assert res.field.residual < scheme.tolerance
+
+
+# ------------------------------------------------------ row blocks and threads
+
+class _Boom(RuntimeError):
+    pass
+
+
+def _executor_spy(monkeypatch):
+    """Record every thread pool the value engine creates."""
+    made = []
+
+    class Spy(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
+    return made
+
+
+def _split(monkeypatch, block_rows, cpus):
+    monkeypatch.setattr(values, "_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(values, "_POOL_MIN_ROWS", 0 if cpus > 1 else 10**9)
+    monkeypatch.setattr(values, "_cpus", lambda: cpus)
+
+
+def _solves(rotational, bang1d):
+    """Run every solve kind and feedback once; return their fields, residual lists,
+    sweep counts, propagation set and control indices in comparable form."""
+    grid = al.Grid((-1.0, -1.0), (1.0, 1.0), (31, 31))
+    nodes = grid.nodes()
+    model = rotational.model
+    out = []
+
+    def run(fn):
+        before = threading.active_count()
+        result = fn()
+        assert threading.active_count() == before
+        return result
+
+    scheme = al.default_scheme(model, grid, cap=1.0)
+    res = run(lambda: al.worst_case_sup_value(
+        model, grid, scheme, cost=lambda p: np.abs(p[:, 0] - 0.3),
+        pin_mask=np.linalg.norm(nodes, axis=1) <= 0.2))
+    out.append(res)
+    res = run(lambda: al.worst_case_integral_value(
+        model, grid, rotational.gauge, al.default_scheme(model, grid, cap=2.0)))
+    out.append(res)
+    res, prop = run(lambda: al.discounted_value_and_prop_set(
+        model, grid, K=0.5, lam=1.0, theta=0.1))
+    out.append(res)
+    # pushing along x1 toward the origin: the feedback changes sign with x1
+    push = _inline("f1 = a1\nf2 = -x2\ns1_1 = 0.2\ns2_1 = 0", n=2,
+                   controls="left = -1.0\nright = 1.0")
+    fb = run(lambda: al.synthesize_feedback(push.model, out[1].field, scheme))
+    assert set(fb.control_indices.tolist()) == {0, 1}
+    grid1 = al.Grid((-1.0,), (1.0,), (101,))
+    scheme1 = al.default_scheme(bang1d.model, grid1, cap=1.0)
+    value1 = run(lambda: al.worst_case_sup_value(bang1d.model, grid1, scheme1))
+    out.append(value1)
+    fb1 = run(lambda: al.synthesize_feedback(bang1d.model, value1.field, scheme1))
+    return ([(r.field.flat.tobytes(), r.residuals, r.field.iterations) for r in out],
+            prop.tobytes(), fb.control_indices.tobytes(), fb1.control_indices.tobytes())
+
+
+def test_row_blocks_are_uneven_and_cover_every_row(monkeypatch):
+    _split(monkeypatch, block_rows=100, cpus=3)
+    blocks = values._RowBlocks(961)
+    sizes = [s.stop - s.start for s in blocks.slices]
+    assert blocks.threads == 3 and len(sizes) % 3 == 0 and len(set(sizes)) == 2
+    assert [s.start for s in blocks.slices[1:]] == [s.stop for s in blocks.slices[:-1]]
+    assert blocks.slices[0].start == 0 and blocks.slices[-1].stop == 961
+
+
+def test_threaded_row_blocks_are_bit_identical_to_one_block(monkeypatch, rotational, bang1d):
+    made = _executor_spy(monkeypatch)
+    _split(monkeypatch, block_rows=10**9, cpus=1)
+    one_block = _solves(rotational, bang1d)
+    assert made == []
+    _split(monkeypatch, block_rows=30, cpus=3)  # 33 and 6 blocks, one of a single row
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # more thread switches than cores can hide
+    try:
+        threaded = _solves(rotational, bang1d)
+    finally:
+        sys.setswitchinterval(interval)
+    assert made == [(2,)] * 6  # one pool of two threads per solve or feedback call
+    assert threaded == one_block
+
+
+@pytest.mark.parametrize("on_worker", [True, False])
+def test_block_failure_propagates_without_a_hang(monkeypatch, rotational, on_worker):
+    # one block raises, on a pool thread or on the calling thread's share
+    _split(monkeypatch, block_rows=100, cpus=3)
+    apply = BoxInterpolator.apply
+    armed = [True]
+
+    def failing(self, flat_values, prepared, fill):
+        worker = threading.current_thread() is not threading.main_thread()
+        if worker == on_worker and armed[0]:
+            armed[0] = False
+            raise _Boom("one block failed")
+        return apply(self, flat_values, prepared, fill)
+
+    monkeypatch.setattr(BoxInterpolator, "apply", failing)
+    grid = al.Grid((-1.0, -1.0), (1.0, 1.0), (31, 31))
+    scheme = al.default_scheme(rotational.model, grid, cap=1.0)
+    before = threading.active_count()
+    faulthandler.dump_traceback_later(120, exit=True)  # a hang fails the run
+    try:
+        with pytest.raises(_Boom):
+            al.worst_case_sup_value(rotational.model, grid, scheme)
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    assert not armed[0]
+    assert threading.active_count() == before
+
+
+def test_small_solves_start_no_thread(monkeypatch, rotational):
+    made = _executor_spy(monkeypatch)
+    grid = al.Grid((-1.0, -1.0), (1.0, 1.0), (41, 41))
+    assert grid.n_nodes < values._POOL_MIN_ROWS
+    scheme = al.default_scheme(rotational.model, grid, cap=1.0)
+    res = al.worst_case_sup_value(rotational.model, grid, scheme)
+    al.synthesize_feedback(rotational.model, res.field, scheme)
+    assert made == []
