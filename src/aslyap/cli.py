@@ -71,7 +71,7 @@ def _parse_grid(spec: str | None, parsed: ParsedModel, rho: float | None) -> Gri
     if rho is not None and not rho >= 0:
         raise ConfigError(f"--rho must be nonnegative, got {rho}")
     if spec is None:
-        if not np.all(np.isfinite(lo + up)):
+        if not np.all(np.isfinite((*lo, *up))):
             raise ConfigError(
                 f"model [domain] lower = {', '.join(map(str, lo))}, upper = "
                 f"{', '.join(map(str, up))} is not a finite box; give the grid with "

@@ -11,9 +11,10 @@ every sweep.
 
 A sweep works on contiguous row blocks: each block reads the whole previous
 iterate, writes only its own rows of the next one and reduces its own NaN,
-monotonicity and residual figures.  Solves of at least ``_POOL_MIN_ROWS``
-nodes map the blocks over one thread per CPU the process may use, started
-for that solve only; numpy releases the interpreter lock inside each block.
+monotonicity and residual figures.  Solves map the blocks over one thread
+per ``_MIN_ROWS_PER_THREAD`` nodes, at most one per CPU the process may use,
+started for that solve only; numpy releases the interpreter lock inside
+each block.
 Every row takes the same operations in the same order however the rows are
 split, so fields, residuals, sweep counts and feedback indices are
 bit-identical for any CPU count.
@@ -145,10 +146,12 @@ class ValueResult:
 # On a 2-core Xeon, larger blocks hand the interpreter lock over less often:
 # the C6 augmented solve (120 213 nodes) took 2.17, 2.02 and 1.88 s with
 # blocks capped at 8192, 16384 and 32768 rows, while 65536 raised its peak
-# RSS above the one-thread solve's.  Threads began to gain at about 12 000
-# rows (2-D integral value: equal at 101^2, 0.60 -> 0.54 ms a sweep at 129^2).
+# RSS above the one-thread solve's.  Two threads began to gain at about
+# 12 000 rows (2-D integral value: equal at 101^2, 0.60 -> 0.54 ms a sweep
+# at 129^2), so each thread gets at least 8192 rows.  Only 2 cores were
+# measured; scaling beyond them is unmeasured.
 _BLOCK_ROWS = 32768
-_POOL_MIN_ROWS = 16384
+_MIN_ROWS_PER_THREAD = 8192
 
 
 def _cpus() -> int:
@@ -161,14 +164,14 @@ def _cpus() -> int:
 class _RowBlocks:
     """Contiguous row blocks of one solve, mapped over the usable CPUs.
 
-    With at least ``_POOL_MIN_ROWS`` rows and more than one CPU, ``with``
-    starts one thread per CPU the process may use, the calling thread being
-    one of them, and shuts them down on exit; below that nothing is started
-    and blocks run in order on the calling thread.
+    Uses one thread per ``_MIN_ROWS_PER_THREAD`` rows, at most one per CPU
+    the process may use.  With more than one, ``with`` starts that many
+    worker threads and shuts them down on exit; otherwise nothing is
+    started and blocks run in order on the calling thread.
     """
 
     def __init__(self, n_rows: int):
-        self.threads = _cpus() if n_rows >= _POOL_MIN_ROWS else 1
+        self.threads = max(1, min(_cpus(), n_rows // _MIN_ROWS_PER_THREAD))
         # equal blocks, as many per thread, none above _BLOCK_ROWS
         n_blocks = self.threads * -(-n_rows // (self.threads * _BLOCK_ROWS))
         size = -(-n_rows // n_blocks)
@@ -178,32 +181,20 @@ class _RowBlocks:
     def __enter__(self):
         if self.threads > 1:
             from concurrent.futures import ThreadPoolExecutor
-            self._pool = ThreadPoolExecutor(self.threads - 1)
+            self._pool = ThreadPoolExecutor(self.threads)
         return self
 
     def __exit__(self, *exc):
+        # waits for every block, also after a failed one: no thread outlives the solve
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
 
     def map(self, fn) -> list:
-        """``[fn(rows) for rows in self.slices]``; thread i takes blocks i, i + t, ..."""
+        """``[fn(rows) for rows in self.slices]``, on the pool if there is one."""
         if self._pool is None:
             return [fn(rows) for rows in self.slices]
-        t = self.threads
-        futures = [self._pool.submit(_run_share, fn, self.slices[i::t]) for i in range(1, t)]
-        out = [None] * len(self.slices)
-        try:
-            out[::t] = _run_share(fn, self.slices[::t])
-        finally:
-            # no block runs on once map returns or raises
-            for i, fut in enumerate(futures, 1):
-                out[i::t] = fut.result()
-        return out
-
-
-def _run_share(fn, share):
-    return [fn(rows) for rows in share]
+        return list(self._pool.map(fn, self.slices))
 
 
 class _Transition:
@@ -332,6 +323,10 @@ def worst_case_sup_value(
 
     ``pin_mask`` freezes nodes at the cost floor (used where the value is
     known to equal the cost, e.g. a small ball around the equilibrium set).
+
+    ``cost`` must be pointwise and thread-safe: it is called on row blocks
+    of the nodes and of their next points, possibly from several threads at
+    once.
     """
     nodes = grid.nodes()
     if cost is None:

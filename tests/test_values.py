@@ -405,7 +405,7 @@ def _executor_spy(monkeypatch):
 
 def _split(monkeypatch, block_rows, cpus):
     monkeypatch.setattr(values, "_BLOCK_ROWS", block_rows)
-    monkeypatch.setattr(values, "_POOL_MIN_ROWS", 0 if cpus > 1 else 10**9)
+    monkeypatch.setattr(values, "_MIN_ROWS_PER_THREAD", 1)
     monkeypatch.setattr(values, "_cpus", lambda: cpus)
 
 
@@ -469,25 +469,24 @@ def test_threaded_row_blocks_are_bit_identical_to_one_block(monkeypatch, rotatio
         threaded = _solves(rotational, bang1d)
     finally:
         sys.setswitchinterval(interval)
-    assert made == [(2,)] * 6  # one pool of two threads per solve or feedback call
+    assert made == [(3,)] * 6  # one pool of three threads per solve or feedback call
     assert threaded == one_block
 
 
-@pytest.mark.parametrize("on_worker", [True, False])
-def test_block_failure_propagates_without_a_hang(monkeypatch, rotational, on_worker):
-    # one block raises, on a pool thread or on the calling thread's share
+@pytest.mark.parametrize("method", ["prepare", "apply"])
+def test_block_failure_propagates_without_a_hang(monkeypatch, rotational, method):
+    # one block raises on a pool thread, while building stencils or in a sweep
     _split(monkeypatch, block_rows=100, cpus=3)
-    apply = BoxInterpolator.apply
+    original = getattr(BoxInterpolator, method)
     armed = [True]
 
-    def failing(self, flat_values, prepared, fill):
-        worker = threading.current_thread() is not threading.main_thread()
-        if worker == on_worker and armed[0]:
+    def failing(self, *args, **kwargs):
+        if armed[0]:
             armed[0] = False
             raise _Boom("one block failed")
-        return apply(self, flat_values, prepared, fill)
+        return original(self, *args, **kwargs)
 
-    monkeypatch.setattr(BoxInterpolator, "apply", failing)
+    monkeypatch.setattr(BoxInterpolator, method, failing)
     grid = al.Grid((-1.0, -1.0), (1.0, 1.0), (31, 31))
     scheme = al.default_scheme(rotational.model, grid, cap=1.0)
     before = threading.active_count()
@@ -501,10 +500,20 @@ def test_block_failure_propagates_without_a_hang(monkeypatch, rotational, on_wor
     assert threading.active_count() == before
 
 
+def test_threads_follow_rows_per_thread_up_to_the_cpus(monkeypatch):
+    monkeypatch.setattr(values, "_cpus", lambda: 16)
+    per = values._MIN_ROWS_PER_THREAD
+    assert values._RowBlocks(per - 1).threads == 1
+    assert values._RowBlocks(2 * per + per // 2).threads == 2
+    assert values._RowBlocks(100 * per).threads == 16
+    monkeypatch.setattr(values, "_cpus", lambda: 1)
+    assert values._RowBlocks(100 * per).threads == 1
+
+
 def test_small_solves_start_no_thread(monkeypatch, rotational):
     made = _executor_spy(monkeypatch)
     grid = al.Grid((-1.0, -1.0), (1.0, 1.0), (41, 41))
-    assert grid.n_nodes < values._POOL_MIN_ROWS
+    assert grid.n_nodes < values._MIN_ROWS_PER_THREAD
     scheme = al.default_scheme(rotational.model, grid, cap=1.0)
     res = al.worst_case_sup_value(rotational.model, grid, scheme)
     al.synthesize_feedback(rotational.model, res.field, scheme)
