@@ -434,30 +434,116 @@ _NP_FNS = {"sin": "np.sin", "cos": "np.cos", "exp": "np.exp", "log": "np.log",
            "sqrt": "np.sqrt", "abs": "np.abs", "min": "np.minimum", "max": "np.maximum"}
 
 
-def _pysource(node: Node) -> str:
+def _children(node: Node) -> tuple:
+    if isinstance(node, Neg):
+        return (node.arg,)
+    if isinstance(node, Bin):
+        return (node.left, node.right)
+    if isinstance(node, Call):
+        return node.args
+    return ()
+
+
+def _render(node: Node, child) -> str:
+    """numpy source of ``node``'s own operation; ``child`` renders its operands."""
     if isinstance(node, Num):
         return repr(node.value)
     if isinstance(node, Var):
         return node.name
     if isinstance(node, Neg):
-        return f"(-{_pysource(node.arg)})"
+        return f"(-{child(node.arg)})"
     if isinstance(node, Bin):
         op = "**" if node.op == "^" else node.op
-        return f"({_pysource(node.left)} {op} {_pysource(node.right)})"
+        return f"({child(node.left)} {op} {child(node.right)})"
     if node.fn == "ifle":
-        a, b, t, e = (_pysource(x) for x in node.args)
+        a, b, t, e = (child(x) for x in node.args)
         return f"np.where({a} <= {b}, {t}, {e})"
-    args = ", ".join(_pysource(a) for a in node.args)
-    return f"{_NP_FNS[node.fn]}({args})"
+    return f"{_NP_FNS[node.fn]}({', '.join(child(a) for a in node.args)})"
+
+
+_OUT_UFUNCS = {"+": "np.add", "-": "np.subtract", "*": "np.multiply", "/": "np.true_divide"}
+
+
+def _np_sources(trees: list[Node], arg_names: list[str], out: str | None = None) -> list[str]:
+    """numpy source of each tree, evaluating each repeated subtree once.
+
+    Subtrees are the same when their source is (so ``-0.0`` and ``0.0``
+    differ).  The first evaluation of a repeated subtree binds it to a name
+    with ``:=`` and later ones read that name; Python evaluates operands left
+    to right, so the first evaluation is the leftmost occurrence, in the
+    first tree that has one.  With ``out``, tree i becomes a statement that
+    writes into ``out[i]``, with a top-level + - * / computed there in place;
+    otherwise each tree is an expression.
+    """
+    unknown = set().union(*map(free_vars, trees)) - set(arg_names)
+    if unknown:
+        raise ExprError(f"unknown identifier(s): {', '.join(sorted(unknown))}")
+    plain: dict[int, str] = {}  # by node identity, for the duration of the call
+
+    def key(node):
+        if id(node) not in plain:
+            plain[id(node)] = _render(node, key)
+        return plain[id(node)]
+
+    uses: dict[str, int] = {}
+
+    def count(node):
+        if isinstance(node, (Num, Var)):
+            return
+        k = key(node)
+        uses[k] = uses.get(k, 0) + 1
+        if uses[k] == 1:  # the operands of a repeat are evaluated with it, once
+            for c in _children(node):
+                count(c)
+
+    for tree in trees:
+        count(tree)
+    prefix = "_t"
+    while any(a.startswith(prefix) for a in arg_names):
+        prefix = "_" + prefix
+    names: dict[str, str] = {}
+
+    def source(node):
+        k = key(node)
+        if k in names:
+            return names[k]
+        s = _render(node, source)
+        if uses.get(k, 0) > 1:
+            names[k] = f"{prefix}{len(names)}"
+            s = f"({names[k]} := {s})"
+        return s
+
+    if out is None:
+        return [source(tree) for tree in trees]
+    lines = []
+    for i, tree in enumerate(trees):
+        target = f"{out}[{i}]"
+        if isinstance(tree, Bin) and tree.op in _OUT_UFUNCS and uses[key(tree)] == 1:
+            lines.append(f"{_OUT_UFUNCS[tree.op]}({source(tree.left)}, "
+                         f"{source(tree.right)}, out={target})")
+        else:
+            lines.append(f"{target} = {source(tree)}")
+    return lines
 
 
 def _compile_bare(node: Node, arg_names: list[str]):
     """``compile_fn`` without the error-state scope; the caller sets ``np.errstate``."""
-    unknown = free_vars(node) - set(arg_names)
-    if unknown:
-        raise ExprError(f"unknown identifier(s): {', '.join(sorted(unknown))}")
-    src = f"lambda {', '.join(arg_names)}: {_pysource(node)}"
+    src = f"lambda {', '.join(arg_names)}: {_np_sources([node], arg_names)[0]}"
     return eval(src, {"np": np})  # noqa: S307 - source generated above
+
+
+def _compile_rows(trees: list[Node], arg_names: list[str]):
+    """One function of ``(*arg_names, out)`` that writes tree i into ``out[i]``.
+
+    Each repeated subtree is evaluated once, across all trees; a constant or
+    bare-variable tree broadcasts over its row.  Like ``_compile_bare`` it
+    sets no error state, and ``out`` must not share memory with an argument.
+    """
+    body = "\n".join(f"    {line}" for line in _np_sources(trees, arg_names, out="_out"))
+    src = f"def _rows({', '.join([*arg_names, '_out'])}):\n{body}\n    return _out\n"
+    scope = {"np": np}
+    exec(src, scope)  # noqa: S102 - source generated above
+    return scope["_rows"]
 
 
 def compile_fn(node: Node, arg_names: list[str]):

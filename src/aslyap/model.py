@@ -182,8 +182,8 @@ class CandidateFunction:
         if derivative_mode not in ("analytic", "central-difference"):
             raise ValueError(f"unknown derivative mode {derivative_mode!r}")
         self.derivative_mode = derivative_mode
-        if fd_step <= 0:
-            raise ValueError("fd_step must be positive")
+        if not 0 < fd_step < np.inf:
+            raise ValueError(f"fd_step must be positive and finite, got {fd_step!r}")
         self.fd_step = float(fd_step)
         xvars = [f"x{i+1}" for i in range(dim)]
         extra = ex.free_vars(expression) - set(xvars)
@@ -414,9 +414,11 @@ def parse_model(text: str) -> ParsedModel:
         for lineno, key, value in sections["candidate"]:
             if key == "V":
                 tree = _parse_rhs(value, lineno)
-                fd_step = 1e-4 * model.domain_diameter()
+                # an unbounded [domain] sets no length scale: keep the default step
+                diameter = model.domain_diameter()
+                step = {"fd_step": 1e-4 * diameter} if np.isfinite(diameter) else {}
                 try:
-                    candidate = CandidateFunction(tree, n, fd_step=fd_step)
+                    candidate = CandidateFunction(tree, n, **step)
                 except ModelError as err:
                     raise ModelError(str(err), lineno) from None
             elif key == "l":

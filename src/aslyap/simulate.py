@@ -8,7 +8,18 @@ built symbolically from the model's trees, and the noise counts as
 commutative when L_j sigma_k and L_k sigma_j are equal trees after
 simplification (always so for one noise channel).  Non-commutative noise and
 signed-Bernoulli increments (where w^2 = dt) take the Euler-Maruyama step.
-Each state row's update is compiled once per control and ensemble.
+
+The step loop holds the live paths coordinate-major: the state as
+(dim, paths) and each block of increments as (block, m, paths), so every
+per-step array operation reads contiguous rows.  Each control's update of
+all state rows is one kernel generated from the trees once per ensemble; it
+writes into the next-state buffer and evaluates each repeated subtree once
+(on `rotational`, 18 array operations a step instead of 23).  When no
+kernel reads an increment (sigma = 0 under every control the run can use),
+no generator is built and nothing is drawn.  On `rotational` with candidate
+and gauge tracking (dt 1e-3, one worker, 2-core Xeon) the loop runs 4.0
+million path-steps/s at 500 paths and 11.9 million at 10 000 paths, against
+3.6 and 9.9 million for the row-major loop with one function per row.
 
 Paths use counter-based per-path RNG streams keyed by (seed, path index), so
 ensembles are bit-identical for any worker count or chunk size, and whether
@@ -185,21 +196,18 @@ def _sum(terms):
     return tree
 
 
-def _compile_steps(model, control_indices, integrator):
-    """One compiled update of (x, w, dt) per state row for each control.
+def _step_trees(model, control_indices, integrator):
+    """The update tree of (x, w, dt) of each state row, for each control.
 
-    The row functions run without an error-state scope of their own; the
-    step loop enters one per block.
-
-    Returns the per-control row functions and the integrator they implement:
-    a Milstein request falls back to Euler when some control's noise is not
+    Returns the per-control row trees and the integrator they implement: a
+    Milstein request falls back to Euler when some control's noise is not
     commutative.  Terms whose coefficient simplifies to 0 are dropped, so for
-    noise constant in x the Milstein step is the Euler step bit for bit.
+    noise constant in x the Milstein step is the Euler step bit for bit, and
+    a row without noise reads no increment.
     """
     n, m = model.dim_state, model.dim_noise
     xvars = [f"x{i+1}" for i in range(n)]
-    wvars = [f"w{j+1}" for j in range(m)]
-    w = [ex.Var(v) for v in wvars]
+    w = [ex.Var(f"w{j+1}") for j in range(m)]
     dt = ex.Var("dt")
     half_dw2 = [ex.Bin("*", ex.Num(0.5), ex.Bin("-", ex.Bin("*", wj, wj), dt)) for wj in w]
     trees = [model._control_trees(ci) for ci in control_indices]
@@ -223,48 +231,62 @@ def _compile_steps(model, control_indices, integrator):
             for part in parts:
                 if part is not None:
                     tree = ex.Bin("+", tree, part)
-            rows.append(ex._compile_bare(tree, xvars + wvars + ["dt"]))
+            rows.append(tree)
         steps[ci] = rows
     return steps, integrator
 
 
-def _step(rows, x, w, dt, out):
-    """Write one step of every path into ``out``; rows are bare lambdas."""
-    args = [*x.T, *w.T, dt]
-    for i, fn in enumerate(rows):
-        out[:, i] = fn(*args)
-    return out
+def _compile_steps(model, control_indices, integrator):
+    """One compiled step kernel per control, the integrator, and whether to draw.
+
+    Kernel ``steps[ci](*x, *w, dt, out)`` writes the next state of every
+    state row into ``out``; it runs without an error-state scope of its own,
+    since the step loop enters one per block.  When no control's rows read an
+    increment, nothing is drawn and the kernels take no ``w``.
+    """
+    trees, integrator = _step_trees(model, control_indices, integrator)
+    wvars = [f"w{j+1}" for j in range(model.dim_noise)]
+    read = set().union(*(ex.free_vars(t) for rows in trees.values() for t in rows))
+    draws = not read.isdisjoint(wvars)
+    args = [f"x{i+1}" for i in range(model.dim_state)] + (wvars if draws else []) + ["dt"]
+    return {ci: ex._compile_rows(rows, args) for ci, rows in trees.items()}, integrator, draws
+
+
+def _step(kernel, x, w, dt, out):
+    """One step of every path (the columns of x and w) into ``out``."""
+    return kernel(*x, *w, dt, out)
 
 
 def _radius(x, out):
-    """Row norms of x into ``out``, bit-equal to ``np.linalg.norm(x, axis=-1)``.
+    """Column norms of x, shape (dim, paths), into ``out``.
 
-    numpy adds fewer than eight squares left to right and more pairwise, so
-    wider states take numpy's own norm.
+    Bit-equal to ``np.linalg.norm`` of the row-major (paths, dim) array along
+    its last axis: numpy adds fewer than eight squares left to right and more
+    pairwise, and on other memory orders in another order, so wider states
+    take numpy's own norm of a row-major copy.
     """
-    if x.shape[1] >= 8:
-        out[:] = np.linalg.norm(x, axis=-1)
+    if len(x) >= 8:
+        out[:] = np.linalg.norm(x.T.copy(), axis=-1)
         return out
-    cols = x.T
-    np.multiply(cols[0], cols[0], out=out)
-    for c in cols[1:]:
+    np.multiply(x[0], x[0], out=out)
+    for c in x[1:]:
         out += c * c
     return np.sqrt(out, out=out)
 
 
 def _inside(x, lower, upper, ok, flag):
-    """Flag into ``ok`` the rows of x inside the box; ``flag`` is scratch."""
-    for i, col in enumerate(x.T):
+    """Flag into ``ok`` the columns of x inside the box; ``flag`` is scratch."""
+    for i, row in enumerate(x):
         if i:
-            ok &= np.greater_equal(col, lower[i], out=flag)
+            ok &= np.greater_equal(row, lower[i], out=flag)
         else:
-            np.greater_equal(col, lower[i], out=ok)
-        ok &= np.less_equal(col, upper[i], out=flag)
+            np.greater_equal(row, lower[i], out=ok)
+        ok &= np.less_equal(row, upper[i], out=flag)
     return ok
 
 
 def _draw(gens, increment_mode, root_dt, slab, out):
-    """Scaled increments of ``gens`` into ``out``, shape (block, paths, m).
+    """Scaled increments of ``gens`` into ``out``, shape (block, m, paths).
 
     Each path's draws fill one row of ``slab`` (up to ``_SLAB_PATHS`` paths)
     and the slab is copied into ``out`` transposed, so the block is held
@@ -278,7 +300,7 @@ def _draw(gens, increment_mode, root_dt, slab, out):
                 g.standard_normal(out=row)
             else:  # signed-bernoulli
                 row[...] = g.integers(0, 2, size=row.shape) * 2.0 - 1.0
-        out[:, lo:lo + len(rows)] = rows.transpose(1, 0, 2)
+        out[..., lo:lo + len(rows)] = rows.transpose(1, 2, 0)
     out *= root_dt
     return out
 
@@ -290,7 +312,7 @@ def _group_starts(groups):
 
 
 def _simulate_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
-                    increment_mode, lower, upper, control_index, feedback, steps, cand,
+                    increment_mode, lower, upper, control_index, feedback, steps, draws, cand,
                     gauge, occ_radii, target_fn, thin, stop_after_exit):
     """Simulate batch paths path_lo..path_hi-1 and return their full-size statistics.
 
@@ -299,13 +321,17 @@ def _simulate_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
     supermartingale excess subtracts V(x0s[g]).  The timeline has one row
     per ensemble, the max over that ensemble's live paths.
 
-    Only live paths are stepped.  The per-path arrays in ``live`` hold the
-    live paths in index order; when a step leaves the box for some of them,
-    their pre-step state and statistics are copied into ``final`` (frozen at
-    the exit) and every live array is compacted; the rest of the block's
-    increments are read through the live paths' columns.  The step runs
-    with one ``np.errstate`` scope per block of increments; increments,
-    states, box flags and radii go into buffers reused from step to step.  A block has
+    Only live paths are stepped, coordinate-major: the state is held as
+    (dim, paths) and the increments as (block, m, paths), so every per-step
+    operation reads contiguous rows.  The per-path arrays in ``live`` hold
+    the live paths in index order along their last axis; when a step leaves
+    the box for some of them, their pre-step state and statistics are copied
+    into ``final`` (frozen at the exit) and every live array is compacted;
+    the rest of the block's increments are read through the live paths'
+    columns.  Without ``draws`` (no kernel reads an increment) no generator
+    is built and nothing is drawn.  The step runs with one ``np.errstate``
+    scope per block of steps; increments, states, box flags and radii go
+    into buffers reused from step to step.  A block has
     ``_BLOCK_STEPS // len(x0s)`` steps, so a batch holds no more increments
     than one ensemble.  The outputs equal the masked loop that steps every
     path bit for bit.  ``feedback`` is None when one control serves every
@@ -318,13 +344,12 @@ def _simulate_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
     m = model.dim_noise
     root_dt = np.sqrt(dt)
     group = np.arange(path_lo, path_hi) // n_paths
-    gens = [_path_generator(seeds[p // n_paths], p % n_paths) for p in range(path_lo, path_hi)]
     # clamped to the finite range, one comparison per side also rejects inf and NaN
     big = np.finfo(float).max
     lower = np.broadcast_to(np.maximum(lower, -big), (dim,))
     upper = np.broadcast_to(np.minimum(upper, big), (dim,))
 
-    x = x0s[group]
+    x = np.ascontiguousarray(x0s[group].T)
     radius = _radius(x, np.empty(n))
     timeline = np.zeros((len(x0s), n_steps + 1))
     present, starts = _group_starts(group)
@@ -337,49 +362,57 @@ def _simulate_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
     if gauge is not None or cand is not None:
         live.acc_l = np.zeros(n)
     if occ_radii is not None:
-        live.occupation = np.zeros((n, len(occ_radii)))  # path-major while stepping
+        occ_col = occ_radii[:, None]
+        live.occupation = np.zeros((len(occ_radii), n))
     if target_fn is not None:
-        live.sup_d = np.abs(np.asarray(target_fn(x), dtype=float))
+        live.sup_d = np.abs(np.asarray(target_fn(x.T), dtype=float))
     final = {key: np.empty_like(arr) for key, arr in vars(live).items()}
     index = np.arange(n)
     alive = np.ones(n, dtype=bool)
     exit_times = np.full(n, np.inf)
     if thin:
         stored = np.empty((n_steps // thin + 1, n, dim))
-        stored[0] = x
+        stored[0] = x.T
         sample_row = 1
 
     def buffers(size):
-        return np.empty((size, dim)), np.empty(size, dtype=bool), np.empty(size, dtype=bool)
+        return np.empty((dim, size)), np.empty(size, dtype=bool), np.empty(size, dtype=bool)
 
     xn, ok, flag = buffers(n)
     block_steps = min(max(1, _BLOCK_STEPS // len(x0s)), n_steps)
-    incs_buffer = np.empty((block_steps, n, m))
-    slab = np.empty((min(_SLAB_PATHS, n), block_steps, m))
+    w = ()  # the increments of one step, as rows (m, paths), when drawn
+    if draws:
+        gens = [_path_generator(seeds[p // n_paths], p % n_paths)
+                for p in range(path_lo, path_hi)]
+        incs_buffer = np.empty((block_steps, m, n))
+        slab = np.empty((min(_SLAB_PATHS, n), block_steps, m))
     step_index = 0
     while step_index < n_steps and len(index):
         block = min(block_steps, n_steps - step_index)
-        incs = _draw(gens, increment_mode, root_dt, slab, incs_buffer[:block, :len(index)])
+        if draws:
+            incs = _draw(gens, increment_mode, root_dt, slab, incs_buffer[:block, :, :len(index)])
         cols = None  # after an exit, the block's columns of the live paths
         with np.errstate(all="ignore"):
             for b in range(block):
                 k = step_index + b
-                w = incs[b] if cols is None else incs[b, cols]
+                if draws:
+                    w = incs[b] if cols is None else incs[b].take(cols, axis=-1)
                 x = live.x
                 # pre-step state carries the running integrals over [t_k, t_k + dt)
                 if gauge is not None:
                     live.acc_l += gauge(live.radius) * dt
                 if occ_radii is not None:
-                    live.occupation += dt * (live.radius[:, None] > occ_radii)
+                    live.occupation += dt * (live.radius > occ_col)
 
                 if feedback is None:
                     _step(steps[control_index], x, w, dt, xn)
                 else:
-                    indices = feedback.lookup(x)
+                    indices = feedback.lookup(x.T)
                     for ci in np.unique(indices):
                         mask = indices == ci
-                        xm = x[mask]
-                        xn[mask] = _step(steps[ci], xm, w[mask], dt, np.empty_like(xm))
+                        xm = x.compress(mask, axis=-1)
+                        wm = w.compress(mask, axis=-1) if draws else ()
+                        xn[:, mask] = _step(steps[ci], xm, wm, dt, np.empty_like(xm))
 
                 if not _inside(xn, lower, upper, ok, flag).all():
                     if stop_after_exit:
@@ -389,13 +422,15 @@ def _simulate_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
                     alive[at] = False
                     exit_times[at] = (k + 1) * dt
                     if thin:
-                        stored[sample_row:, at] = x[gone]
+                        stored[sample_row:, at] = x[:, gone].T
                     for key, arr in vars(live).items():
-                        final[key][at] = arr[gone]
-                        setattr(live, key, arr[kept])
-                    index, gens = index[kept], [gens[j] for j in kept]
+                        final[key][..., at] = arr[..., gone]
+                        setattr(live, key, arr.take(kept, axis=-1))
+                    index = index[kept]
+                    if draws:
+                        gens = [gens[j] for j in kept]
                     cols = kept if cols is None else cols[kept]
-                    xn = xn[kept]
+                    xn = xn.take(kept, axis=-1)
                     x, ok, flag = buffers(len(index))
                     if not len(index):
                         break
@@ -408,23 +443,22 @@ def _simulate_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
                 np.maximum(live.sup_radius, radius, out=live.sup_radius)
                 timeline[present, k + 1] = np.maximum.reduceat(radius, starts)
                 if cand is not None:
-                    vx = cand.value(live.x)
+                    vx = cand.value(live.x.T)
                     np.maximum(live.sup_v, vx, out=live.sup_v)
                     excess = vx + live.acc_l - v0
                     live.supermax_t[excess > live.supermax] = (k + 1) * dt
                     np.maximum(live.supermax, excess, out=live.supermax)
                 if target_fn is not None:
-                    dx = np.abs(np.asarray(target_fn(live.x), dtype=float))
+                    dx = np.abs(np.asarray(target_fn(live.x.T), dtype=float))
                     np.maximum(live.sup_d, dx, out=live.sup_d)
                 if thin and (k + 1) % thin == 0:
-                    stored[sample_row, index] = live.x
+                    stored[sample_row, index] = live.x.T
                     sample_row += 1
         step_index += block
 
     for key, arr in vars(live).items():
-        final[key][index] = arr
-    if occ_radii is not None:
-        final["occupation"] = final["occupation"].T
+        final[key][..., index] = arr
+    final["x"] = final["x"].T.copy()  # final states are path-major
     out = {**final, "alive": alive, "exit_times": exit_times, "timeline": timeline}
     if thin:
         out["stored"] = stored
@@ -474,7 +508,7 @@ def _simulate_batch(model, x0s, dt, T, n_paths, seeds, control=None, feedback=No
         control_index, feedback = used_controls[0], None
     if increment_mode != "gaussian":
         integrator = "euler"
-    steps, integrator = _compile_steps(model, used_controls, integrator)
+    steps, integrator, draws = _compile_steps(model, used_controls, integrator)
     if domain is None:
         lower = np.asarray(model.domain_lower)
         upper = np.asarray(model.domain_upper)
@@ -495,8 +529,8 @@ def _simulate_batch(model, x0s, dt, T, n_paths, seeds, control=None, feedback=No
     points = np.array([np.atleast_1d(x0) for x0 in x0s])
     args = [
         (model, points, dt, n_steps, int(lo), int(hi), seeds, n_paths, increment_mode,
-         lower, upper, control_index, feedback, steps, candidate, gauge, occ, target_fn, thin,
-         stop_after_exit)
+         lower, upper, control_index, feedback, steps, draws, candidate, gauge, occ, target_fn,
+         thin, stop_after_exit)
         for lo, hi in zip(chunk_bounds[:-1], chunk_bounds[1:])
     ]
     results = [_simulate_chunk(*a) for a in args]

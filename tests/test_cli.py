@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -271,3 +272,24 @@ def test_internal_error_exits_3(tmp_path, monkeypatch, capsys):
 
 def test_version_flag():
     assert main(["--version"]) == 0
+
+
+def test_check_on_unbounded_domain_matches_bounded_model(tmp_path):
+    # the candidate's finite-difference step no longer comes out infinite
+    text = ("[dimensions]\nstate = 2\nnoise = 1\n[controls]\nhold = 0.0\n"
+            "[dynamics]\nf1 = -x1\nf2 = -x2\ns1_1 = -x2\ns2_1 = x1\n"
+            "[candidate]\nV = x1^2 + x2^2\nl = 0.5*r\n[domain]\n")
+    reports = []
+    for name, domain in (("bounded", "lower = -1, -1\nupper = 1, 1\n"),
+                         ("unbounded", "lower = -inf, -inf\nupper = inf, inf\n")):
+        path = tmp_path / f"{name}.model"
+        path.write_text(text + domain)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["check", "--model", str(path), "--grid=-1:1:21,-1:1:21",
+                         "--out", str(tmp_path / name)]) == 0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], name
+        run = next((tmp_path / name).iterdir())
+        reports.append(((run / "report.json").read_text(), (run / "report.csv").read_text()))
+    assert reports[0] == reports[1]
+    assert json.loads(reports[1][0])["nonsmooth_candidate"] is False

@@ -154,3 +154,69 @@ def test_compiled_gauge_matches_tree_walk(text):
     r = np.linspace(0.0, 1.0, 5)
     gauge(r)[:] = 7.0  # the result is never the argument itself
     assert r[-1] == 1.0
+
+
+# ------------------------------------------------------------ row kernels
+
+_SPECIAL = np.array([-2.0, -0.5, 0.0, 0.3, 1.7, np.inf, -np.inf, np.nan])
+
+
+def _kernel_rows(trees, args, *values):
+    out = np.full((len(trees), len(_SPECIAL)), -1.0)
+    with np.errstate(all="ignore"):
+        got = ex._compile_rows(trees, args)(*values, out)
+    assert got is out
+    return out
+
+
+@given(shared=_trees(2),
+       rows=st.lists(st.tuples(st.sampled_from("+-*/^"), _trees(2)), min_size=1, max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_row_kernel_matches_compile_fn(shared, rows):
+    # a subtree shared by several rows, each under its own top-level operation,
+    # next to rows that repeat a subtree of another row or are bare leaves
+    # (each operand pair holds an array: Python floats raise on 0/0 where numpy gives NaN)
+    trees = ([ex.Bin(op, shared, ex.Bin("+", ex.Var("x2"), t)) for op, t in rows]
+             + [ex.Call("sin", (shared,))] + [t for _, t in rows])
+    x1, x2 = _SPECIAL, np.roll(_SPECIAL[::-1], 3)  # every pairing of signs, inf and NaN
+    out = _kernel_rows(trees, ["x1", "x2"], x1, x2)
+    for tree, row in zip(trees, out):
+        want = np.broadcast_to(ex.compile_fn(tree, ["x1", "x2"])(x1, x2), x1.shape)
+        assert row.tobytes() == np.ascontiguousarray(want).tobytes(), ex.to_source(tree)
+
+
+def test_row_kernel_evaluates_repeated_subtrees_once():
+    x1, x2, w1, dt = (ex.Var(v) for v in ("x1", "x2", "w1", "dt"))
+    half = ex.parse_expr("0.5*(w1*w1 - dt)")
+    neg = ex.Neg(x2)
+    trees = [
+        ex.Bin("+", ex.Bin("+", x1, ex.Bin("*", neg, w1)), ex.Bin("*", ex.Neg(x1), half)),
+        ex.Bin("+", ex.Bin("+", x2, ex.Bin("*", x1, w1)), ex.Bin("*", neg, half)),
+        ex.Bin("*", neg, dt),
+    ]
+    args = ["x1", "x2", "w1", "dt"]
+    src = "\n".join(ex._np_sources(trees, args, out="_out"))
+    assert src.count("(0.5 * ((w1 * w1) - dt))") == 1
+    assert src.count("(-x2)") == 1
+    values = (_SPECIAL, _SPECIAL[::-1], np.roll(_SPECIAL, 2), 1e-3)
+    out = _kernel_rows(trees, args, *values)
+    for tree, row in zip(trees, out):
+        assert row.tobytes() == ex.compile_fn(tree, args)(*values).tobytes()
+    # the names bound for repeats never shadow an argument
+    v = ex.Var("_t0")
+    square = ex.Bin("*", ex.Bin("+", v, v), ex.Bin("+", v, v))
+    assert ex.compile_fn(square, ["_t0"])(np.array([1.5])).tolist() == [9.0]
+
+
+def test_row_kernel_broadcasts_constant_and_bare_rows():
+    trees = [ex.Num(2.5), ex.Var("x2"), ex.Var("dt"), ex.parse_expr("dt*3")]
+    x1, x2 = _SPECIAL, _SPECIAL[::-1]
+    out = _kernel_rows(trees, ["x1", "x2", "dt"], x1, x2, 0.25)
+    assert out[0].tolist() == [2.5] * len(x1)
+    assert out[1].tobytes() == x2.tobytes()
+    assert out[2].tolist() == [0.25] * len(x1) and out[3].tolist() == [0.75] * len(x1)
+
+
+def test_row_kernel_rejects_unknown_identifiers():
+    with pytest.raises(ex.ExprError, match="bogus"):
+        ex._compile_rows([ex.Var("x1"), ex.parse_expr("x1 + bogus")], ["x1"])

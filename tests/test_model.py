@@ -153,6 +153,8 @@ def test_candidate_analytic_vs_central_difference(rotational):
 def test_candidate_requires_positive_fd_step():
     with pytest.raises(ValueError):
         al.CandidateFunction("x1^2", 1, "central-difference", fd_step=0.0)
+    with pytest.raises(ValueError, match="finite"):
+        al.CandidateFunction("x1^2", 1, "central-difference", fd_step=np.inf)
     with pytest.raises(ValueError):
         al.CandidateFunction("x1^2", 1, "nonsense")
 

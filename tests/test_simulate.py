@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aslyap as al
+from aslyap import expr as ex
 from aslyap import simulate
 from aslyap.simulate import _path_generator, build_decay_gauge, default_weight_rule
 
@@ -56,8 +57,35 @@ def _reference_step(rows, x, w, dt):
     return np.stack([fn(*args) for fn in rows], axis=-1)
 
 
+def _reference_steps(model, control_indices, integrator):
+    """Stands in for ``simulate._compile_steps``: one bare lambda per row of the
+    same trees instead of one kernel per control; the masked loop always draws."""
+    trees, integrator = simulate._step_trees(model, control_indices, integrator)
+    args = ([f"x{i+1}" for i in range(model.dim_state)]
+            + [f"w{j+1}" for j in range(model.dim_noise)] + ["dt"])
+    rows = {ci: [ex._compile_bare(t, args) for t in ts] for ci, ts in trees.items()}
+    return rows, integrator, True
+
+
+def _reference_ensemble(monkeypatch, model, **kw):
+    with monkeypatch.context() as mp:
+        mp.setattr(simulate, "_compile_steps", _reference_steps)
+        mp.setattr(simulate, "_simulate_chunk", _reference_chunk)
+        return al.simulate_ensemble(model, **{**kw, "workers": 1})
+
+
+def _assert_same_arrays(new, ref):
+    for field in _ENSEMBLE_ARRAYS:
+        a, b = getattr(new, field), getattr(ref, field)
+        if b is None:
+            assert a is None, field
+            continue
+        assert a.dtype == b.dtype and a.shape == b.shape, field
+        assert a.tobytes() == b.tobytes(), field
+
+
 def _reference_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
-                     increment_mode, lower, upper, control_index, feedback, steps, cand,
+                     increment_mode, lower, upper, control_index, feedback, steps, draws, cand,
                      gauge, occ_radii, target_fn, thin, stop_after_exit):
     """The masked loop for one ensemble: every path is stepped every step, exited or not.
 
@@ -181,7 +209,25 @@ _BLOW_UP = (  # past |x1| = 1 the state runs to +inf or -inf; below x2 = -0.5 it
     "[dynamics]\nf1 = x1^3 - x1\nf2 = sqrt(x2 + 0.5) - x2\ns1_1 = 0.6\ns2_2 = 0.8\n"
     "[candidate]\nV = x1^2 + x2^2\nl = r\n[domain]\nlower = -1, -1\nupper = 1, 1\n"
 )
+_WIDE_9D = (  # nine coordinates: |x| sums its squares pairwise, not left to right
+    "[dimensions]\nstate = 9\nnoise = 1\n[controls]\nhold = 0.0\n[dynamics]\n"
+    + "".join(f"f{i} = {0.1 * i - 0.5:.1f}*x{i}\ns{i}_1 = 0.3\n" for i in range(1, 10))
+    + "[candidate]\nV = " + " + ".join(f"x{i}^2" for i in range(1, 10))
+    + "\nl = 0.5*r\n[domain]\nlower = " + ", ".join(["-1"] * 9)
+    + "\nupper = " + ", ".join(["1"] * 9) + "\n"
+)
+_CALM_OR_NOISY = (  # the calm control has no noise, the noisy one does
+    "[dimensions]\nstate = 1\nnoise = 1\n[controls]\ncalm = 0.0\nnoisy = 1.0\n"
+    "[dynamics]\nf1 = 0.5*x1 - a1*x1\ns1_1 = 0.4*a1\n"
+    "[candidate]\nV = abs(x1)\nl = 0.5*r\n[domain]\nlower = -1\nupper = 1\n"
+)
 _TWO_CONTROL_GRID = al.Grid((-1.0,), (1.0,), (41,))
+
+
+def _two_control_feedback():
+    """Control 1 where |x| <= 0.3 on the grid, control 0 elsewhere."""
+    nodes = _TWO_CONTROL_GRID.nodes()[:, 0]
+    return al.FeedbackMap(_TWO_CONTROL_GRID, (np.abs(nodes) <= 0.3).astype(int))
 
 
 def _case(name, rotational, unstable1d, unstable2d, bang1d):
@@ -199,10 +245,18 @@ def _case(name, rotational, unstable1d, unstable2d, bang1d):
     elif name == "bang1d-two-controls":
         # brake outside |x| <= 0.3, coast inside: the paths use both controls
         pm = bang1d
-        nodes = _TWO_CONTROL_GRID.nodes()[:, 0]
-        fb = al.FeedbackMap(_TWO_CONTROL_GRID, (np.abs(nodes) <= 0.3).astype(int))
         assert pm.model.controls[1].label == "coast"
-        kw = dict(x0=[0.8], dt=1e-3, T=2.0, n_paths=9, seed=6, feedback=fb)
+        kw = dict(x0=[0.8], dt=1e-3, T=2.0, n_paths=9, seed=6,
+                  feedback=_two_control_feedback())
+    elif name == "noisy-and-calm-controls":
+        # noisy inside |x| <= 0.3, calm and expanding outside: some paths exit
+        pm = al.parse_model(_CALM_OR_NOISY)
+        kw = dict(x0=[0.1], dt=1e-3, T=3.0, n_paths=40, seed=11, thin=30,
+                  feedback=_two_control_feedback())
+    elif name == "nine-coordinates":
+        pm = al.parse_model(_WIDE_9D)
+        kw = dict(x0=[0.25] * 9, dt=1e-3, T=2.0, n_paths=30, seed=12, thin=40,
+                  occupation_radii=[0.8, 0.5])
     elif name == "occupation-target-thin":
         pm = rotational
         kw = dict(x0=[0.5, 0.0], dt=1e-3, T=2.5, n_paths=40, seed=7, thin=9,
@@ -225,19 +279,21 @@ def _case(name, rotational, unstable1d, unstable2d, bang1d):
 
 @pytest.mark.parametrize("name", [
     "unstable1d", "unstable2d", "noisy-repeller", "bang1d-two-controls",
-    "occupation-target-thin", "signed-bernoulli", "infinite-domain", "uneven-workers",
+    "noisy-and-calm-controls", "occupation-target-thin", "signed-bernoulli",
+    "infinite-domain", "uneven-workers", "nine-coordinates",
 ])
 def test_step_loop_matches_reference(monkeypatch, name, rotational, unstable1d,
                                      unstable2d, bang1d):
     pm, kw = _case(name, rotational, unstable1d, unstable2d, bang1d)
     # small chunks still split, so the workers case runs three uneven chunks
     monkeypatch.setattr(simulate, "_MIN_CHUNK_PATHS", 1)
-    seen = {"rows": set(), "+inf": False, "-inf": False, "nan": False}
-    step = simulate._step
+    seen = {"kernels": set(), "+inf": False, "-inf": False, "nan": False}
+    step, path_generator = simulate._step, simulate._path_generator
+    generators = []
 
-    def spy(rows, x, w, dt, out):
-        out = step(rows, x, w, dt, out)
-        seen["rows"].add(id(rows))
+    def spy(kernel, x, w, dt, out):
+        out = step(kernel, x, w, dt, out)
+        seen["kernels"].add(id(kernel))
         seen["+inf"] |= bool(np.isposinf(out).any())
         seen["-inf"] |= bool(np.isneginf(out).any())
         seen["nan"] |= bool(np.isnan(out).any())
@@ -245,25 +301,48 @@ def test_step_loop_matches_reference(monkeypatch, name, rotational, unstable1d,
 
     with monkeypatch.context() as mp:
         mp.setattr(simulate, "_step", spy)
+        mp.setattr(simulate, "_path_generator", lambda *a: generators.append(a)
+                   or path_generator(*a))
         new = al.simulate_ensemble(pm.model, **kw)
-    with monkeypatch.context() as mp:
-        mp.setattr(simulate, "_simulate_chunk", _reference_chunk)
-        ref = al.simulate_ensemble(pm.model, **{**kw, "workers": 1})
-    for field in _ENSEMBLE_ARRAYS:
-        a, b = getattr(new, field), getattr(ref, field)
-        if b is None:
-            assert a is None, field
-            continue
-        assert a.dtype == b.dtype and a.shape == b.shape, field
-        assert a.tobytes() == b.tobytes(), field
+    ref = _reference_ensemble(monkeypatch, pm.model, **kw)
+    _assert_same_arrays(new, ref)
     # each case reaches the regime it is named for
     if name in ("unstable1d", "unstable2d"):
         assert ref.exited.all() and ref.exit_times.max() < kw["T"] / 2
     elif name in ("noisy-repeller", "signed-bernoulli", "infinite-domain",
-                  "uneven-workers"):
+                  "uneven-workers", "noisy-and-calm-controls", "nine-coordinates"):
         assert 0 < ref.exited.sum() < kw["n_paths"]
-    assert len(seen["rows"]) == (2 if name == "bang1d-two-controls" else 1)
+    two = name in ("bang1d-two-controls", "noisy-and-calm-controls")
+    assert len(seen["kernels"]) == (2 if two else 1)
     assert seen["+inf"] == seen["-inf"] == seen["nan"] == (name == "infinite-domain")
+    # noise-free models draw nothing; one noisy control makes the batch draw
+    noise_free = name in ("unstable1d", "unstable2d", "bang1d-two-controls")
+    assert len(generators) == (0 if noise_free else kw["n_paths"])
+
+
+@pytest.mark.parametrize("name", ["brake", "two-controls", "signed-bernoulli"])
+def test_noise_free_batch_draws_nothing(monkeypatch, name, bang1d):
+    kw = dict(x0=[0.8], dt=1e-3, T=0.512, n_paths=2000, seed=14,
+              candidate=bang1d.candidate, gauge=bang1d.gauge)
+    if name == "two-controls":  # coast inside |x| <= 0.3, brake outside
+        kw.update(x0=[0.35], feedback=_two_control_feedback())
+    elif name == "signed-bernoulli":
+        kw.update(increment_mode="signed-bernoulli")
+    calls = []
+    monkeypatch.setattr(simulate, "_path_generator", lambda *a: calls.append(a))
+    block_bytes = 512 * kw["n_paths"] * 8  # the (steps, noise, paths) block, were it drawn
+    tracemalloc.start()
+    try:
+        new = al.simulate_ensemble(bang1d.model, **kw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == []
+    assert peak < block_bytes / 4
+    monkeypatch.undo()
+    if name == "two-controls":  # braked to the nodes that coast (|x| < 0.275), then coasted
+        assert ((0.25 < new.final_states) & (new.final_states < 0.275)).all()
+    _assert_same_arrays(new, _reference_ensemble(monkeypatch, bang1d.model, **kw))
 
 
 # ------------------------------------------------------------- batched loop
@@ -277,10 +356,8 @@ def _batch_case(name, rotational, unstable1d, bang1d):
         kw = dict(dt=1e-3, T=1.5, n_paths=6, thin=7)
     elif name == "bang1d-two-controls":
         pm = bang1d
-        nodes = _TWO_CONTROL_GRID.nodes()[:, 0]
-        fb = al.FeedbackMap(_TWO_CONTROL_GRID, (np.abs(nodes) <= 0.3).astype(int))
         x0s = [[0.8], [-0.5], [0.2]]
-        kw = dict(dt=1e-3, T=2.0, n_paths=9, feedback=fb)
+        kw = dict(dt=1e-3, T=2.0, n_paths=9, feedback=_two_control_feedback())
     elif name == "occupation-target-thin":
         pm = rotational
         x0s = [[0.5, 0.0], [0.0, 0.3], [0.2, -0.2]]
@@ -358,7 +435,7 @@ def test_block_length_rule(monkeypatch, rotational):
                                  seeds=list(range(n_starts)), **kw)
         block = simulate._BLOCK_STEPS // n_starts  # 1024 and 341
         full, last = divmod(2000, block)
-        assert shapes == [(block, 4 * n_starts, 1)] * full + [(last, 4 * n_starts, 1)]
+        assert shapes == [(block, 1, 4 * n_starts)] * full + [(last, 1, 4 * n_starts)]
         # a batch holds no more increments than one ensemble
         assert block * 4 * n_starts <= simulate._BLOCK_STEPS * 4
 
