@@ -262,6 +262,29 @@ def evaluate(node: Node, env: dict):
         return getattr(np, node.fn)(args[0])
 
 
+def _constant_fault(node: Node) -> str | None:
+    """Why a constant subexpression of ``node`` has no real float value, or None.
+
+    Compiled trees evaluate constant operands in Python floats, where 1/0 and
+    0^-1 raise, 10^400 overflows and (-1)^0.5 turns complex.
+    """
+    if isinstance(node, (Num, Var)):
+        return None
+    if not free_vars(node):
+        try:
+            value = evaluate(node, {})
+        except ArithmeticError as err:
+            return f"constant {to_source(node)} cannot be evaluated: {err}"
+        if isinstance(value, complex):
+            return f"constant {to_source(node)} is not a real number"
+        return None
+    for child in _children(node):
+        fault = _constant_fault(child)
+        if fault:
+            return fault
+    return None
+
+
 def substitute(node: Node, mapping: dict[str, Node]) -> Node:
     """Replace variables by subtrees (used for composing candidates)."""
     if isinstance(node, Num):

@@ -9,6 +9,7 @@ so repeated queries at fixed points are exact gather + dot operations
 from __future__ import annotations
 
 import io
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -224,6 +225,57 @@ class BoxInterpolator:
         vals = np.einsum("nc,nc->n", flat_values[idx], wts)
         out = np.where(inside, vals, fill)
         return out.reshape(shape)
+
+
+# Two threads began to gain at about 12 000 rows on a 2-core Xeon (2-D
+# integral value: equal at 101^2, 0.60 -> 0.54 ms a sweep at 129^2), so each
+# thread gets at least 8192 rows.  Only 2 cores were measured; scaling beyond
+# them is unmeasured.
+_MIN_ROWS_PER_THREAD = 8192
+
+
+def _cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+class _RowBlocks:
+    """Contiguous row blocks of one solve or check, mapped over the usable CPUs.
+
+    Uses one thread per ``_MIN_ROWS_PER_THREAD`` rows, at most one per CPU
+    the process may use, and equal blocks of at most ``block_rows`` rows, as
+    many per thread.  With more than one thread, ``with`` starts them and
+    shuts them down on exit; otherwise nothing is started and blocks run in
+    order on the calling thread.
+    """
+
+    def __init__(self, n_rows: int, block_rows: int):
+        self.threads = max(1, min(_cpus(), n_rows // _MIN_ROWS_PER_THREAD))
+        n_blocks = self.threads * -(-n_rows // (self.threads * block_rows))
+        size = -(-n_rows // n_blocks)
+        self.slices = [slice(lo, min(lo + size, n_rows)) for lo in range(0, n_rows, size)]
+        self._pool = None
+
+    def __enter__(self):
+        if self.threads > 1:
+            from concurrent.futures import ThreadPoolExecutor
+            self._pool = ThreadPoolExecutor(self.threads)
+        return self
+
+    def __exit__(self, *exc):
+        # waits for every block, also after a failed one: no thread outlives the call
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
+
+    def map(self, fn) -> list:
+        """``[fn(rows) for rows in self.slices]``, on the pool if there is one;
+        the calling thread only waits."""
+        if self._pool is None:
+            return [fn(rows) for rows in self.slices]
+        return list(self._pool.map(fn, self.slices))
 
 
 def _axis_slices(ndim, axis, sl):

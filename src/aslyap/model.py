@@ -306,9 +306,13 @@ def _floats(value: str, lineno: int) -> tuple[float, ...]:
 
 def _parse_rhs(value: str, lineno: int) -> ex.Node:
     try:
-        return ex.parse_expr(value)
+        tree = ex.parse_expr(value)
     except ex.ExprError as err:
         raise ModelError(f"syntax error: {err}", lineno) from None
+    fault = ex._constant_fault(tree)
+    if fault:
+        raise ModelError(fault, lineno)
+    return tree
 
 
 def parse_model(text: str) -> ParsedModel:

@@ -11,10 +11,10 @@ every sweep.
 
 A sweep works on contiguous row blocks: each block reads the whole previous
 iterate, writes only its own rows of the next one and reduces its own NaN,
-monotonicity and residual figures.  Solves map the blocks over one thread
-per ``_MIN_ROWS_PER_THREAD`` nodes, at most one per CPU the process may use,
-started for that solve only; numpy releases the interpreter lock inside
-each block.
+monotonicity and residual figures.  Solves map blocks of at most
+``_BLOCK_ROWS`` rows with ``fields._RowBlocks``: one thread per 8192 nodes,
+at most one per CPU the process may use, started for that solve only; numpy
+releases the interpreter lock inside each block.
 Every row takes the same operations in the same order however the rows are
 split, so fields, residuals, sweep counts and feedback indices are
 bit-identical for any CPU count.
@@ -25,13 +25,12 @@ risk-neutral expectation over increments instead of the worst case.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import expr as ex
-from .fields import BoxInterpolator, Grid, ScalarField
+from .fields import BoxInterpolator, Grid, ScalarField, _RowBlocks
 from .gauges import GaugeFunction
 from .model import ControlledDiffusion
 
@@ -146,55 +145,8 @@ class ValueResult:
 # On a 2-core Xeon, larger blocks hand the interpreter lock over less often:
 # the C6 augmented solve (120 213 nodes) took 2.17, 2.02 and 1.88 s with
 # blocks capped at 8192, 16384 and 32768 rows, while 65536 raised its peak
-# RSS above the one-thread solve's.  Two threads began to gain at about
-# 12 000 rows (2-D integral value: equal at 101^2, 0.60 -> 0.54 ms a sweep
-# at 129^2), so each thread gets at least 8192 rows.  Only 2 cores were
-# measured; scaling beyond them is unmeasured.
+# RSS above the one-thread solve's.
 _BLOCK_ROWS = 32768
-_MIN_ROWS_PER_THREAD = 8192
-
-
-def _cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-class _RowBlocks:
-    """Contiguous row blocks of one solve, mapped over the usable CPUs.
-
-    Uses one thread per ``_MIN_ROWS_PER_THREAD`` rows, at most one per CPU
-    the process may use.  With more than one, ``with`` starts that many
-    worker threads and shuts them down on exit; otherwise nothing is
-    started and blocks run in order on the calling thread.
-    """
-
-    def __init__(self, n_rows: int):
-        self.threads = max(1, min(_cpus(), n_rows // _MIN_ROWS_PER_THREAD))
-        # equal blocks, as many per thread, none above _BLOCK_ROWS
-        n_blocks = self.threads * -(-n_rows // (self.threads * _BLOCK_ROWS))
-        size = -(-n_rows // n_blocks)
-        self.slices = [slice(lo, min(lo + size, n_rows)) for lo in range(0, n_rows, size)]
-        self._pool = None
-
-    def __enter__(self):
-        if self.threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            self._pool = ThreadPoolExecutor(self.threads)
-        return self
-
-    def __exit__(self, *exc):
-        # waits for every block, also after a failed one: no thread outlives the solve
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-    def map(self, fn) -> list:
-        """``[fn(rows) for rows in self.slices]``, on the pool if there is one."""
-        if self._pool is None:
-            return [fn(rows) for rows in self.slices]
-        return list(self._pool.map(fn, self.slices))
 
 
 class _Transition:
@@ -336,7 +288,7 @@ def worst_case_sup_value(
     cost_vals = np.asarray(cost_fn(nodes), dtype=float)
     cap = scheme.cap
     floor = np.minimum(cost_vals, cap)
-    with _RowBlocks(grid.n_nodes) as blocks:
+    with _RowBlocks(grid.n_nodes, _BLOCK_ROWS) as blocks:
         op = _Transition(model, grid, scheme, blocks, cost_fn=cost_fn)
 
         def update(excess, rows):
@@ -374,7 +326,7 @@ def worst_case_integral_value(
         grid.rho if pin_radius is None else pin_radius
     )
     cap = scheme.cap
-    with _RowBlocks(grid.n_nodes) as blocks:
+    with _RowBlocks(grid.n_nodes, _BLOCK_ROWS) as blocks:
         op = _Transition(model, grid, scheme, blocks)
 
         def update(v, rows):
@@ -418,7 +370,7 @@ def discounted_value_and_prop_set(
         base = default_scheme(model, grid, cap=max(w_cap, theta), dt=dt)
         scheme = base
     disc = np.exp(-lam * scheme.dt)
-    with _RowBlocks(grid.n_nodes) as blocks:
+    with _RowBlocks(grid.n_nodes, _BLOCK_ROWS) as blocks:
         op = _Transition(model, grid, scheme, blocks)
 
         def update(v, rows):
@@ -461,7 +413,7 @@ def synthesize_feedback(
 
     Ties break toward the lowest control index.
     """
-    with _RowBlocks(value.grid.n_nodes) as blocks:
+    with _RowBlocks(value.grid.n_nodes, _BLOCK_ROWS) as blocks:
         op = _Transition(model, value.grid, scheme, blocks)
         # first minimum wins
         indices = np.concatenate(blocks.map(

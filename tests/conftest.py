@@ -1,3 +1,4 @@
+import concurrent.futures
 from pathlib import Path
 
 import pytest
@@ -40,3 +41,17 @@ def bang1d():
 @pytest.fixture(scope="session")
 def circle_target():
     return load("circle_target.model")
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The arguments of every thread pool started during the test, in order."""
+    made = []
+
+    class Spy(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
+    return made

@@ -46,6 +46,26 @@ def test_check_missing_candidate_is_config_error(tmp_path):
     assert main(["check", "--model", str(bare), "--out", _runs(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("term, reason", [
+    ("(1/0)*x1^2", "constant 1/0 cannot be evaluated: float division by zero"),
+    ("0^(-1)*x1", "constant 0^(-1) cannot be evaluated"),
+    ("10^400*x1", "constant 10^400 cannot be evaluated"),
+    ("(-1)^0.5*x1", "constant (-1)^0.5 is not a real number"),
+])
+def test_constant_without_float_value_is_model_error(tmp_path, capsys, term, reason):
+    # constants are evaluated in Python floats, where these raise or turn complex
+    bad = tmp_path / "bad.model"
+    bad.write_text(
+        "[dimensions]\nstate = 1\nnoise = 1\n[controls]\nhold = 0\n"
+        f"[dynamics]\nf1 = -x1 + {term}\n[candidate]\nV = x1^2\n"
+        "[domain]\nlower = -1\nupper = 1\n"
+    )
+    assert main(["check", "--model", str(bad), "--grid", "21", "--out", _runs(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"line 7: {reason}" in err and "internal error" not in err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_missing_model_file_is_config_error(tmp_path):
     assert main(["check", "--model", "nope.model", "--out", _runs(tmp_path)]) == 2
 

@@ -1,4 +1,3 @@
-import concurrent.futures
 import faulthandler
 import sys
 import threading
@@ -7,7 +6,7 @@ import numpy as np
 import pytest
 
 import aslyap as al
-from aslyap import values
+from aslyap import fields, values
 from aslyap.fields import BoxInterpolator
 from aslyap.values import default_increments, max_drift_norm
 
@@ -390,23 +389,10 @@ class _Boom(RuntimeError):
     pass
 
 
-def _executor_spy(monkeypatch):
-    """Record every thread pool the value engine creates."""
-    made = []
-
-    class Spy(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            made.append(args)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
-    return made
-
-
 def _split(monkeypatch, block_rows, cpus):
     monkeypatch.setattr(values, "_BLOCK_ROWS", block_rows)
-    monkeypatch.setattr(values, "_MIN_ROWS_PER_THREAD", 1)
-    monkeypatch.setattr(values, "_cpus", lambda: cpus)
+    monkeypatch.setattr(fields, "_MIN_ROWS_PER_THREAD", 1)
+    monkeypatch.setattr(fields, "_cpus", lambda: cpus)
 
 
 def _solves(rotational, bang1d):
@@ -450,18 +436,18 @@ def _solves(rotational, bang1d):
 
 def test_row_blocks_are_uneven_and_cover_every_row(monkeypatch):
     _split(monkeypatch, block_rows=100, cpus=3)
-    blocks = values._RowBlocks(961)
+    blocks = fields._RowBlocks(961, values._BLOCK_ROWS)
     sizes = [s.stop - s.start for s in blocks.slices]
     assert blocks.threads == 3 and len(sizes) % 3 == 0 and len(set(sizes)) == 2
     assert [s.start for s in blocks.slices[1:]] == [s.stop for s in blocks.slices[:-1]]
     assert blocks.slices[0].start == 0 and blocks.slices[-1].stop == 961
 
 
-def test_threaded_row_blocks_are_bit_identical_to_one_block(monkeypatch, rotational, bang1d):
-    made = _executor_spy(monkeypatch)
+def test_threaded_row_blocks_are_bit_identical_to_one_block(monkeypatch, pools, rotational,
+                                                            bang1d):
     _split(monkeypatch, block_rows=10**9, cpus=1)
     one_block = _solves(rotational, bang1d)
-    assert made == []
+    assert pools == []
     _split(monkeypatch, block_rows=30, cpus=3)  # 33 and 6 blocks, one of a single row
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # more thread switches than cores can hide
@@ -469,7 +455,7 @@ def test_threaded_row_blocks_are_bit_identical_to_one_block(monkeypatch, rotatio
         threaded = _solves(rotational, bang1d)
     finally:
         sys.setswitchinterval(interval)
-    assert made == [(3,)] * 6  # one pool of three threads per solve or feedback call
+    assert pools == [(3,)] * 6  # one pool of three threads per solve or feedback call
     assert threaded == one_block
 
 
@@ -501,20 +487,19 @@ def test_block_failure_propagates_without_a_hang(monkeypatch, rotational, method
 
 
 def test_threads_follow_rows_per_thread_up_to_the_cpus(monkeypatch):
-    monkeypatch.setattr(values, "_cpus", lambda: 16)
-    per = values._MIN_ROWS_PER_THREAD
-    assert values._RowBlocks(per - 1).threads == 1
-    assert values._RowBlocks(2 * per + per // 2).threads == 2
-    assert values._RowBlocks(100 * per).threads == 16
-    monkeypatch.setattr(values, "_cpus", lambda: 1)
-    assert values._RowBlocks(100 * per).threads == 1
+    monkeypatch.setattr(fields, "_cpus", lambda: 16)
+    per = fields._MIN_ROWS_PER_THREAD
+    assert fields._RowBlocks(per - 1, values._BLOCK_ROWS).threads == 1
+    assert fields._RowBlocks(2 * per + per // 2, values._BLOCK_ROWS).threads == 2
+    assert fields._RowBlocks(100 * per, values._BLOCK_ROWS).threads == 16
+    monkeypatch.setattr(fields, "_cpus", lambda: 1)
+    assert fields._RowBlocks(100 * per, values._BLOCK_ROWS).threads == 1
 
 
-def test_small_solves_start_no_thread(monkeypatch, rotational):
-    made = _executor_spy(monkeypatch)
+def test_small_solves_start_no_thread(pools, rotational):
     grid = al.Grid((-1.0, -1.0), (1.0, 1.0), (41, 41))
-    assert grid.n_nodes < values._MIN_ROWS_PER_THREAD
+    assert grid.n_nodes < fields._MIN_ROWS_PER_THREAD
     scheme = al.default_scheme(rotational.model, grid, cap=1.0)
     res = al.worst_case_sup_value(rotational.model, grid, scheme)
     al.synthesize_feedback(rotational.model, res.field, scheme)
-    assert made == []
+    assert pools == []

@@ -1,3 +1,7 @@
+import faulthandler
+import sys
+import threading
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -6,9 +10,17 @@ from hypothesis import strategies as st
 
 import aslyap as al
 from aslyap import expr as ex
+from aslyap import fields, verifier
 from aslyap.fields import LevelSet
-from aslyap.model import ControlledDiffusion
-from aslyap.verifier import STATUS_NO_TANGENTIAL, STATUS_SANDWICH
+from aslyap.model import CandidateFunction, ControlledDiffusion
+from aslyap.verifier import (
+    STATUS_EDGE,
+    STATUS_NO_TANGENTIAL,
+    STATUS_NONFINITE,
+    STATUS_OK,
+    STATUS_SANDWICH,
+    VerificationReport,
+)
 
 
 def _inline(dynamics, n=1, m=1, controls="hold = 0.0", candidate="", domain=None):
@@ -364,6 +376,46 @@ def test_report_serialization(rotational, tmp_path):
     assert '"all_pass": true' in summary
 
 
+def _csv_per_row(rep):
+    """The row-by-row writer ``to_csv`` replaced, kept as its reference."""
+    header = ",".join(f"x{i+1}" for i in range(rep.coords.shape[1]))
+    lines = [f"{header},margin,verdict,witness,tangency_residual,status"]
+    for i in range(len(rep.margins)):
+        coord = ",".join(repr(float(c)) for c in rep.coords[i])
+        lines.append(
+            f"{coord},{float(rep.margins[i])!r},{int(rep.verdicts[i])},"
+            f"{int(rep.witnesses[i])},{float(rep.tangency_residuals[i])!r},"
+            f"{verifier._STATUS_NAMES[int(rep.statuses[i])]}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def test_report_csv_matches_a_row_by_row_reference(rotational):
+    statuses = np.array([STATUS_OK, STATUS_NO_TANGENTIAL, STATUS_NONFINITE, STATUS_EDGE,
+                         STATUS_SANDWICH])
+    assert sorted(statuses.tolist()) == sorted(verifier._STATUS_NAMES)
+    inf, nan = np.inf, np.nan
+    rep = VerificationReport(
+        kind="edge-values",
+        coords=np.array([[0.1, -0.0], [inf, 1e-300], [-inf, 2.5], [nan, 1 / 3], [-1.0, 1e16]]),
+        margins=np.array([-inf, nan, -0.0, 0.1 + 0.2, 5e-324]),
+        verdicts=np.array([True, False, False, True, False]),
+        witnesses=np.array([0, -1, 2, 1, -1]),
+        tangency_residuals=np.array([inf, 0.0, -0.0, nan, 1e-310]),
+        statuses=statuses,
+        tolerances=np.zeros(5),
+    )
+    assert rep.to_csv() == _csv_per_row(rep)
+    assert "\ninf,1e-300,nan,0,-1,0.0,no-tangential-control\n" in rep.to_csv()
+    grid = al.Grid((-1.0, -1.0), (1.0, 1.0), (21, 21))
+    for rep in (al.check_supersolution(rotational.model, rotational.candidate, grid),
+                al.radial_sufficient_check(rotational.model, grid)):
+        assert rep.to_csv() == _csv_per_row(rep)
+    empty = VerificationReport("empty", np.zeros((0, 3)), *(np.zeros(0) for _ in range(6)))
+    assert empty.to_csv() == _csv_per_row(empty) == "x1,x2,x3,margin,verdict,witness," \
+        "tangency_residual,status\n"
+
+
 # ------------------------------------------------------------- margin kernel
 
 # control 0 spins (noise tangential to circles), control 1 kicks along x1
@@ -434,6 +486,45 @@ def test_margin_wrappers_match_pointwise_reference(data, lam, mu):
         assert _agree(rep.margins[i], _pointwise_best_margin(model, x, -p, -Y, eps_tan))
 
 
+def _pointwise_tolerance(model, x, p, Y, h):
+    """10 h^2 max(1, 1 + |f| + |a|_F + |p| + |Y|_F over controls), at one point."""
+    scale = max(1.0, *(1.0 + np.linalg.norm(model.drift(x, i)) + np.linalg.norm(model.a(x, i))
+                       + np.linalg.norm(p) + np.linalg.norm(Y)
+                       for i in range(model.n_controls)))
+    return 10.0 * h**2 * scale
+
+
+def test_tolerances_match_pointwise_reference():
+    # the tolerance scale comes from the margin kernel's own f and a; nodes
+    # with non-finite derivatives count them as zero
+    model = _TWO_CONTROLS
+    grid = al.Grid((-1.0, -1.0), (1.0, 1.0), (11, 11))
+    cand = CandidateFunction("x1^2 + 3*x2^2 + 1/x1", 2)
+    rep = al.check_supersolution(model, cand, grid)
+    assert rep.n_excluded > 0
+    for x, tol, status in zip(rep.coords, rep.tolerances, rep.statuses):
+        finite = status != STATUS_NONFINITE
+        p = cand.gradient(x) if finite else np.zeros(2)
+        Y = cand.hessian(x) if finite else np.zeros((2, 2))
+        want = _pointwise_tolerance(model, x, p, Y, max(grid.spacing))
+        assert tol == pytest.approx(want, rel=1e-13)
+
+    xs = np.array([[0.5, 0.25], [-0.3, 0.8], [0.9, -0.1]])
+    ps = np.array([[1.0, -2.0], [np.nan, 1.0], [0.0, 0.5]])
+    Ys = np.array([[[1.0, 0.5], [0.5, -2.0]], [[0.0, 1.0], [1.0, 0.0]], [[3.0, 0.0], [0.0, 1.0]]])
+    coarse = al.Grid((-1.0, -1.0), (1.0, 1.0), (5, 5))
+    ls = LevelSet(field=al.ScalarField(grid=coarse, values=np.zeros(coarse.n_nodes)),
+                  level=0.0, node_indices=np.arange(3), coords=xs, normals=ps,
+                  curvatures=Ys, edge_flags=np.zeros(3, dtype=bool))
+    rep = al.check_viability_boundary(model, ls)
+    assert rep.statuses[1] == STATUS_NONFINITE
+    for x, p, Y, tol in zip(xs, ps, Ys, rep.tolerances):
+        finite = np.isfinite(p).all()
+        want = _pointwise_tolerance(model, x, p if finite else 0 * x, Y if finite else 0 * Y,
+                                    max(coarse.spacing))
+        assert tol == pytest.approx(want, rel=1e-13)
+
+
 @given(counts=st.tuples(st.integers(3, 12), st.integers(3, 12)),
        lower=st.tuples(st.floats(-2.0, -0.1), st.floats(-2.0, -0.1)),
        upper=st.tuples(st.floats(0.1, 2.0), st.floats(0.1, 2.0)))
@@ -447,3 +538,122 @@ def test_radial_margin_matches_pointwise_reference(counts, lower, upper):
     for x, m in zip(rep.coords, rep.margins):
         if np.linalg.norm(x) >= h:
             assert _agree(m, _pointwise_best_margin(model, x, x, np.eye(2), eps_tan))
+
+
+# ------------------------------------------------------------ row blocks
+
+class _Boom(RuntimeError):
+    pass
+
+
+def _split(monkeypatch, block_rows, cpus):
+    monkeypatch.setattr(verifier, "_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(fields, "_MIN_ROWS_PER_THREAD", 1)
+    monkeypatch.setattr(fields, "_cpus", lambda: cpus)
+
+
+_REPORT_FIELDS = ("coords", "margins", "verdicts", "witnesses", "tangency_residuals",
+                  "statuses", "tolerances")
+
+
+def _grid_checks(rotational, circle_target, linear1d):
+    """Every grid check once, each report as its fields' bytes and its summary."""
+    grid = al.Grid((-1.0, -1.0), (1.0, 1.0), (31, 31))
+    model, cand = rotational.model, rotational.candidate
+    field = al.ScalarField(grid=grid, values=cand.value(grid.nodes()))
+    gamma1 = al.GaugeFunction.from_expression("2*r^2")
+    gamma2 = al.GaugeFunction.from_expression("0.5*r^2")
+    ident = al.GaugeFunction.from_expression("r")
+    change = al.check_change_of_unknown(model, cand, "t^2", grid)
+    reports = [
+        al.check_supersolution(model, cand, grid, rotational.gauge),
+        al.check_supersolution(model, field, grid, rotational.gauge),
+        # infinite on the x1 = 0 column: derivatives are zeroed there
+        al.check_supersolution(model, CandidateFunction("1/x1 + x2^2", 2), grid),
+        # blocks of the middle third hold no node beyond rho
+        al.check_supersolution(linear1d.model, linear1d.candidate,
+                               al.Grid((-1.0,), (1.0,), (301,), rho=0.5)),
+        al.radial_sufficient_check(model, grid),
+        al.check_set_lyapunov(circle_target.model, circle_target.candidate,
+                              "abs(sqrt(x1^2 + x2^2) - 1)", gamma1, gamma2,
+                              al.Grid((-2.0, -2.0), (2.0, 2.0), (31, 31)), gamma2),
+        al.check_set_lyapunov(model, CandidateFunction("2*sqrt(x1^2 + x2^2)", 2),
+                              lambda x: np.linalg.norm(x, axis=-1), ident, ident, grid),
+        change.report_original,
+        change.report_transformed,
+    ]
+    assert reports[2].n_excluded > 0 and (reports[1].statuses == STATUS_EDGE).any()
+    assert (reports[6].statuses == STATUS_SANDWICH).any()
+    out = [[(getattr(r, k).dtype.str, getattr(r, k).shape, getattr(r, k).tobytes())
+            for k in _REPORT_FIELDS] + [r.to_json()] for r in reports]
+    return out, (change.agreement_fraction, change.n_compared,
+                 change.disagreeing_nodes.tobytes())
+
+
+def test_threaded_check_blocks_are_bit_identical_to_one_block(
+        monkeypatch, pools, rotational, circle_target, linear1d):
+    _split(monkeypatch, block_rows=10**9, cpus=1)
+    one_block = _grid_checks(rotational, circle_target, linear1d)
+    assert pools == []
+    _split(monkeypatch, block_rows=30, cpus=3)  # 2-D: 33 blocks, one of a single node
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # more thread switches than cores can hide
+    try:
+        threaded = _grid_checks(rotational, circle_target, linear1d)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+    assert pools == [(3,)] * 9  # one pool of three threads per grid check
+    for got, want in zip(threaded[0], one_block[0]):
+        for name, g, w in zip(_REPORT_FIELDS + ("summary",), got, want):
+            assert g == w, name
+    assert threaded[1] == one_block[1]
+
+
+def test_small_checks_start_no_thread(pools, rotational, circle_target):
+    grid = al.Grid((-1.0, -1.0), (1.0, 1.0), (127, 127))
+    assert grid.n_nodes < 2 * fields._MIN_ROWS_PER_THREAD
+    model, cand = rotational.model, rotational.candidate
+    al.check_supersolution(model, cand, grid)
+    al.check_supersolution(model, al.ScalarField(grid=grid, values=cand.value(grid.nodes())),
+                           grid)
+    al.check_change_of_unknown(model, cand, "t^2", grid)
+    al.radial_sufficient_check(model, grid)
+    ident = al.GaugeFunction.from_expression("r")
+    al.check_set_lyapunov(model, cand, "sqrt(x1^2 + x2^2)", ident, ident, grid)
+    assert pools == []
+
+
+@pytest.mark.parametrize("check", ["supersolution", "radial", "set-lyapunov"])
+def test_check_block_failure_propagates_without_a_hang(monkeypatch, rotational, check):
+    # one block raises on a pool thread; the calling thread only waits
+    _split(monkeypatch, block_rows=30, cpus=3)
+    original = ControlledDiffusion.drift
+    raised_on = []
+
+    def failing(self, *args, **kwargs):
+        if not raised_on:
+            raised_on.append(threading.current_thread())
+            raise _Boom("one block failed")
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(ControlledDiffusion, "drift", failing)
+    grid = al.Grid((-1.0, -1.0), (1.0, 1.0), (31, 31))
+    model, cand = rotational.model, rotational.candidate
+    ident = al.GaugeFunction.from_expression("r")
+    run = {
+        "supersolution": lambda: al.check_supersolution(model, cand, grid),
+        "radial": lambda: al.radial_sufficient_check(model, grid),
+        "set-lyapunov": lambda: al.check_set_lyapunov(model, cand, "sqrt(x1^2 + x2^2)",
+                                                      ident, ident, grid),
+    }[check]
+    before = threading.active_count()
+    faulthandler.dump_traceback_later(120, exit=True)  # a hang fails the run
+    try:
+        with pytest.raises(_Boom):
+            run()
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    assert raised_on and raised_on[0] is not threading.main_thread()
+    assert threading.active_count() == before
