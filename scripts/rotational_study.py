@@ -74,9 +74,10 @@ def main():
           f"asymptotic = {decay.asymptotic}")
 
     x0s = [[0.125, 0], [0.25, 0], [0.5, 0]]
-    stab = al.estimate_stabilizability_gauge(model, 0, x0s, dt=dt, T=3.0,
-                                             n_paths=max(100, args.paths // 10),
-                                             seed=args.seed, workers=2)
+    starts = [al.simulate_ensemble(model, x0, dt=dt, T=3.0, n_paths=max(100, args.paths // 10),
+                                   seed=args.seed + j, workers=2)
+              for j, x0 in enumerate(x0s)]
+    stab = al.estimate_stabilizability_gauge(starts)
     pairs = ", ".join(f"{r:.3f}->{v:.3f}" for r, v in zip(stab.radii, stab.worst_sup))
     print(f"stabilizability envelope ({'consistent' if stab.consistent else 'NEGATIVE'}): "
           f"{pairs}")

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .fields import Grid, ScalarField, extract_level_set
+from .fields import Grid, ScalarField, _csv, extract_level_set
 from .gauges import GaugeFunction
 from .model import CandidateFunction, ModelError, ParsedModel, parse_model
 from .simulate import (
@@ -115,12 +115,17 @@ def _check_seed(seed: int) -> None:
         raise ConfigError(f"--seed must be nonnegative, got {seed}")
 
 
+def _check_positive(*flags) -> None:
+    """Reject each (flag, value) whose value is given but not positive and finite."""
+    for flag, value in flags:
+        if value is not None and not (np.isfinite(value) and value > 0):
+            raise ConfigError(f"{flag} must be a positive finite number, got {value}")
+
+
 def _check_ensemble_flags(args, dt_flag: str, dt: float) -> None:
     """Reject the flags of an ensemble command before any run directory exists."""
     _check_seed(args.seed)
-    for flag, value in ((dt_flag, dt), ("-T", args.horizon)):
-        if not (np.isfinite(value) and value > 0):
-            raise ConfigError(f"{flag} must be a positive finite number, got {value}")
+    _check_positive((dt_flag, dt), ("-T", args.horizon))
     for flag, value in (("--paths", args.paths), ("--workers", args.workers)):
         if value < 1:
             raise ConfigError(f"{flag} must be at least 1, got {value}")
@@ -166,6 +171,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_value(args) -> int:
+    _check_positive(("--dt", args.dt), ("--cap", args.cap), ("--tol", args.tol))
+    if args.kind == "discounted":
+        _check_positive(("--lambda", args.discount), ("--theta", args.theta))
     parsed = _load_model(args.model)
     model = parsed.model
     grid = _parse_grid(args.grid, parsed, args.rho)
@@ -187,23 +195,16 @@ def cmd_value(args) -> int:
         scheme = default_scheme(model, grid, cap=cap, dt=args.dt, tolerance=args.tol)
         result = worst_case_integral_value(model, grid, parsed.gauge, scheme)
     else:  # discounted
-        if args.discount <= 0:
-            raise ConfigError("discount rate --lambda must be positive")
         K = args.cap if args.cap is not None else 0.8 * inner_radius
         scheme = default_scheme(model, grid, cap=max(K, 1.0), dt=args.dt,
                                 tolerance=args.tol)
         theta = args.theta if args.theta is not None else 10.0 * scheme.dt
-        if theta <= 0:
-            raise ConfigError("--theta must be positive")
         result, prop_mask = discounted_value_and_prop_set(
             model, grid, K=K, lam=args.discount, theta=theta, scheme=scheme
         )
-        nodes = grid.nodes()
-        lines = ["index,in_prop_set"] + [
-            f"{i},{int(v)}" for i, v in enumerate(prop_mask)
-        ]
-        (run_dir / "prop_set.csv").write_text("\n".join(lines) + "\n")
-        print(f"propagation set: {int(prop_mask.sum())} of {len(nodes)} nodes")
+        (run_dir / "prop_set.csv").write_text(
+            _csv("index,in_prop_set", [np.arange(len(prop_mask)), prop_mask]))
+        print(f"propagation set: {int(prop_mask.sum())} of {len(prop_mask)} nodes")
 
     _write_field(run_dir, "field", result, {"kind": args.kind, "dt": scheme.dt,
                                             "cap": scheme.cap})
@@ -255,13 +256,10 @@ def cmd_gauge(args) -> int:
     run_dir = _run_dir(args.out, cfg)
     model = parsed.model
     x0s = [np.concatenate([[r], np.zeros(model.dim_state - 1)]) for r in sorted(radii)]
-    stab = estimate_stabilizability_gauge(
-        model, 0, x0s, dt=args.dt, T=args.horizon, n_paths=args.paths,
-        seed=args.seed, workers=args.workers,
-    )
     ensembles = _simulate_batch(model, x0s, args.dt, args.horizon, args.paths,
                                 [args.seed + 1000 + i for i in range(len(x0s))],
                                 workers=args.workers)
+    stab = estimate_stabilizability_gauge(ensembles)
     decay = estimate_decay_envelope(ensembles)
     out = {
         "integrator": ensembles[0].integrator,
@@ -323,6 +321,7 @@ class _FieldValue:
 
 def cmd_pipeline(args) -> int:
     _check_ensemble_flags(args, "--sim-dt", args.sim_dt)
+    _check_positive(("--dt", args.dt), ("--cap", args.cap))
     parsed = _load_model(args.model)
     model = parsed.model
     grid = _parse_grid(args.grid, parsed, args.rho)
@@ -377,11 +376,8 @@ def cmd_pipeline(args) -> int:
         return finish(EXIT_VERIFICATION)
     print("stage simulate: ok")
 
-    # 4. gauges
-    stab = estimate_stabilizability_gauge(
-        model, feedback, x0s, dt=args.sim_dt, T=args.horizon, n_paths=args.paths,
-        seed=args.seed + 100, workers=args.workers,
-    )
+    # 4. gauges, fitted to the stage-3 ensembles
+    stab = estimate_stabilizability_gauge(ensembles)
     decay = estimate_decay_envelope(ensembles)
     stages["gauge"] = {"stabilizability": stab.consistent, "reason": stab.reason,
                        "kappa": decay.kappa, "asymptotic": decay.asymptotic}

@@ -8,7 +8,6 @@ so repeated queries at fixed points are exact gather + dot operations
 
 from __future__ import annotations
 
-import io
 import os
 import struct
 from dataclasses import dataclass, field
@@ -73,9 +72,6 @@ class Grid:
         mesh = np.meshgrid(*self.axes(), indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
-    def radii(self) -> np.ndarray:
-        return np.linalg.norm(self.nodes(), axis=-1)
-
     def boundary_mask(self) -> np.ndarray:
         """Flat mask of nodes lying on the grid boundary."""
         mask = np.zeros(self.counts, dtype=bool)
@@ -139,14 +135,7 @@ class ScalarField:
         return interp.apply(self.flat, interp.prepare(points), fill=fill)
 
     def to_csv(self) -> str:
-        n = self.grid.dim
-        buf = io.StringIO()
-        buf.write(",".join(f"x{i+1}" for i in range(n)) + ",value\n")
-        nodes = self.grid.nodes()
-        flat = self.flat
-        for row, v in zip(nodes, flat):
-            buf.write(",".join(repr(float(c)) for c in row) + f",{float(v)!r}\n")
-        return buf.getvalue()
+        return _csv(_coord_header(self.grid.dim) + ",value", [*self.grid.nodes().T, self.flat])
 
     @classmethod
     def from_csv(cls, text: str, grid: Grid) -> "ScalarField":
@@ -278,6 +267,28 @@ class _RowBlocks:
         return list(self._pool.map(fn, self.slices))
 
 
+def _coord_header(dim: int) -> str:
+    return ",".join(f"x{i+1}" for i in range(dim))
+
+
+def _csv(header: str, columns) -> str:
+    """CSV text with ``header`` and one row per entry of the equal-length columns.
+
+    Formats a column at a time: a float array becomes the ``repr`` of each
+    entry, an integer or boolean array its decimal integers, and any other
+    column is taken as text already.  Byte-identical to formatting each row
+    with ``float(v)!r`` and ``int(v)``.
+    """
+    def text(col):
+        if not isinstance(col, np.ndarray):
+            return col
+        if col.dtype.kind == "f":
+            return map(repr, col.tolist())  # tolist() gives Python floats
+        return map(str, col.astype(np.int64).tolist())
+
+    return "\n".join([header, *map(",".join, zip(*map(text, columns)))]) + "\n"
+
+
 def _axis_slices(ndim, axis, sl):
     full = [slice(None)] * ndim
     full[axis] = sl
@@ -399,13 +410,10 @@ def extract_level_set(field: ScalarField, level: float) -> LevelSet:
     normals = -grads
     curvatures = -hesss
 
-    edge = np.zeros(field.grid.counts, dtype=bool)
-    for ax in range(nd):
-        edge[_axis_slices(nd, ax, slice(0, 1))] = True
-        edge[_axis_slices(nd, ax, slice(-1, None))] = True
-    edge_flags = edge.ravel()[idx]
+    edge = field.grid.boundary_mask()
+    edge_flags = edge[idx]
     # sublevel set reaching the box edge means the boundary is not closed here
-    touches = bool((sub & edge).any())
+    touches = bool((sub.ravel() & edge).any())
 
     return LevelSet(
         field=field,

@@ -75,7 +75,7 @@ class ControlledDiffusion:
     sigma_overrides: dict = field(default_factory=dict)   # (label, row, col) -> Node
     domain_lower: tuple[float, ...] = ()
     domain_upper: tuple[float, ...] = ()
-    lipschitz_estimate: float | None = None
+    lipschitz_estimate: float | None = field(default=None, compare=False)  # sampled, not compared
 
     def __post_init__(self):
         if self.dim_state < 1 or self.dim_noise < 1:
@@ -110,21 +110,6 @@ class ControlledDiffusion:
             for i in range(self.dim_state)
         )
         return drift, sigma
-
-    def __eq__(self, other):
-        if not isinstance(other, ControlledDiffusion):
-            return NotImplemented
-        return (
-            self.dim_state == other.dim_state
-            and self.dim_noise == other.dim_noise
-            and self.controls == other.controls
-            and self.drift_base == other.drift_base
-            and self.sigma_base == other.sigma_base
-            and self.drift_overrides == other.drift_overrides
-            and self.sigma_overrides == other.sigma_overrides
-            and self.domain_lower == other.domain_lower
-            and self.domain_upper == other.domain_upper
-        )
 
     def _cols(self, x):
         x = np.asarray(x, dtype=float)

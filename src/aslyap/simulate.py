@@ -23,13 +23,14 @@ million path-steps/s at 500 paths and 11.9 million at 10 000 paths, against
 
 Paths use counter-based per-path RNG streams keyed by (seed, path index), so
 ensembles are bit-identical for any worker count or chunk size, and whether
-they run alone or in a batch: the stabilizability estimate steps the
-ensembles of all its start points in one loop, each path keeping its own
-start point and stream.  ``workers`` only sets how many chunks the paths
-are split into; the chunks are stepped one after another in the calling
-thread.  All pathwise verdicts are statistical lower bounds on essential
-suprema: a max over finitely many paths never proves an almost-sure bound,
-so results are reported as "consistent with" the property, never as proof.
+they run alone or in a batch that steps the ensembles of several start
+points in one loop, each path keeping its own start point and stream.
+``workers`` only sets how many chunks the paths are split into; the chunks
+are stepped one after another in the calling thread.  The envelope fits
+read ensembles and step nothing.  All pathwise verdicts are statistical
+lower bounds on essential suprema: a max over finitely many paths never
+proves an almost-sure bound, so results are reported as "consistent with"
+the property, never as proof.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import expr as ex
+from .fields import _coord_header, _csv
 from .gauges import ComparisonGauge, GaugeFunction, monotone_envelope
 from .model import CandidateFunction, ControlledDiffusion
 from .values import FeedbackMap
@@ -119,28 +121,21 @@ class TrajectoryEnsemble:
         return float(np.linalg.norm(self.x0))
 
     def to_csv(self) -> str:
-        lines = ["path,sup_radius,final_radius,integral_gauge,exited,exit_time"]
-        final_r = np.linalg.norm(self.final_states, axis=-1)
         intl = (self.integral_gauge if self.integral_gauge is not None
                 else np.full(self.n_paths, np.nan))
-        for i in range(self.n_paths):
-            lines.append(
-                f"{i},{float(self.sup_radius[i])!r},{float(final_r[i])!r},{float(intl[i])!r},"
-                f"{int(self.exited[i])},{float(self.exit_times[i])!r}"
-            )
-        return "\n".join(lines) + "\n"
+        return _csv("path,sup_radius,final_radius,integral_gauge,exited,exit_time", [
+            np.arange(self.n_paths), self.sup_radius,
+            np.linalg.norm(self.final_states, axis=-1), intl, self.exited, self.exit_times,
+        ])
 
     def paths_csv(self) -> str:
         if self.paths is None:
             raise ValueError("ensemble was simulated without path storage (thin=0)")
-        n = self.paths.shape[-1]
-        header = "t," + ",".join(f"x{i+1}" for i in range(n)) + ",path"
-        lines = [header]
-        for k, t in enumerate(self.path_times):
-            for j in range(self.n_paths):
-                coords = ",".join(repr(float(v)) for v in self.paths[k, j])
-                lines.append(f"{float(t)!r},{coords},{j}")
-        return "\n".join(lines) + "\n"
+        n_samples, _, dim = self.paths.shape
+        return _csv(f"t,{_coord_header(dim)},path", [
+            np.repeat(self.path_times, self.n_paths), *self.paths.reshape(-1, dim).T,
+            np.tile(np.arange(self.n_paths), n_samples),
+        ])
 
     def manifest(self, model_hash: str = "") -> dict:
         return {
@@ -252,11 +247,6 @@ def _compile_steps(model, control_indices, integrator):
     return {ci: ex._compile_rows(rows, args) for ci, rows in trees.items()}, integrator, draws
 
 
-def _step(kernel, x, w, dt, out):
-    """One step of every path (the columns of x and w) into ``out``."""
-    return kernel(*x, *w, dt, out)
-
-
 def _radius(x, out):
     """Column norms of x, shape (dim, paths), into ``out``.
 
@@ -313,7 +303,7 @@ def _group_starts(groups):
 
 def _simulate_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
                     increment_mode, lower, upper, control_index, feedback, steps, draws, cand,
-                    gauge, occ_radii, target_fn, thin, stop_after_exit):
+                    gauge, occ_radii, target_fn, thin):
     """Simulate batch paths path_lo..path_hi-1 and return their full-size statistics.
 
     Batch path p is path j = p % n_paths of ensemble g = p // n_paths: it
@@ -335,9 +325,7 @@ def _simulate_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
     ``_BLOCK_STEPS // len(x0s)`` steps, so a batch holds no more increments
     than one ensemble.  The outputs equal the masked loop that steps every
     path bit for bit.  ``feedback`` is None when one control serves every
-    path (``control_index``).  With ``stop_after_exit``, a step in which
-    paths of ensemble g exit also stops the live paths of every later
-    ensemble; they count as exited at that step.
+    path (``control_index``).
     """
     n = path_hi - path_lo
     dim = model.dim_state
@@ -405,18 +393,16 @@ def _simulate_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
                     live.occupation += dt * (live.radius > occ_col)
 
                 if feedback is None:
-                    _step(steps[control_index], x, w, dt, xn)
+                    steps[control_index](*x, *w, dt, xn)
                 else:
                     indices = feedback.lookup(x.T)
                     for ci in np.unique(indices):
                         mask = indices == ci
                         xm = x.compress(mask, axis=-1)
                         wm = w.compress(mask, axis=-1) if draws else ()
-                        xn[:, mask] = _step(steps[ci], xm, wm, dt, np.empty_like(xm))
+                        xn[:, mask] = steps[ci](*xm, *wm, dt, np.empty_like(xm))
 
                 if not _inside(xn, lower, upper, ok, flag).all():
-                    if stop_after_exit:
-                        ok &= group[index] <= group[index[~ok]].min()
                     kept, gone = np.flatnonzero(ok), np.flatnonzero(~ok)
                     at = index[gone]
                     alive[at] = False
@@ -468,16 +454,14 @@ def _simulate_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
 def _simulate_batch(model, x0s, dt, T, n_paths, seeds, control=None, feedback=None,
                     increment_mode="gaussian", domain=None, candidate=None, gauge=None,
                     occupation_radii=None, target_distance=None, thin=0, workers=1,
-                    integrator="milstein", stop_after_exit=False) -> list[TrajectoryEnsemble]:
+                    integrator="milstein") -> list[TrajectoryEnsemble]:
     """One step loop for the ensembles from each of ``x0s``; one ensemble per start.
 
     Ensemble g equals ``simulate_ensemble(model, x0s[g], ..., seed=seeds[g])``
     bit for bit; the other arguments are those of ``simulate_ensemble``.
-    With ``stop_after_exit`` that holds only up to the first ensemble with an
-    exit: an exit stops the paths of later ensembles that share its chunk,
-    and they count as exited.  ``workers`` sets the number of chunks (at
-    most one per ``_MIN_CHUNK_PATHS`` paths of one ensemble); they are
-    stepped in order on the calling thread.
+    ``workers`` sets the number of chunks (at most one per
+    ``_MIN_CHUNK_PATHS`` paths of one ensemble); they are stepped in order
+    on the calling thread.
     """
     for name, value, need, ok in (
         ("dt", dt, "> 0", dt > 0), ("T", T, "> 0", T > 0),
@@ -530,7 +514,7 @@ def _simulate_batch(model, x0s, dt, T, n_paths, seeds, control=None, feedback=No
     args = [
         (model, points, dt, n_steps, int(lo), int(hi), seeds, n_paths, increment_mode,
          lower, upper, control_index, feedback, steps, draws, candidate, gauge, occ, target_fn,
-         thin, stop_after_exit)
+         thin)
         for lo, hi in zip(chunk_bounds[:-1], chunk_bounds[1:])
     ]
     results = [_simulate_chunk(*a) for a in args]
@@ -632,67 +616,48 @@ class StabilizabilityEstimate:
     reason: str
 
 
+def _class_k_knots(radii: np.ndarray, values: np.ndarray):
+    """Knots of the least strictly increasing majorant of ``values`` over the
+    increasing ``radii``, from (0, 0), with a strictly positive first value."""
+    env = monotone_envelope(radii, values, strict=True)
+    knots_v = np.concatenate([[0.0], env])
+    knots_v[1] = max(knots_v[1], 1e-12 * max(1.0, env.max()))
+    return np.concatenate([[0.0], radii]), knots_v
+
+
 def estimate_stabilizability_gauge(
-    model: ControlledDiffusion,
-    control_or_feedback,
-    x0_list,
-    dt: float,
-    T: float,
-    n_paths: int,
-    seed: int,
-    increment_mode: str = "gaussian",
+    ensembles: list[TrajectoryEnsemble],
     small_radius_factor: float = 2.0,
-    workers: int = 1,
 ) -> StabilizabilityEstimate:
     """Class-K envelope of the worst pathwise sup-radius over initial radii.
 
     The envelope is the least monotone majorant of r -> max over paths of
-    sup_t |X_t|.  The verdict is "consistent with" the pathwise bound; any
-    exited path makes it negative, reported for the smallest radius with an
-    exit.  The ensembles of all start points run in one step loop, by
-    increasing radius; an exit stops the ensembles of larger radii.
+    sup_t |X_t|, over the ensembles sorted by initial radius.  The verdict is
+    "consistent with" the pathwise bound; any exited path makes it negative,
+    reported for the smallest radius with an exit.
     """
-    if len(x0_list) == 0:
-        raise ValueError("x0_list holds no start point")
-    feedback = control_or_feedback if isinstance(control_or_feedback, FeedbackMap) else None
-    control = None if feedback is not None else control_or_feedback
-    radii = np.array([np.linalg.norm(np.asarray(x, dtype=float)) for x in x0_list])
-    order = np.argsort(radii)
-    ensembles = _simulate_batch(
-        model, [x0_list[j] for j in order], dt, T, n_paths, [seed + j for j in order],
-        control=control, feedback=feedback, increment_mode=increment_mode, workers=workers,
-        stop_after_exit=True,
-    )
-    worst = np.empty(len(x0_list))
-    for rank, (j, ens) in enumerate(zip(order, ensembles)):
+    if len(ensembles) == 0:
+        raise ValueError("no ensemble to fit")
+    ensembles = sorted(ensembles, key=lambda ens: ens.initial_radius)
+    radii = np.array([ens.initial_radius for ens in ensembles])
+    for ens in ensembles:
         if ens.exited.any():
-            gauge = ComparisonGauge("K", np.array([0.0, max(radii)]),
-                                    np.array([0.0, max(radii)]))
+            gauge = ComparisonGauge("K", np.array([0.0, radii[-1]]), np.array([0.0, radii[-1]]))
             return StabilizabilityEstimate(
-                gauge=gauge, radii=radii[order], worst_sup=np.full(len(radii), np.inf),
+                gauge=gauge, radii=radii, worst_sup=np.full(len(radii), np.inf),
                 consistent=False,
                 reason=f"{int(ens.exited.sum())} path(s) left the domain from |x0|="
-                       f"{radii[j]:.4g}",
+                       f"{ens.initial_radius:.4g}",
             )
-        worst[rank] = float(ens.sup_radius.max())
-    radii_sorted = radii[order]
-    env = monotone_envelope(radii_sorted, worst, strict=True)
-    knots_r = np.concatenate([[0.0], radii_sorted])
-    knots_v = np.concatenate([[0.0], env])
-    # strictness of the first knot pair
-    knots_v[1] = max(knots_v[1], 1e-12 * max(1.0, env.max()))
-    gauge = ComparisonGauge("K", knots_r, knots_v)
-    small_ok = worst[0] <= small_radius_factor * radii_sorted[0] or radii_sorted[0] == 0.0
-    if not small_ok:
-        return StabilizabilityEstimate(
-            gauge=gauge, radii=radii_sorted, worst_sup=worst, consistent=False,
-            reason=f"sup-radius {worst[0]:.4g} from |x0|={radii_sorted[0]:.4g} does not "
-                   "shrink with the initial radius",
-        )
-    return StabilizabilityEstimate(
-        gauge=gauge, radii=radii_sorted, worst_sup=worst, consistent=True,
-        reason="all paths bounded; envelope monotone and small near 0",
-    )
+    worst = np.array([ens.sup_radius.max() for ens in ensembles])
+    gauge = ComparisonGauge("K", *_class_k_knots(radii, worst))
+    if worst[0] <= small_radius_factor * radii[0] or radii[0] == 0.0:
+        consistent, reason = True, "all paths bounded; envelope monotone and small near 0"
+    else:
+        consistent, reason = False, (f"sup-radius {worst[0]:.4g} from |x0|={radii[0]:.4g} "
+                                     "does not shrink with the initial radius")
+    return StabilizabilityEstimate(gauge=gauge, radii=radii, worst_sup=worst,
+                                   consistent=consistent, reason=reason)
 
 
 @dataclass
@@ -742,19 +707,11 @@ def estimate_decay_envelope(
         return DecayEnvelopeEstimate(gauge=None, kappa=kappa, asymptotic=False,
                                      stable=stable, reason=reason)
 
-    order = np.argsort([e.initial_radius for e in ensembles])
-    radii = []
-    gammas = []
-    for j in order:
-        ens = ensembles[j]
-        amp = float(np.max(ens.timeline_max_radius * np.exp(kappa * ens.timeline_times)))
-        radii.append(ens.initial_radius)
-        gammas.append(amp)
-    env = monotone_envelope(np.asarray(radii), np.asarray(gammas), strict=True)
-    knots_r = np.concatenate([[0.0], radii])
-    knots_v = np.concatenate([[0.0], env])
-    knots_v[1] = max(knots_v[1], 1e-12 * max(1.0, env.max()))
-    gauge = ComparisonGauge("KL", knots_r, knots_v, kappa=kappa)
+    ordered = sorted(ensembles, key=lambda ens: ens.initial_radius)
+    radii = np.array([ens.initial_radius for ens in ordered])
+    gammas = np.array([np.max(ens.timeline_max_radius * np.exp(kappa * ens.timeline_times))
+                       for ens in ordered])
+    gauge = ComparisonGauge("KL", *_class_k_knots(radii, gammas), kappa=kappa)
     return DecayEnvelopeEstimate(gauge=gauge, kappa=kappa, asymptotic=True, stable=True,
                                  reason="positive decay rate fits all ensembles")
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
-from .fields import BoxInterpolator, Grid, ScalarField, _RowBlocks
+from .fields import BoxInterpolator, Grid, ScalarField, _coord_header, _csv, _RowBlocks
 from .gauges import GaugeFunction
 from .model import ControlledDiffusion
 
@@ -64,10 +64,9 @@ class RobustScheme:
     tolerance: float = 1e-6
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.cap <= 0:
-            raise ValueError("cap must be positive")
+        for name, value in (("dt", self.dt), ("cap", self.cap), ("tolerance", self.tolerance)):
+            if not value > 0:  # also rejects NaN
+                raise ValueError(f"{name} must be positive, got {value!r}")
         w = np.asarray(self.increments, dtype=float)
         if w.ndim != 2 or w.shape[0] == 0:
             raise ValueError("increments must be a nonempty (n_w, M) array")
@@ -77,10 +76,8 @@ class RobustScheme:
             raise ValueError("increment set must be symmetric (w in W implies -w in W)")
 
 
-def default_increments(dim_noise: int, dt: float, include_zero: bool = True) -> np.ndarray:
-    rows = []
-    if include_zero:
-        rows.append(np.zeros(dim_noise))
+def default_increments(dim_noise: int, dt: float) -> np.ndarray:
+    rows = [np.zeros(dim_noise)]
     root = np.sqrt(dt)
     for j in range(dim_noise):
         e = np.zeros(dim_noise)
@@ -399,11 +396,8 @@ class FeedbackMap:
         return self.control_indices[self.grid.nearest_index(points)]
 
     def to_csv(self) -> str:
-        n = self.grid.dim
-        lines = [",".join(f"x{i+1}" for i in range(n)) + ",control"]
-        for row, c in zip(self.grid.nodes(), self.control_indices):
-            lines.append(",".join(repr(float(v)) for v in row) + f",{int(c)}")
-        return "\n".join(lines) + "\n"
+        return _csv(_coord_header(self.grid.dim) + ",control",
+                    [*self.grid.nodes().T, self.control_indices])
 
 
 def synthesize_feedback(

@@ -33,7 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
-from .fields import Grid, LevelSet, ScalarField, _RowBlocks, gradient_field, hessian_field
+from .fields import (Grid, LevelSet, ScalarField, _coord_header, _csv, _RowBlocks, gradient_field,
+                     hessian_field)
 from .gauges import GaugeFunction
 from .model import CandidateFunction, ControlledDiffusion
 
@@ -152,20 +153,11 @@ class VerificationReport:
         return json.dumps(self.summary(), indent=2)
 
     def to_csv(self) -> str:
-        n = self.coords.shape[1]
-        header = ",".join(f"x{i+1}" for i in range(n))
-        # one column at a time; tolist() gives the Python floats whose repr the file holds
-        columns = [map(repr, self.coords[:, i].tolist()) for i in range(n)]
-        columns += [
-            map(repr, self.margins.tolist()),
-            map(str, self.verdicts.astype(np.int64).tolist()),
-            map(str, self.witnesses.tolist()),
-            map(repr, self.tangency_residuals.tolist()),
-            map(_STATUS_NAMES.__getitem__, self.statuses.tolist()),
-        ]
-        lines = [f"{header},margin,verdict,witness,tangency_residual,status"]
-        lines += map(",".join, zip(*columns))
-        return "\n".join(lines) + "\n"
+        header = _coord_header(self.coords.shape[1])
+        return _csv(f"{header},margin,verdict,witness,tangency_residual,status", [
+            *self.coords.T, self.margins, self.verdicts, self.witnesses,
+            self.tangency_residuals, map(_STATUS_NAMES.__getitem__, self.statuses.tolist()),
+        ])
 
 
 def tangential_controls(model: ControlledDiffusion, x, p, eps_tan: float = 1e-6) -> list[int]:

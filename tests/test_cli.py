@@ -112,6 +112,31 @@ def test_bad_ensemble_flags_are_config_errors(tmp_path, capsys, argv, flag):
     assert not (tmp_path / "runs").exists()  # rejected before any run directory
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["value", "sup", "--dt", "-1"], "--dt"),
+    (["value", "sup", "--dt", "nan"], "--dt"),
+    (["value", "integral", "--dt", "inf"], "--dt"),
+    (["value", "sup", "--cap", "0"], "--cap"),
+    (["value", "sup", "--cap", "nan"], "--cap"),
+    (["value", "sup", "--tol", "-1"], "--tol"),
+    (["value", "discounted", "--tol", "nan"], "--tol"),
+    (["value", "discounted", "--lambda", "-1"], "--lambda"),
+    (["value", "discounted", "--lambda", "inf"], "--lambda"),
+    (["value", "discounted", "--theta", "0"], "--theta"),
+    (["value", "discounted", "--theta", "nan"], "--theta"),
+    (["pipeline", "--dt", "-1"], "--dt"),
+    (["pipeline", "--dt", "nan"], "--dt"),
+    (["pipeline", "--cap", "0"], "--cap"),
+    (["pipeline", "--cap", "inf"], "--cap"),
+])
+def test_bad_value_flags_are_config_errors(tmp_path, capsys, argv, flag):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([*argv, "--model", ROT, "--grid", "21", "--out", _runs(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {flag} must be ")
+    assert not (tmp_path / "runs").exists()  # rejected before any run directory
+
+
 def test_value_sup_writes_field(tmp_path):
     assert main(["value", "sup", "--model", LIN, "--grid", "81",
                  "--out", _runs(tmp_path)]) == 0
@@ -137,14 +162,26 @@ def test_value_integral_needs_gauge(tmp_path):
                  "--out", _runs(tmp_path)]) == 2
 
 
+def _prop_set_per_row(prop_mask):
+    """The row-by-row writer of ``prop_set.csv`` that ``cmd_value`` replaced."""
+    lines = ["index,in_prop_set"] + [f"{i},{int(v)}" for i, v in enumerate(prop_mask)]
+    return "\n".join(lines) + "\n"
+
+
 def test_value_discounted_writes_prop_set(tmp_path):
     assert main(["value", "discounted", "--model", ROT, "--grid", "31",
                  "--cap", "0.6", "--dt", "0.01", "--out", _runs(tmp_path)]) == 0
     run = next((tmp_path / "runs").iterdir())
-    lines = (run / "prop_set.csv").read_text().splitlines()
+    text = (run / "prop_set.csv").read_text()
+    lines = text.splitlines()
     assert lines[0] == "index,in_prop_set"
     flags = np.array([int(l.split(",")[1]) for l in lines[1:]])
     assert flags.sum() > 0
+    # the set is {W <= theta}, theta = 10 dt by default
+    fld = al.ScalarField.from_csv((run / "field.csv").read_text(),
+                                  al.Grid((-1.0, -1.0), (1.0, 1.0), (31, 31)))
+    theta = 10.0 * json.loads((run / "field.json").read_text())["dt"]
+    assert text == _prop_set_per_row(fld.flat <= theta)
 
 
 def test_simulate_reproducible_runs(tmp_path):
@@ -198,6 +235,39 @@ def test_gauge_decay_batch_equals_separate_ensembles(tmp_path, monkeypatch):
     assert used == [1003, 1004, 1005, 1006]
     batch, alone = (next((tmp_path / d).iterdir()) / "gauges.json" for d in ("batch", "alone"))
     assert batch.read_bytes() == alone.read_bytes()
+
+
+def _batches(monkeypatch):
+    """The (start points, seeds) of every batch of paths stepped from here on."""
+    batches, batch = [], simulate._simulate_batch
+
+    def spy(model, x0s, dt, T, n_paths, seeds, **kw):
+        batches.append(([list(map(float, x0)) for x0 in x0s], list(seeds)))
+        return batch(model, x0s, dt, T, n_paths, seeds, **kw)
+
+    monkeypatch.setattr(simulate, "_simulate_batch", spy)
+    monkeypatch.setattr(cli, "_simulate_batch", spy)
+    return batches
+
+
+def test_gauge_steps_each_start_point_once(tmp_path, monkeypatch):
+    batches = _batches(monkeypatch)
+    assert main(["gauge", "--model", ROT, "--radii", "0.3,0.1,0.2", "--paths", "20",
+                 "-T", "1", "--seed", "4", "--out", _runs(tmp_path)]) == 0
+    # one batch, by increasing radius, with the decay seeds; both fits read it
+    assert batches == [([[0.1, 0.0], [0.2, 0.0], [0.3, 0.0]], [1004, 1005, 1006])]
+
+
+def test_pipeline_steps_each_start_point_once(tmp_path, monkeypatch):
+    batches = _batches(monkeypatch)
+    assert main(["pipeline", "--model", ROT, "--grid", "21", "--paths", "20", "-T", "1",
+                 "--sim-dt", "2e-3", "--seed", "5", "--out", _runs(tmp_path)]) == 0
+    # only the simulate stage's three ensembles; the gauge stage fits them
+    radii = [f * 1.0 for f in (0.25, 0.4, 0.55)]
+    assert batches == [([[r, 0.0]], [5 + i]) for i, r in enumerate(radii)]
+    run = next((tmp_path / "runs").iterdir())
+    stages = json.loads((run / "pipeline.json").read_text())
+    assert stages["gauge"]["stabilizability"] is True
 
 
 @pytest.mark.parametrize("grid, reason", [

@@ -130,6 +130,28 @@ def test_csv_round_trip():
     assert np.array_equal(back.values, fld.values)
 
 
+def _field_csv_per_row(fld):
+    """The row-by-row writer ``ScalarField.to_csv`` replaced, kept as its reference."""
+    lines = [",".join(f"x{i+1}" for i in range(fld.grid.dim)) + ",value"]
+    for row, v in zip(fld.grid.nodes(), fld.flat):
+        lines.append(",".join(repr(float(c)) for c in row) + f",{float(v)!r}")
+    return "\n".join(lines) + "\n"
+
+
+def test_field_csv_matches_a_row_by_row_reference():
+    g = al.Grid((-1.0, -1.0), (-0.0, 1.0 / 3.0), (3, 5))  # the last x1 node is -0.0
+    values = np.array([np.inf, -np.inf, np.nan, -0.0, 0.1 + 0.2, 1e-300, 5e-324, -1e16]
+                      + [0.0] * 7)
+    fld = al.ScalarField(grid=g, values=values)
+    assert fld.to_csv() == _field_csv_per_row(fld)
+    lines = fld.to_csv().splitlines()
+    assert lines[1:5] == ["-1.0,-1.0,inf", "-1.0,-0.6666666666666667,-inf",
+                          "-1.0,-0.33333333333333337,nan", "-1.0,0.0,-0.0"]
+    assert lines[-1] == "-0.0,0.3333333333333333,0.0"
+    smooth = _field_from("sin(x1) + x2^3", al.Grid((-1.0,) * 3, (1.0,) * 3, (7, 5, 6)))
+    assert smooth.to_csv() == _field_csv_per_row(smooth)
+
+
 def test_binary_round_trip():
     g = al.Grid((-1.0, 0.0), (1.0, 2.0), (9, 7))
     fld = _field_from("sin(x1) + x2", g)

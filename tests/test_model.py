@@ -116,6 +116,10 @@ def test_round_trip_all_bundled_models():
         pm2 = al.parse_model(text)
         assert pm2 == pm, path.name
         assert al.serialize_model(pm2) == text, path.name
+        # the sampled Lipschitz estimate is a diagnostic, not part of the model
+        al.check_lipschitz_sample(pm.model, 10, seed=1)
+        assert pm.model.lipschitz_estimate is not None
+        assert al.parse_model(text) == pm, path.name
 
 
 def test_evaluators_are_deterministic(rotational):

@@ -86,11 +86,8 @@ def _assert_same_arrays(new, ref):
 
 def _reference_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
                      increment_mode, lower, upper, control_index, feedback, steps, draws, cand,
-                     gauge, occ_radii, target_fn, thin, stop_after_exit):
-    """The masked loop for one ensemble: every path is stepped every step, exited or not.
-
-    With one ensemble, none comes after it for ``stop_after_exit`` to stop.
-    """
+                     gauge, occ_radii, target_fn, thin):
+    """The masked loop for one ensemble: every path is stepped every step, exited or not."""
     (x0,), (seed,) = x0s, seeds
     # the compiled rows set no error state of their own
     with np.errstate(all="ignore"):
@@ -288,19 +285,25 @@ def test_step_loop_matches_reference(monkeypatch, name, rotational, unstable1d,
     # small chunks still split, so the workers case runs three uneven chunks
     monkeypatch.setattr(simulate, "_MIN_CHUNK_PATHS", 1)
     seen = {"kernels": set(), "+inf": False, "-inf": False, "nan": False}
-    step, path_generator = simulate._step, simulate._path_generator
+    compile_steps, path_generator = simulate._compile_steps, simulate._path_generator
     generators = []
 
-    def spy(kernel, x, w, dt, out):
-        out = step(kernel, x, w, dt, out)
-        seen["kernels"].add(id(kernel))
-        seen["+inf"] |= bool(np.isposinf(out).any())
-        seen["-inf"] |= bool(np.isneginf(out).any())
-        seen["nan"] |= bool(np.isnan(out).any())
-        return out
+    def spy(kernel):
+        def step(*args):
+            out = kernel(*args)
+            seen["kernels"].add(id(kernel))
+            seen["+inf"] |= bool(np.isposinf(out).any())
+            seen["-inf"] |= bool(np.isneginf(out).any())
+            seen["nan"] |= bool(np.isnan(out).any())
+            return out
+        return step
+
+    def spy_compile(*args):
+        steps, integrator, draws = compile_steps(*args)
+        return {ci: spy(kernel) for ci, kernel in steps.items()}, integrator, draws
 
     with monkeypatch.context() as mp:
-        mp.setattr(simulate, "_step", spy)
+        mp.setattr(simulate, "_compile_steps", spy_compile)
         mp.setattr(simulate, "_path_generator", lambda *a: generators.append(a)
                    or path_generator(*a))
         new = al.simulate_ensemble(pm.model, **kw)
@@ -343,6 +346,55 @@ def test_noise_free_batch_draws_nothing(monkeypatch, name, bang1d):
     if name == "two-controls":  # braked to the nodes that coast (|x| < 0.275), then coasted
         assert ((0.25 < new.final_states) & (new.final_states < 0.275)).all()
     _assert_same_arrays(new, _reference_ensemble(monkeypatch, bang1d.model, **kw))
+
+
+# ------------------------------------------------------------------ CSV files
+
+def _ensemble_csv_per_row(ens):
+    """The row-by-row writer ``TrajectoryEnsemble.to_csv`` replaced, kept as its reference."""
+    lines = ["path,sup_radius,final_radius,integral_gauge,exited,exit_time"]
+    final_r = np.linalg.norm(ens.final_states, axis=-1)
+    intl = (ens.integral_gauge if ens.integral_gauge is not None
+            else np.full(ens.n_paths, np.nan))
+    for i in range(ens.n_paths):
+        lines.append(
+            f"{i},{float(ens.sup_radius[i])!r},{float(final_r[i])!r},{float(intl[i])!r},"
+            f"{int(ens.exited[i])},{float(ens.exit_times[i])!r}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def _paths_csv_per_row(ens):
+    """The row-by-row writer ``TrajectoryEnsemble.paths_csv`` replaced."""
+    n = ens.paths.shape[-1]
+    lines = ["t," + ",".join(f"x{i+1}" for i in range(n)) + ",path"]
+    for k, t in enumerate(ens.path_times):
+        for j in range(ens.n_paths):
+            coords = ",".join(repr(float(v)) for v in ens.paths[k, j])
+            lines.append(f"{float(t)!r},{coords},{j}")
+    return "\n".join(lines) + "\n"
+
+
+def test_ensemble_csv_matches_a_row_by_row_reference(rotational):
+    ens = al.simulate_ensemble(rotational.model, [0.5, 0.0], dt=1e-2, T=0.1, n_paths=4,
+                               seed=3, thin=5, gauge=rotational.gauge)
+    assert ens.to_csv() == _ensemble_csv_per_row(ens)
+    assert ens.paths_csv() == _paths_csv_per_row(ens)
+    inf, nan = np.inf, np.nan
+    odd = dataclasses.replace(
+        ens,
+        sup_radius=np.array([inf, nan, -0.0, 1e-300]),
+        final_states=np.array([[nan, 0.0], [-0.0, -0.0], [inf, 1.0], [0.1, 0.2]]),
+        integral_gauge=None,
+        exited=np.array([True, False, True, False]),
+        exit_times=np.array([0.05, inf, 1 / 3, inf]),
+        paths=np.where(np.arange(24).reshape(3, 4, 2) % 3 == 0, -0.0, ens.paths),
+    )
+    odd.paths[1, 2] = (inf, nan)
+    assert odd.to_csv() == _ensemble_csv_per_row(odd)
+    assert "\n1,nan,0.0,nan,0,inf\n" in odd.to_csv()
+    assert odd.paths_csv() == _paths_csv_per_row(odd)
+    assert "\n0.05,inf,nan,2\n" in odd.paths_csv()
 
 
 # ------------------------------------------------------------- batched loop
@@ -401,22 +453,6 @@ def test_batch_matches_separate_ensembles(monkeypatch, name, rotational, unstabl
         assert not batch[1].exited.any()
     elif name in ("signed-bernoulli", "workers"):
         assert any(0 < ens.exited.sum() < kw["n_paths"] for ens in batch)
-
-
-def test_exit_stops_later_ensembles():
-    pm = al.parse_model(_NOISY_REPELLER)
-    x0s, seeds = [[0.05, 0.0], [0.3, 0.0], [0.0, 0.6], [0.7, 0.0]], [7, 8, 9, 10]
-    kw = dict(dt=1e-3, T=3.0, n_paths=30)
-    batch = simulate._simulate_batch(pm.model, x0s, seeds=seeds, stop_after_exit=True, **kw)
-    alone = [al.simulate_ensemble(pm.model, x0, seed=s, **kw) for x0, s in zip(x0s, seeds)]
-    # the first ensemble runs on as alone, with some paths left at the horizon
-    assert 0 < alone[0].exited.sum() < kw["n_paths"]
-    _assert_same_ensemble(batch[0], alone[0])
-    for h in range(1, len(x0s)):
-        # every later one stops at the first exit of an ensemble before it
-        assert not alone[h].exited.all() and batch[h].exited.all()
-        first_exit = min(ens.exit_times.min() for ens in alone[:h])
-        assert batch[h].exit_times.max() == first_exit
 
 
 def test_block_length_rule(monkeypatch, rotational):
@@ -480,19 +516,25 @@ def test_gauge_estimate_matches_per_start_loop(monkeypatch, name, rotational, un
             workers = 2
     else:
         pm, x0s, T = rotational, [[0.4, 0.0], [0.1, 0.0], [0.0, 0.25]], 0.5
-    batches, batch = [], simulate._simulate_batch
-    monkeypatch.setattr(simulate, "_simulate_batch",
-                        lambda *a, **kw: batches.append(batch(*a, **kw)) or batches[-1])
-    est = al.estimate_stabilizability_gauge(pm.model, 0, x0s, dt=1e-3, T=T, n_paths=20,
-                                            seed=11, workers=workers)
+    # the start points in their given order; the estimate sorts them by radius
+    ensembles = simulate._simulate_batch(pm.model, x0s, 1e-3, T, 20,
+                                         [11 + j for j in range(len(x0s))], workers=workers)
+
+    def stepped(*args, **kwargs):
+        raise AssertionError("the estimate stepped paths")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(simulate, "_simulate_batch", stepped)
+        mp.setattr(simulate, "_simulate_chunk", stepped)
+        est = al.estimate_stabilizability_gauge(ensembles)
     reason, worst = _per_start_estimate(pm.model, x0s, 1e-3, T, 20, 11)
-    if name == "smallest-radius-exits":  # its exits stopped the larger radii
-        assert all(ens.exited.all() for ens in batches[0][1:])
-        assert not any(al.simulate_ensemble(pm.model, x0s[j], 1e-3, T, 20, 11 + j).exited.all()
-                       for j in (0, 2))
+    assert est.radii.tolist() == sorted(np.linalg.norm(x) for x in x0s)
     if name != "bounded":
         assert not est.consistent and est.reason == reason
         assert ("|x0|=0.5" if name.startswith("middle") else "|x0|=0.05") in reason
+        assert np.isinf(est.worst_sup).all()
+        # nothing stopped a radius at another's exit: some ensemble kept paths
+        assert not all(ens.exited.all() for ens in ensembles)
     else:
         assert est.consistent and worst is not None
         assert est.worst_sup.tobytes() == worst.tobytes()
@@ -503,9 +545,9 @@ def test_start_points_validated(rotational):
     with pytest.raises(ValueError, match="x0 must have 2 component"):
         al.simulate_ensemble(rotational.model, [0.1, 0.0, 0.0], **kw)
     with pytest.raises(ValueError, match="x0 must have 2 component"):
-        al.estimate_stabilizability_gauge(rotational.model, 0, [[0.1, 0.0], [0.2]], **kw)
-    with pytest.raises(ValueError, match="x0_list"):
-        al.estimate_stabilizability_gauge(rotational.model, 0, [], **kw)
+        simulate._simulate_batch(rotational.model, [[0.1, 0.0], [0.2]], 1e-3, 0.1, 2, [0, 1])
+    with pytest.raises(ValueError, match="no ensemble to fit"):
+        al.estimate_stabilizability_gauge([])
     with pytest.raises(ValueError, match="2 seeds for 3 x0"):
         simulate._simulate_batch(rotational.model, [[0.1, 0.0]] * 3, 1e-3, 0.1, 2, [0, 1])
 
@@ -653,9 +695,9 @@ def test_integrator_validation(rotational):
 # -------------------------------------------------------- stabilizability fit
 
 def test_stabilizability_gauge_rotational(rotational):
-    x0s = [[r, 0.0] for r in (0.1, 0.25, 0.4)]
-    est = al.estimate_stabilizability_gauge(rotational.model, 0, x0s, dt=1e-3,
-                                            T=3.0, n_paths=100, seed=6)
+    ens = [al.simulate_ensemble(rotational.model, [r, 0.0], dt=1e-3, T=3.0, n_paths=100,
+                                seed=6 + j) for j, r in enumerate((0.1, 0.25, 0.4))]
+    est = al.estimate_stabilizability_gauge(ens)
     assert est.consistent
     # envelope approximately the identity
     assert est.worst_sup == pytest.approx(est.radii, rel=0.05)
@@ -665,8 +707,8 @@ def test_stabilizability_gauge_rotational(rotational):
 
 
 def test_stabilizability_negative_for_expansion(unstable1d):
-    est = al.estimate_stabilizability_gauge(unstable1d.model, 0, [[0.3], [0.5]],
-                                            dt=1e-3, T=10.0, n_paths=20, seed=6)
+    ens = simulate._simulate_batch(unstable1d.model, [[0.3], [0.5]], 1e-3, 10.0, 20, [6, 7])
+    est = al.estimate_stabilizability_gauge(ens)
     assert not est.consistent
     assert "left the domain" in est.reason
 

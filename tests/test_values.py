@@ -53,6 +53,11 @@ def test_scheme_validation(rotational):
         al.RobustScheme(dt=0.01, increments=np.array([[0.1]]), cap=1.0)
     with pytest.raises(ValueError):
         al.RobustScheme(dt=-0.1, increments=np.array([[0.0]]), cap=1.0)
+    for bad, name in (({"dt": np.nan}, "dt"), ({"cap": np.nan}, "cap"),
+                      ({"tolerance": 0.0}, "tolerance"), ({"tolerance": -1.0}, "tolerance"),
+                      ({"tolerance": np.nan}, "tolerance")):
+        with pytest.raises(ValueError, match=f"^{name} must be positive"):
+            al.RobustScheme(**{"dt": 0.01, "increments": np.array([[0.0]]), "cap": 1.0, **bad})
     sch = al.default_scheme(rotational.model, al.Grid((-1, -1), (1, 1), (21, 21)), cap=1.0)
     h = 0.1
     expected_dt = h / (2 * max_drift_norm(rotational.model,
@@ -321,6 +326,21 @@ def test_feedback_single_control_constant(rotational):
     fb = al.synthesize_feedback(rotational.model, res.field, scheme)
     assert (fb.control_indices == 0).all()
     assert (fb.lookup(np.array([[0.33, -0.41]])) == 0).all()
+
+
+def _feedback_csv_per_row(fb):
+    """The row-by-row writer ``FeedbackMap.to_csv`` replaced, kept as its reference."""
+    lines = [",".join(f"x{i+1}" for i in range(fb.grid.dim)) + ",control"]
+    for row, c in zip(fb.grid.nodes(), fb.control_indices):
+        lines.append(",".join(repr(float(v)) for v in row) + f",{int(c)}")
+    return "\n".join(lines) + "\n"
+
+
+def test_feedback_csv_matches_a_row_by_row_reference():
+    grid = al.Grid((-1.0, -1.0), (-0.0, 1e-300), (4, 3))  # the last x1 node is -0.0
+    fb = al.FeedbackMap(grid, np.array([0, 3, 1, 2, 0, 7, 1, 1, 0, 2, 5, 0]))
+    assert fb.to_csv() == _feedback_csv_per_row(fb)
+    assert fb.to_csv().splitlines()[-3:] == ["-0.0,-1.0,2", "-0.0,-0.5,5", "-0.0,1e-300,0"]
 
 
 # ----------------------------------------------------------- extended system
