@@ -247,15 +247,17 @@ def cmd_simulate(args) -> int:
 def cmd_gauge(args) -> int:
     _check_ensemble_flags(args, "--dt", args.dt)
     parsed = _load_model(args.model)
-    radii = _vector(args.radii)
-    if any(r <= 0 for r in radii):
-        raise ConfigError("radii must be positive")
+    radii = sorted(_vector(args.radii))
+    if not all(0 < r < np.inf for r in radii):
+        raise ConfigError("--radii must be positive and finite")
+    if len(set(radii)) < len(radii):
+        raise ConfigError(f"--radii must be strictly increasing once sorted, got {args.radii}")
     cfg = {"cmd": "gauge", "model": args.model, "radii": args.radii, "dt": args.dt,
            "T": args.horizon, "paths": args.paths, "seed": args.seed,
            "model_hash": parsed.text_hash()}
     run_dir = _run_dir(args.out, cfg)
     model = parsed.model
-    x0s = [np.concatenate([[r], np.zeros(model.dim_state - 1)]) for r in sorted(radii)]
+    x0s = [np.concatenate([[r], np.zeros(model.dim_state - 1)]) for r in radii]
     ensembles = _simulate_batch(model, x0s, args.dt, args.horizon, args.paths,
                                 [args.seed + 1000 + i for i in range(len(x0s))],
                                 workers=args.workers)

@@ -53,6 +53,12 @@ class NumericalError(RuntimeError):
     """Raised when an iteration produces NaNs or violates monotonicity."""
 
 
+def _check_positive(**values):
+    for name, value in values.items():
+        if not value > 0:  # also rejects NaN
+            raise ValueError(f"{name} must be positive, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RobustScheme:
     """Time step, adversarial increment set, cap, and stopping controls."""
@@ -64,9 +70,7 @@ class RobustScheme:
     tolerance: float = 1e-6
 
     def __post_init__(self):
-        for name, value in (("dt", self.dt), ("cap", self.cap), ("tolerance", self.tolerance)):
-            if not value > 0:  # also rejects NaN
-                raise ValueError(f"{name} must be positive, got {value!r}")
+        _check_positive(dt=self.dt, cap=self.cap, tolerance=self.tolerance)
         w = np.asarray(self.increments, dtype=float)
         if w.ndim != 2 or w.shape[0] == 0:
             raise ValueError("increments must be a nonempty (n_w, M) array")
@@ -110,6 +114,7 @@ def default_scheme(
     if dt is None:
         h = min(grid.spacing)
         dt = h / (2.0 * max_drift_norm(model, grid) + 1.0)
+    _check_positive(dt=dt)  # before the increments take its square root
     return RobustScheme(
         dt=dt,
         increments=default_increments(model.dim_noise, dt),

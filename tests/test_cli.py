@@ -1,11 +1,12 @@
 import json
+import os
 import warnings
 
 import numpy as np
 import pytest
 
 import aslyap as al
-from aslyap import cli, simulate
+from aslyap import cli, fields, simulate
 from aslyap.cli import main
 
 from conftest import MODELS
@@ -102,6 +103,9 @@ def test_negative_seed_is_config_error(tmp_path, capsys, argv):
     (["gauge", "--radii", "0.2", "--dt", "-0.001"], "--dt"),
     (["gauge", "--radii", "0.2", "--paths", "0"], "--paths"),
     (["gauge", "--radii", "0.2", "--workers", "0"], "--workers"),
+    (["gauge", "--radii", "0.2,0.1,0.2"], "--radii"),
+    (["gauge", "--radii", "0.2,-0.1"], "--radii"),
+    (["gauge", "--radii", "0.2,nan"], "--radii"),
     (["pipeline", "--sim-dt", "nan"], "--sim-dt"),
     (["pipeline", "-T", "0"], "-T"),
     (["pipeline", "--paths", "0"], "--paths"),
@@ -216,6 +220,19 @@ def test_gauge_command(tmp_path):
     assert gauges["stabilizability"]["consistent"] is True
     assert gauges["decay"]["kappa"] == pytest.approx(0.5, abs=0.15)
     assert gauges["integrator"] == "milstein"
+
+
+def test_dead_ensemble_process_is_an_internal_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(simulate, "_MIN_CHUNK_PATHS", 1)
+    monkeypatch.setattr(fields, "_cpus", lambda: 2)
+    chunk = simulate._simulate_chunk
+    # the second chunk, stepped by the forked child, kills its process
+    monkeypatch.setattr(simulate, "_simulate_chunk",
+                        lambda *a: os._exit(9) if a[4] else chunk(*a))
+    assert main(["simulate", "--model", ROT, "--x0", "0.5,0", "--paths", "2", "-T", "0.01",
+                 "--workers", "2", "--out", _runs(tmp_path)]) == 3
+    assert ("internal error: RuntimeError: the process stepping ensemble chunk(s) 1 died "
+            "without a result (wait status 2304)") in capsys.readouterr().err
 
 
 def test_gauge_decay_batch_equals_separate_ensembles(tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
 import dataclasses
+import os
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 import aslyap as al
 from aslyap import expr as ex
-from aslyap import simulate
+from aslyap import fields, simulate
 from aslyap.simulate import _path_generator, build_decay_gauge, default_weight_rule
 
 
@@ -284,6 +286,8 @@ def test_step_loop_matches_reference(monkeypatch, name, rotational, unstable1d,
     pm, kw = _case(name, rotational, unstable1d, unstable2d, bang1d)
     # small chunks still split, so the workers case runs three uneven chunks
     monkeypatch.setattr(simulate, "_MIN_CHUNK_PATHS", 1)
+    # one process, so the spies see every chunk
+    monkeypatch.setattr(fields, "_cpus", lambda: 1)
     seen = {"kernels": set(), "+inf": False, "-inf": False, "nan": False}
     compile_steps, path_generator = simulate._compile_steps, simulate._path_generator
     generators = []
@@ -648,6 +652,7 @@ def test_ensemble_arguments_validated(rotational, bad):
 
 
 def test_small_batches_run_in_one_chunk(monkeypatch, rotational):
+    monkeypatch.setattr(fields, "_cpus", lambda: 1)  # the spy sees every chunk
     bounds = []
     chunk = simulate._simulate_chunk
 
@@ -671,6 +676,7 @@ def test_small_batches_run_in_one_chunk(monkeypatch, rotational):
 
 def test_chunks_run_in_order_on_the_calling_thread(monkeypatch, rotational):
     monkeypatch.setattr(simulate, "_MIN_CHUNK_PATHS", 1)
+    monkeypatch.setattr(fields, "_cpus", lambda: 1)  # one usable core: nothing forks
     calls = []
     chunk = simulate._simulate_chunk
 
@@ -684,6 +690,156 @@ def test_chunks_run_in_order_on_the_calling_thread(monkeypatch, rotational):
     me = threading.get_ident()
     assert calls == [(me, (0, 4)), (me, (4, 8)), (me, (8, 12))]
     assert not hasattr(simulate, "ThreadPoolExecutor")
+
+
+# ------------------------------------------------------------ forked chunks
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of every child forked during the test, in order."""
+    made = []
+    fork = os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            made.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return made
+
+
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("batch", [False, True], ids=["alone", "batch"])
+def test_forked_workers_match_one_worker(monkeypatch, forks, workers, batch):
+    monkeypatch.setattr(simulate, "_MIN_CHUNK_PATHS", 1)
+    monkeypatch.setattr(fields, "_cpus", lambda: workers)
+    pm = al.parse_model(_REPELLER_3D)
+    x0s = [[0.2, 0.1, 0.3], [0.1, -0.4, 0.0]][:1 + batch]
+    seeds = [21, 22][:len(x0s)]
+    kw = dict(dt=1e-3, T=2.0, n_paths=25, thin=25, occupation_radii=[0.3],
+              candidate=pm.candidate, gauge=pm.gauge)
+    got = simulate._simulate_batch(pm.model, x0s, seeds=seeds, workers=workers, **kw)
+    assert len(forks) == workers - 1
+    _no_children_left()
+    for x0, seed, ens in zip(x0s, seeds, got):
+        alone = al.simulate_ensemble(pm.model, x0, seed=seed, workers=1, **kw)
+        _assert_same_ensemble(ens, alone)
+    assert len(forks) == workers - 1  # one chunk: nothing more forked
+    assert any(0 < ens.exited.sum() < kw["n_paths"] for ens in got)
+
+
+def _failing_chunk(monkeypatch, in_child):
+    """Two usable cores, one path per chunk, and the odd chunks, which the
+    child steps, call ``in_child`` first."""
+    monkeypatch.setattr(simulate, "_MIN_CHUNK_PATHS", 1)
+    monkeypatch.setattr(fields, "_cpus", lambda: 2)
+    chunk = simulate._simulate_chunk
+
+    def spy(*args):
+        if args[4] % 2:
+            in_child()
+        return chunk(*args)
+
+    monkeypatch.setattr(simulate, "_simulate_chunk", spy)
+
+
+def test_child_error_reaches_the_caller(monkeypatch, forks, rotational):
+    def fail():
+        raise ValueError("bad chunk from a child")
+
+    _failing_chunk(monkeypatch, fail)
+    with pytest.raises(ValueError, match="^bad chunk from a child$"):
+        al.simulate_ensemble(rotational.model, [0.5, 0.0], dt=1e-3, T=0.01, n_paths=2,
+                             seed=1, workers=2)
+    assert len(forks) == 1
+    _no_children_left()
+
+
+def test_child_that_dies_is_named(monkeypatch, forks, rotational):
+    _failing_chunk(monkeypatch, lambda: os._exit(7))
+    with pytest.raises(RuntimeError, match=r"chunk\(s\) 1, 3 died without a result "
+                                           r"\(wait status 1792\)"):
+        al.simulate_ensemble(rotational.model, [0.5, 0.0], dt=1e-3, T=0.01, n_paths=4,
+                             seed=1, workers=4)
+    assert len(forks) == 1
+    _no_children_left()
+
+
+def test_caller_error_kills_and_reaps_the_children(monkeypatch, forks, rotational):
+    _failing_chunk(monkeypatch, lambda: time.sleep(60))
+    step = simulate._simulate_chunk
+
+    def fail_first(*args):
+        if args[4] == 0:
+            raise KeyError("chunk 0")
+        return step(*args)
+
+    monkeypatch.setattr(simulate, "_simulate_chunk", fail_first)
+    start = time.perf_counter()
+    with pytest.raises(KeyError, match="chunk 0"):
+        al.simulate_ensemble(rotational.model, [0.5, 0.0], dt=1e-3, T=0.01, n_paths=2,
+                             seed=1, workers=2)
+    assert time.perf_counter() - start < 30  # killed, not waited for
+    assert len(forks) == 1
+    _no_children_left()
+
+
+def test_processes_are_capped_by_the_usable_cores(monkeypatch, forks, rotational):
+    monkeypatch.setattr(simulate, "_MIN_CHUNK_PATHS", 1)
+    monkeypatch.setattr(fields, "_cpus", lambda: 2)
+    here = []
+    chunk = simulate._simulate_chunk
+
+    def spy(*args):
+        here.append(args[4:6])  # only the calling process's calls come back
+        return chunk(*args)
+
+    monkeypatch.setattr(simulate, "_simulate_chunk", spy)
+    kw = dict(x0=[0.5, 0.0], dt=1e-3, T=2e-3, n_paths=64, seed=1)
+    got = al.simulate_ensemble(rotational.model, **kw, workers=64)
+    assert len(forks) == 1
+    _no_children_left()
+    # the calling process steps chunks 0, 2, 4, ...; the child steps the others
+    assert here == [(p, p + 1) for p in range(0, 64, 2)]
+    here.clear()
+    one = al.simulate_ensemble(rotational.model, **kw, workers=1)
+    assert here == [(0, 64)]
+    _assert_same_ensemble(got, one)
+
+
+def test_nothing_forks_beside_another_thread(monkeypatch, forks, rotational):
+    monkeypatch.setattr(simulate, "_MIN_CHUNK_PATHS", 1)
+    monkeypatch.setattr(fields, "_cpus", lambda: 2)
+    calls = []
+    chunk = simulate._simulate_chunk
+
+    def spy(*args):
+        calls.append((threading.get_ident(), args[4:6]))
+        return chunk(*args)
+
+    monkeypatch.setattr(simulate, "_simulate_chunk", spy)
+    kw = dict(x0=[0.5, 0.0], dt=1e-3, T=0.01, n_paths=8, seed=1)
+    done = threading.Event()
+    other = threading.Thread(target=done.wait)
+    other.start()
+    try:
+        got = al.simulate_ensemble(rotational.model, **kw, workers=2)
+    finally:
+        done.set()
+        other.join()
+    assert forks == []
+    me = threading.get_ident()
+    assert calls == [(me, (0, 4)), (me, (4, 8))]
+    forked = al.simulate_ensemble(rotational.model, **kw, workers=2)
+    assert len(forks) == 1
+    _assert_same_ensemble(got, forked)
 
 
 def test_integrator_validation(rotational):

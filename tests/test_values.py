@@ -65,6 +65,14 @@ def test_scheme_validation(rotational):
     assert sch.dt == pytest.approx(expected_dt)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dt", [-1.0, np.nan])
+def test_default_scheme_rejects_dt_before_using_it(linear1d, dt):
+    grid = al.Grid((-1.0,), (1.0,), (21,))
+    with pytest.raises(ValueError, match="^dt must be positive"):
+        al.default_scheme(linear1d.model, grid, cap=1.0, dt=dt)
+
+
 # ---------------------------------------------------------------- sup value
 
 def test_sup_value_1d_contraction_is_norm(linear1d):
