@@ -103,12 +103,12 @@ def test_negative_seed_is_config_error(tmp_path, capsys, argv):
     (["gauge", "--radii", "0.2", "--dt", "-0.001"], "--dt"),
     (["gauge", "--radii", "0.2", "--paths", "0"], "--paths"),
     (["gauge", "--radii", "0.2", "--workers", "0"], "--workers"),
-    (["gauge", "--radii", "0.2,0.1,0.2"], "--radii"),
-    (["gauge", "--radii", "0.2,-0.1"], "--radii"),
-    (["gauge", "--radii", "0.2,nan"], "--radii"),
     (["pipeline", "--sim-dt", "nan"], "--sim-dt"),
     (["pipeline", "-T", "0"], "-T"),
     (["pipeline", "--paths", "0"], "--paths"),
+    (["gauge", "--radii", "0.2,0.1,0.2"], "--radii"),
+    (["gauge", "--radii", "0.2,-0.1"], "--radii"),
+    (["gauge", "--radii", "0.2,nan"], "--radii"),
 ])
 def test_bad_ensemble_flags_are_config_errors(tmp_path, capsys, argv, flag):
     assert main([*argv, "--model", ROT, "--out", _runs(tmp_path)]) == 2
