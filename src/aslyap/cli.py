@@ -122,10 +122,19 @@ def _check_positive(*flags) -> None:
             raise ConfigError(f"{flag} must be a positive finite number, got {value}")
 
 
-def _check_ensemble_flags(args, dt_flag: str, dt: float) -> None:
-    """Reject the flags of an ensemble command before any run directory exists."""
+def _check_ensemble_flags(args, dt_flag: str, dt: float, *horizons) -> None:
+    """Reject the flags of an ensemble command before any run directory exists.
+
+    ``horizons`` are more (flag, value) horizons stepped at ``dt`` beside -T;
+    each must be positive, finite and at least one step once rounded.
+    """
     _check_seed(args.seed)
-    _check_positive((dt_flag, dt), ("-T", args.horizon))
+    horizons = (("-T", args.horizon), *horizons)
+    _check_positive((dt_flag, dt), *horizons)
+    for flag, value in horizons:
+        if value / dt <= 0.5:  # round(value / dt) is 0: nothing would be stepped
+            raise ConfigError(f"{flag} must be at least one {dt_flag} step once rounded, "
+                              f"got {flag} {value} with {dt_flag} {dt}")
     for flag, value in (("--paths", args.paths), ("--workers", args.workers)):
         if value < 1:
             raise ConfigError(f"{flag} must be at least 1, got {value}")
@@ -322,7 +331,8 @@ class _FieldValue:
 
 
 def cmd_pipeline(args) -> int:
-    _check_ensemble_flags(args, "--sim-dt", args.sim_dt)
+    _check_ensemble_flags(args, "--sim-dt", args.sim_dt,
+                          ("--gauge-horizon", args.gauge_horizon))
     _check_positive(("--dt", args.dt), ("--cap", args.cap))
     parsed = _load_model(args.model)
     model = parsed.model

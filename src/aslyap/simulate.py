@@ -17,9 +17,12 @@ writes into the next-state buffer and evaluates each repeated subtree once
 (on `rotational`, 18 array operations a step instead of 23).  When no
 kernel reads an increment (sigma = 0 under every control the run can use),
 no generator is built and nothing is drawn.  On `rotational` with candidate
-and gauge tracking (dt 1e-3, one worker, 2-core Xeon) the loop runs 4.0
-million path-steps/s at 500 paths and 11.9 million at 10 000 paths, against
-3.6 and 9.9 million for the row-major loop with one function per row.
+and gauge tracking (dt 1e-3, one worker, 2-core Xeon) the loop runs 4.3
+million path-steps/s at 500 paths and 12.5 million at 10 000 paths with
+256-step increment blocks, against 4.4 and 12.9 million with 1024-step
+blocks in the same session (median of 15 and 7); at 1024-step blocks the
+row-major loop with one function per row ran 3.6 and 9.9 million against
+4.0 and 11.9.
 
 Paths use counter-based per-path RNG streams keyed by (seed, path index), so
 ensembles are bit-identical for any worker count or chunk size, and whether
@@ -71,7 +74,13 @@ __all__ = [
     "empirical_viability",
 ]
 
-_BLOCK_STEPS = 1024
+# Steps per block of increments, for a single ensemble and a batch alike.  A
+# block holds 8 * _BLOCK_STEPS bytes per path and noise channel (2 KiB; 20 MB
+# for 10 000 paths), and every path makes one draw call per block, so fewer
+# bytes per path cost more calls: drawing a 10 000-path, 2000-step ensemble
+# took 0.620 s of CPU with 82 MB blocks of 1024 steps and 0.695 s with 20 MB
+# blocks of 256 (median of 9, 2-core Xeon).
+_BLOCK_STEPS = 256
 # Fewest paths per chunk: half the smallest ensemble that two forked chunks
 # step at least 10 % faster than one chunk.  On `rotational` with tracking (dt
 # 1e-3, T 2; median of 9, 2-core Xeon) two forked chunks against one take
@@ -81,7 +90,9 @@ _BLOCK_STEPS = 1024
 # per-step call overhead.
 _MIN_CHUNK_PATHS = 250
 # Paths whose increments are drawn into one slab before it is copied, transposed,
-# into the block; 128 paths of 1024 steps and one noise channel take 1 MB.
+# into the block; 128 paths of 256 steps and one noise channel take 256 KiB.
+# Each path fills its slab row with one draw call per block, so the slab's size
+# changes the bytes held, not the number of calls.
 _SLAB_PATHS = 128
 
 
@@ -330,11 +341,12 @@ def _simulate_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
     columns.  Without ``draws`` (no kernel reads an increment) no generator
     is built and nothing is drawn.  The step runs with one ``np.errstate``
     scope per block of steps; increments, states, box flags and radii go
-    into buffers reused from step to step.  A block has
-    ``_BLOCK_STEPS // len(x0s)`` steps, so a batch holds no more increments
-    than one ensemble.  The outputs equal the masked loop that steps every
-    path bit for bit.  ``feedback`` is None when one control serves every
-    path (``control_index``).
+    into buffers reused from step to step.  A block has ``_BLOCK_STEPS``
+    steps (fewer in the last one and when the horizon is shorter), in a
+    batch as in a single ensemble; each path's stream is drawn in order, so
+    the block length changes no bit.  The outputs equal the masked loop that
+    steps every path bit for bit.  ``feedback`` is None when one control
+    serves every path (``control_index``).
     """
     n = path_hi - path_lo
     dim = model.dim_state
@@ -376,7 +388,7 @@ def _simulate_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
         return np.empty((dim, size)), np.empty(size, dtype=bool), np.empty(size, dtype=bool)
 
     xn, ok, flag = buffers(n)
-    block_steps = min(max(1, _BLOCK_STEPS // len(x0s)), n_steps)
+    block_steps = min(_BLOCK_STEPS, n_steps)
     w = ()  # the increments of one step, as rows (m, paths), when drawn
     if draws:
         gens = [_path_generator(seeds[p // n_paths], p % n_paths)
@@ -578,6 +590,9 @@ def _simulate_batch(model, x0s, dt, T, n_paths, seeds, control=None, feedback=No
         raise ValueError(f"need one seed per start point, got {len(seeds)} seeds for "
                          f"{len(x0s)} x0")
     n_steps = int(round(T / dt))
+    if n_steps < 1:
+        raise ValueError(f"need T / dt to round to at least 1 step, got T={T!r} and "
+                         f"dt={dt!r}")
     control_index = _resolve_control(model, control)
     if model.n_controls == 1 or feedback is None:
         used_controls = [control_index]

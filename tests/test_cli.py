@@ -109,6 +109,13 @@ def test_negative_seed_is_config_error(tmp_path, capsys, argv):
     (["gauge", "--radii", "0.2,0.1,0.2"], "--radii"),
     (["gauge", "--radii", "0.2,-0.1"], "--radii"),
     (["gauge", "--radii", "0.2,nan"], "--radii"),
+    (["gauge", "--radii", "0.2,0.4", "--dt", "1e-3", "-T", "4e-4"], "-T"),
+    (["simulate", "--x0", "0.5,0", "-T", "5e-4"], "-T"),
+    (["pipeline", "--paths", "20", "-T", "4e-4"], "-T"),
+    (["pipeline", "--build-gauge", "--gauge-horizon", "-1"], "--gauge-horizon"),
+    (["pipeline", "--gauge-horizon", "nan"], "--gauge-horizon"),
+    (["pipeline", "--build-gauge", "--sim-dt", "0.01", "--gauge-horizon", "0.004"],
+     "--gauge-horizon"),
 ])
 def test_bad_ensemble_flags_are_config_errors(tmp_path, capsys, argv, flag):
     assert main([*argv, "--model", ROT, "--out", _runs(tmp_path)]) == 2

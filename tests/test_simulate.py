@@ -122,58 +122,53 @@ def _reference_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
             sample_row = 1
 
         single = model.n_controls == 1
-        step_index = 0
-        while step_index < n_steps:
-            block = min(simulate._BLOCK_STEPS, n_steps - step_index)
-            if increment_mode == "gaussian":
-                incs = np.stack([g.standard_normal((block, m)) for g in gens],
-                                axis=1) * root_dt
-            else:  # signed-bernoulli
-                incs = np.stack(
-                    [g.integers(0, 2, size=(block, m)) * 2.0 - 1.0 for g in gens], axis=1
-                ) * root_dt
-            for b in range(block):
-                k = step_index + b
-                w = incs[b]
-                if acc_l is not None and gauge is not None:
-                    acc_l[alive] += gauge.of_points(x[alive]) * dt
-                if occupation is not None:
-                    out = radius[None, :] > np.asarray(occ_radii)[:, None]
-                    occupation[:, alive] += dt * out[:, alive]
+        # the whole horizon in one draw per path, whatever the block length
+        if increment_mode == "gaussian":
+            incs = np.stack([g.standard_normal((n_steps, m)) for g in gens], axis=1) * root_dt
+        else:  # signed-bernoulli
+            incs = np.stack(
+                [g.integers(0, 2, size=(n_steps, m)) * 2.0 - 1.0 for g in gens], axis=1
+            ) * root_dt
+        for k in range(n_steps):
+            w = incs[k]
+            if acc_l is not None and gauge is not None:
+                acc_l[alive] += gauge.of_points(x[alive]) * dt
+            if occupation is not None:
+                out = radius[None, :] > np.asarray(occ_radii)[:, None]
+                occupation[:, alive] += dt * out[:, alive]
 
-                if single or feedback is None:
-                    xn = _reference_step(steps[control_index], x, w, dt)
-                else:
-                    indices = feedback.lookup(x)
-                    xn = np.empty_like(x)
-                    for ci in np.unique(indices):
-                        mask = indices == ci
-                        xn[mask] = _reference_step(steps[ci], x[mask], w[mask], dt)
+            if single or feedback is None:
+                xn = _reference_step(steps[control_index], x, w, dt)
+            else:
+                indices = feedback.lookup(x)
+                xn = np.empty_like(x)
+                for ci in np.unique(indices):
+                    mask = indices == ci
+                    xn[mask] = _reference_step(steps[ci], x[mask], w[mask], dt)
 
-                inside = np.all(np.isfinite(xn), axis=-1)
-                inside &= np.all((xn >= lower) & (xn <= upper), axis=-1)
-                newly_exited = alive & ~inside
-                exit_times[newly_exited] = (k + 1) * dt
-                x = np.where((alive & inside)[:, None], xn, x)
-                alive = alive & inside
+            inside = np.all(np.isfinite(xn), axis=-1)
+            inside &= np.all((xn >= lower) & (xn <= upper), axis=-1)
+            newly_exited = alive & ~inside
+            exit_times[newly_exited] = (k + 1) * dt
+            x = np.where((alive & inside)[:, None], xn, x)
+            alive = alive & inside
 
-                radius = np.linalg.norm(x, axis=-1)
-                np.maximum(sup_radius, np.where(alive, radius, -np.inf), out=sup_radius)
-                timeline[k + 1] = radius[alive].max() if alive.any() else 0.0
-                if cand is not None:
-                    vx = cand.value(x)
-                    np.maximum(sup_v, np.where(alive, vx, -np.inf), out=sup_v)
-                    excess = vx + (acc_l if gauge is not None else 0.0) - v0
-                    better = alive & (excess > supermax)
-                    supermax_t[better] = (k + 1) * dt
-                    np.maximum(supermax, np.where(alive, excess, -np.inf), out=supermax)
-                if sup_d is not None:
-                    dx = np.abs(np.asarray(target_fn(x), dtype=float))
-                    np.maximum(sup_d, np.where(alive, dx, -np.inf), out=sup_d)
-                if thin and (k + 1) % thin == 0:
-                    stored[sample_row] = x
-                    sample_row += 1
-            step_index += block
+            radius = np.linalg.norm(x, axis=-1)
+            np.maximum(sup_radius, np.where(alive, radius, -np.inf), out=sup_radius)
+            timeline[k + 1] = radius[alive].max() if alive.any() else 0.0
+            if cand is not None:
+                vx = cand.value(x)
+                np.maximum(sup_v, np.where(alive, vx, -np.inf), out=sup_v)
+                excess = vx + (acc_l if gauge is not None else 0.0) - v0
+                better = alive & (excess > supermax)
+                supermax_t[better] = (k + 1) * dt
+                np.maximum(supermax, np.where(alive, excess, -np.inf), out=supermax)
+            if sup_d is not None:
+                dx = np.abs(np.asarray(target_fn(x), dtype=float))
+                np.maximum(sup_d, np.where(alive, dx, -np.inf), out=sup_d)
+            if thin and (k + 1) % thin == 0:
+                stored[sample_row] = x
+                sample_row += 1
 
     out = {
         "x": x, "alive": alive, "exit_times": exit_times, "sup_radius": sup_radius,
@@ -337,7 +332,8 @@ def test_noise_free_batch_draws_nothing(monkeypatch, name, bang1d):
         kw.update(increment_mode="signed-bernoulli")
     calls = []
     monkeypatch.setattr(simulate, "_path_generator", lambda *a: calls.append(a))
-    block_bytes = 512 * kw["n_paths"] * 8  # the (steps, noise, paths) block, were it drawn
+    # the (steps, noise, paths) block, were it drawn
+    block_bytes = simulate._BLOCK_STEPS * kw["n_paths"] * 8
     tracemalloc.start()
     try:
         new = al.simulate_ensemble(bang1d.model, **kw)
@@ -423,6 +419,15 @@ def _batch_case(name, rotational, unstable1d, bang1d):
         pm = al.parse_model(_NOISY_REPELLER)
         x0s = [[0.2, 0.1], [0.05, -0.3], [0.6, 0.0]]
         kw = dict(dt=1e-3, T=3.0, n_paths=30, increment_mode="signed-bernoulli")
+    elif name == "noisy-and-calm-controls":
+        # noisy inside |x| <= 0.3, calm and expanding outside: some paths exit
+        pm = al.parse_model(_CALM_OR_NOISY)
+        x0s = [[0.1], [-0.25], [0.0]]
+        kw = dict(dt=1e-3, T=3.0, n_paths=12, thin=30, feedback=_two_control_feedback())
+    elif name == "forked-workers":  # two chunks, the second stepped in a forked child
+        pm = al.parse_model(_REPELLER_3D)
+        x0s = [[0.2, 0.1, 0.3], [0.1, -0.4, 0.0]]
+        kw = dict(dt=1e-3, T=2.0, n_paths=25, occupation_radii=[0.3], workers=2)
     else:  # workers: chunk bounds fall inside ensembles
         pm = al.parse_model(_REPELLER_3D)
         x0s = [[0.2, 0.1, 0.3], [0.1, -0.4, 0.0]]
@@ -440,22 +445,36 @@ def _assert_same_ensemble(got, alone):
             assert a is b or a == b, f.name
 
 
+_BLOCK_LENGTHS = (1, 7, 256, 1024)
+
+
 @pytest.mark.parametrize("name", ["staggered-exits", "bang1d-two-controls",
-                                  "occupation-target-thin", "signed-bernoulli", "workers"])
-def test_batch_matches_separate_ensembles(monkeypatch, name, rotational, unstable1d, bang1d):
+                                  "occupation-target-thin", "signed-bernoulli", "workers",
+                                  "noisy-and-calm-controls", "forked-workers"])
+def test_batch_matches_separate_ensembles(monkeypatch, forks, name, rotational, unstable1d,
+                                          bang1d):
     pm, x0s, kw = _batch_case(name, rotational, unstable1d, bang1d)
     monkeypatch.setattr(simulate, "_MIN_CHUNK_PATHS", 1)
+    if name == "forked-workers":
+        monkeypatch.setattr(fields, "_cpus", lambda: 2)
     seeds = [40 + 3 * g for g in range(len(x0s))]
-    batch = simulate._simulate_batch(pm.model, x0s, seeds=seeds, **kw)
-    assert len(batch) == len(x0s)
-    for x0, seed, got in zip(x0s, seeds, batch):
-        alone = al.simulate_ensemble(pm.model, x0, seed=seed, **{**kw, "workers": 1})
-        _assert_same_ensemble(got, alone)
+    alone = [al.simulate_ensemble(pm.model, x0, seed=seed, **{**kw, "workers": 1})
+             for x0, seed in zip(x0s, seeds)]
+    # the block length changes no bit, whether a block ends before, at or after an exit
+    for block_steps in _BLOCK_LENGTHS:
+        with monkeypatch.context() as mp:
+            mp.setattr(simulate, "_BLOCK_STEPS", block_steps)
+            batch = simulate._simulate_batch(pm.model, x0s, seeds=seeds, **kw)
+        assert len(batch) == len(x0s)
+        for got, ens in zip(batch, alone):
+            _assert_same_ensemble(got, ens)
+    if name == "forked-workers":  # one child per batch
+        assert len(forks) == len(_BLOCK_LENGTHS)
     exited = [ens.exited.all() for ens in batch]
     if name == "staggered-exits":  # two ensembles empty while the third runs on
         assert exited == [True, False, True]
         assert not batch[1].exited.any()
-    elif name in ("signed-bernoulli", "workers"):
+    elif name in ("signed-bernoulli", "workers", "noisy-and-calm-controls", "forked-workers"):
         assert any(0 < ens.exited.sum() < kw["n_paths"] for ens in batch)
 
 
@@ -468,16 +487,18 @@ def test_block_length_rule(monkeypatch, rotational):
         return draw(gens, increment_mode, root_dt, slab, out)
 
     monkeypatch.setattr(simulate, "_draw", spy)
-    kw = dict(dt=1e-3, T=2.0, n_paths=4)
+    kw = dict(dt=1e-3, n_paths=4)
     for n_starts in (1, 3):
+        # 256-step blocks for one start and for a batch alike: 7 blocks and 208 steps
         shapes.clear()
         simulate._simulate_batch(rotational.model, [[0.5, 0.0]] * n_starts,
-                                 seeds=list(range(n_starts)), **kw)
-        block = simulate._BLOCK_STEPS // n_starts  # 1024 and 341
-        full, last = divmod(2000, block)
-        assert shapes == [(block, 1, 4 * n_starts)] * full + [(last, 1, 4 * n_starts)]
-        # a batch holds no more increments than one ensemble
-        assert block * 4 * n_starts <= simulate._BLOCK_STEPS * 4
+                                 seeds=list(range(n_starts)), T=2.0, **kw)
+        assert shapes == [(256, 1, 4 * n_starts)] * 7 + [(208, 1, 4 * n_starts)]
+        # a horizon shorter than a block is drawn in one block of its length
+        shapes.clear()
+        simulate._simulate_batch(rotational.model, [[0.5, 0.0]] * n_starts,
+                                 seeds=list(range(n_starts)), T=0.1, **kw)
+        assert shapes == [(100, 1, 4 * n_starts)]
 
 
 def test_increment_block_is_held_once(rotational):
@@ -492,6 +513,8 @@ def test_increment_block_is_held_once(rotational):
         tracemalloc.stop()
     # one (steps, paths, noise) block and per-path state, not a per-path copy as well
     assert block_bytes <= peak < 1.5 * block_bytes
+    # 256-step blocks: 11.0 MiB, where 1024-step blocks took 35.8 MiB
+    assert peak < 16 * 2**20
 
 
 def _per_start_estimate(model, x0_list, dt, T, n_paths, seed):
@@ -643,7 +666,8 @@ def test_increment_mode_validation(rotational):
 
 
 @pytest.mark.parametrize("bad", [dict(dt=0.0), dict(T=-1.0), dict(n_paths=0),
-                                 dict(workers=0), dict(thin=-1)])
+                                 dict(workers=0), dict(thin=-1),
+                                 dict(T=4e-4), dict(T=5e-4)])  # round(T / dt) is 0
 def test_ensemble_arguments_validated(rotational, bad):
     kw = {**dict(x0=[0.1, 0], dt=1e-3, T=0.1, n_paths=1, seed=0), **bad}
     name = next(iter(bad))
