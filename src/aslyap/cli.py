@@ -23,12 +23,12 @@ import numpy as np
 from . import __version__
 from .fields import Grid, ScalarField, _csv, extract_level_set
 from .gauges import GaugeFunction
-from .model import CandidateFunction, ModelError, ParsedModel, parse_model
+from .model import ModelError, ParsedModel, parse_model
 from .simulate import (
     _simulate_batch,
+    _step_count,
     build_decay_gauge,
     check_supermaxingale,
-    empirical_viability,
     estimate_decay_envelope,
     estimate_stabilizability_gauge,
     measure_occupation_times,
@@ -54,12 +54,24 @@ class ConfigError(ValueError):
     pass
 
 
+# the rules a flag's value must meet: (what it must be, test of the value)
+_POSITIVE = ("a positive finite number", lambda v: 0 < v < np.inf)
+_NONNEGATIVE = ("nonnegative and finite", lambda v: 0 <= v < np.inf)
+_AT_LEAST_1 = ("at least 1", lambda v: v >= 1)
+_FINITE = ("finite", np.isfinite)
+# a path's Philox key, (seed << 64) + path, must stay below 2**128, also for the
+# seeds the commands derive from --seed by adding small offsets
+_SEED = ("nonnegative and below 2**63", lambda v: 0 <= v < 2**63)
+
+
 def _load_model(path: str) -> ParsedModel:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"model file not found: {path}")
     try:
         return parse_model(p.read_text())
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot read model file {path}: {err}") from None
     except ModelError as err:
         raise ConfigError(f"bad model file {path}: {err}") from None
 
@@ -68,8 +80,6 @@ def _parse_grid(spec: str | None, parsed: ParsedModel, rho: float | None) -> Gri
     """The grid of ``--grid``, else 61 nodes per axis on the model's finite
     ``[domain]``; every error in the spec, also from ``Grid``, names the flag."""
     lo, up = parsed.model.domain_lower, parsed.model.domain_upper
-    if rho is not None and not rho >= 0:
-        raise ConfigError(f"--rho must be nonnegative, got {rho}")
     if spec is None:
         if not np.all(np.isfinite((*lo, *up))):
             raise ConfigError(
@@ -95,6 +105,15 @@ def _parse_grid(spec: str | None, parsed: ParsedModel, rho: float | None) -> Gri
         raise ConfigError(f"--grid {spec}: {err}") from None
 
 
+def _inner_radius(grid: Grid) -> float:
+    """The distance from the origin to the grid box's nearest face, which sets the
+    default caps; ConfigError unless the origin lies strictly inside the box."""
+    if not all(l < 0 < u for l, u in zip(grid.lower, grid.upper)):
+        raise ConfigError(f"the grid (--grid, else the model's [domain]) must hold the "
+                          f"origin strictly inside, got lower {grid.lower}, upper {grid.upper}")
+    return min(min(-l, u) for l, u in zip(grid.lower, grid.upper))
+
+
 def _config_hash(cfg: dict) -> str:
     canon = json.dumps(cfg, sort_keys=True, default=str)
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
@@ -110,41 +129,23 @@ def _run_dir(out: str, cfg: dict) -> Path:
     return d
 
 
-def _check_seed(seed: int) -> None:
-    if seed < 0:
-        raise ConfigError(f"--seed must be nonnegative, got {seed}")
-
-
-def _check_positive(*flags) -> None:
-    """Reject each (flag, value) whose value is given but not positive and finite."""
-    for flag, value in flags:
-        if value is not None and not (np.isfinite(value) and value > 0):
-            raise ConfigError(f"{flag} must be a positive finite number, got {value}")
-
-
-def _check_ensemble_flags(args, dt_flag: str, dt: float, *horizons) -> None:
-    """Reject the flags of an ensemble command before any run directory exists.
-
-    ``horizons`` are more (flag, value) horizons stepped at ``dt`` beside -T;
-    each must be positive, finite and at least one step once rounded.
-    """
-    _check_seed(args.seed)
-    horizons = (("-T", args.horizon), *horizons)
-    _check_positive((dt_flag, dt), *horizons)
+def _check_steps(dt_flag: str, dt: float, *horizons) -> None:
+    """Reject each (flag, value) horizon whose step count at ``dt`` is not one
+    ``_simulate_batch`` can step: at least 1 and below np.intp's largest value."""
     for flag, value in horizons:
-        if value / dt <= 0.5:  # round(value / dt) is 0: nothing would be stepped
-            raise ConfigError(f"{flag} must be at least one {dt_flag} step once rounded, "
-                              f"got {flag} {value} with {dt_flag} {dt}")
-    for flag, value in (("--paths", args.paths), ("--workers", args.workers)):
-        if value < 1:
-            raise ConfigError(f"{flag} must be at least 1, got {value}")
+        try:
+            _step_count(value, dt)
+        except ValueError:
+            raise ConfigError(f"{flag} must be at least one and fewer than "
+                              f"{np.iinfo(np.intp).max} {dt_flag} steps once rounded, "
+                              f"got {flag} {value} with {dt_flag} {dt}") from None
 
 
-def _vector(text: str) -> list[float]:
+def _vector(flag: str, text: str) -> list[float]:
     try:
         return [float(p) for p in text.split(",")]
     except ValueError:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from None
+        raise ConfigError(f"{flag} must be comma-separated numbers, got {text!r}") from None
 
 
 def _write_field(run_dir: Path, name: str, result, extra: dict | None = None):
@@ -180,13 +181,20 @@ def cmd_check(args) -> int:
 
 
 def cmd_value(args) -> int:
-    _check_positive(("--dt", args.dt), ("--cap", args.cap), ("--tol", args.tol))
-    if args.kind == "discounted":
-        _check_positive(("--lambda", args.discount), ("--theta", args.theta))
     parsed = _load_model(args.model)
     model = parsed.model
     grid = _parse_grid(args.grid, parsed, args.rho)
-    inner_radius = min(min(abs(l), abs(u)) for l, u in zip(grid.lower, grid.upper))
+    inner_radius = _inner_radius(grid)
+    if args.kind == "discounted" and args.cap is not None and args.cap >= inner_radius:
+        raise ConfigError(f"--cap must be below the grid radius {inner_radius} for a "
+                          f"discounted value, got {args.cap}")
+    if args.kind == "integral":
+        if parsed.gauge is None:
+            raise ConfigError("integral value needs a gauge l in the [candidate] section")
+        l_min = float(np.min(parsed.gauge.of_points(grid.nodes())))
+        if not l_min >= 0:
+            raise ConfigError(f"l in the [candidate] section of {args.model} must be "
+                              f"nonnegative on the grid, got {l_min}")
     cfg = {"cmd": "value", "kind": args.kind, "model": args.model, "grid": args.grid,
            "dt": args.dt, "cap": args.cap, "tol": args.tol, "lambda": args.discount,
            "theta": args.theta, "model_hash": parsed.text_hash()}
@@ -197,8 +205,6 @@ def cmd_value(args) -> int:
         scheme = default_scheme(model, grid, cap=cap, dt=args.dt, tolerance=args.tol)
         result = worst_case_sup_value(model, grid, scheme)
     elif args.kind == "integral":
-        if parsed.gauge is None:
-            raise ConfigError("integral value needs a gauge l in the [candidate] section")
         max_r = float(np.linalg.norm(grid.nodes(), axis=-1).max())
         cap = args.cap if args.cap is not None else 5.0 * max_r
         scheme = default_scheme(model, grid, cap=cap, dt=args.dt, tolerance=args.tol)
@@ -224,14 +230,14 @@ def cmd_value(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _check_ensemble_flags(args, "--dt", args.dt)
-    if args.thin < 0:
-        raise ConfigError(f"--thin must be nonnegative, got {args.thin}")
+    _check_steps("--dt", args.dt, ("-T", args.horizon))
     parsed = _load_model(args.model)
-    x0 = _vector(args.x0)
+    x0 = _vector("--x0", args.x0)
     if len(x0) != parsed.model.dim_state:
         raise ConfigError(f"--x0 must have {parsed.model.dim_state} component(s), "
                           f"got {len(x0)}")
+    if not np.all(np.isfinite(x0)):
+        raise ConfigError(f"--x0 must be finite, got {args.x0}")
     cfg = {"cmd": "simulate", "model": args.model, "x0": args.x0, "dt": args.dt,
            "T": args.horizon, "paths": args.paths, "seed": args.seed,
            "increments": args.increments, "thin": args.thin,
@@ -254,9 +260,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_gauge(args) -> int:
-    _check_ensemble_flags(args, "--dt", args.dt)
+    _check_steps("--dt", args.dt, ("-T", args.horizon))
     parsed = _load_model(args.model)
-    radii = sorted(_vector(args.radii))
+    radii = sorted(_vector("--radii", args.radii))
     if not all(0 < r < np.inf for r in radii):
         raise ConfigError("--radii must be positive and finite")
     if len(set(radii)) < len(radii):
@@ -300,15 +306,15 @@ def cmd_viability(args) -> int:
     if parsed.candidate is None:
         raise ConfigError("viability check needs a [candidate] section")
     grid = _parse_grid(args.grid, parsed, args.rho)
+    fld = ScalarField(grid=grid, values=parsed.candidate.value(grid.nodes()), name="candidate")
+    if not fld.min() < args.mu < fld.max():
+        raise ConfigError(f"--mu must be strictly between the candidate's least and "
+                          f"greatest values on the grid, {fld.min()} and {fld.max()}, "
+                          f"got {args.mu}")
     cfg = {"cmd": "viability", "model": args.model, "grid": args.grid, "mu": args.mu,
            "eps_tan": args.eps_tan, "tol": args.tol, "model_hash": parsed.text_hash()}
     run_dir = _run_dir(args.out, cfg)
-    values = parsed.candidate.value(grid.nodes())
-    fld = ScalarField(grid=grid, values=values, name="candidate")
-    try:
-        levelset = extract_level_set(fld, args.mu)
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
+    levelset = extract_level_set(fld, args.mu)
     report = check_viability_boundary(parsed.model, levelset, tol=args.tol,
                                       eps_tan=args.eps_tan)
     (run_dir / "report.json").write_text(report.to_json())
@@ -331,13 +337,12 @@ class _FieldValue:
 
 
 def cmd_pipeline(args) -> int:
-    _check_ensemble_flags(args, "--sim-dt", args.sim_dt,
-                          ("--gauge-horizon", args.gauge_horizon))
-    _check_positive(("--dt", args.dt), ("--cap", args.cap))
+    _check_steps("--sim-dt", args.sim_dt, ("-T", args.horizon),
+                 ("--gauge-horizon", args.gauge_horizon))
     parsed = _load_model(args.model)
     model = parsed.model
     grid = _parse_grid(args.grid, parsed, args.rho)
-    inner_radius = min(min(abs(l), abs(u)) for l, u in zip(grid.lower, grid.upper))
+    inner_radius = _inner_radius(grid)
     cap = args.cap if args.cap is not None else inner_radius
     cfg = {"cmd": "pipeline", "model": args.model, "grid": args.grid, "dt": args.dt,
            "cap": cap, "paths": args.paths, "seed": args.seed, "T": args.horizon,
@@ -399,10 +404,10 @@ def cmd_pipeline(args) -> int:
     print(f"stage gauge: ok (kappa={decay.kappa:.3g})")
 
     # 5. pathwise monotonicity of the candidate along controlled paths
-    supermax_tol = args.supermax_tol
-    worst = max(float(e.supermax_excess.max()) for e in ensembles)
-    v0 = float(sim_candidate.value(np.asarray(x0s[-1])))
-    ok = worst <= supermax_tol * (1.0 + v0)
+    checks = [check_supermaxingale(e, sim_candidate, parsed.gauge, args.supermax_tol)
+              for e in ensembles]
+    worst = max(c.worst_excess for c in checks)
+    ok = all(c.passed for c in checks)
     stages["supermaxingale"] = {"worst_excess": worst, "passed": ok}
     if not ok:
         print(f"stage supermaxingale: FAILED (excess {worst:.4g})")
@@ -470,77 +475,72 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, grid=True):
+    def command(name, func, help, grid=True):
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(func=func, checks=[])
         sp.add_argument("--model", required=True, help="model file path")
         sp.add_argument("--out", default="runs", help="output directory")
         if grid:
             sp.add_argument("--grid", default=None,
                             help="nodes per axis 'n' / 'n1,n2' or 'lo:hi:n,...'")
-            sp.add_argument("--rho", type=float, default=None,
-                            help="origin exclusion radius (default 2 max spacing)")
+            arg(sp, "--rho", type=float, default=None, check=_NONNEGATIVE,
+                help="origin exclusion radius (default 2 max spacing)")
+        return sp
 
-    sp = sub.add_parser("check", help="verify the model's candidate function")
-    common(sp)
-    sp.add_argument("--eps-tan", type=float, default=None)
-    sp.add_argument("--tol", type=float, default=None)
-    sp.set_defaults(func=cmd_check)
+    def arg(sp, *names, check, **kw):
+        """Add a numeric flag with the rule (one of _POSITIVE, ...) that ``main``
+        applies to its value, when given, before the command runs."""
+        sp.get_default("checks").append((names[0], sp.add_argument(*names, **kw).dest, check))
 
-    sp = sub.add_parser("value", help="compute a worst-case or discounted value field")
+    def ensemble(sp, horizon, paths):
+        arg(sp, "-T", "--horizon", type=float, default=horizon, check=_POSITIVE)
+        arg(sp, "--paths", type=int, default=paths, check=_AT_LEAST_1)
+        arg(sp, "--seed", type=int, default=0, check=_SEED)
+        arg(sp, "--workers", type=int, default=1, check=_AT_LEAST_1)
+
+    sp = command("check", cmd_check, "verify the model's candidate function")
+    arg(sp, "--eps-tan", type=float, default=None, check=_NONNEGATIVE)
+    arg(sp, "--tol", type=float, default=None, check=_NONNEGATIVE)
+
+    sp = command("value", cmd_value, "compute a worst-case or discounted value field")
     sp.add_argument("kind", choices=["sup", "integral", "discounted"])
-    common(sp)
-    sp.add_argument("--dt", type=float, default=None)
-    sp.add_argument("--cap", type=float, default=None,
-                    help="saturation cap (sup/integral) or ball radius K (discounted)")
-    sp.add_argument("--tol", type=float, default=1e-6, help="sweep residual tolerance")
-    sp.add_argument("--lambda", dest="discount", type=float, default=1.0)
-    sp.add_argument("--theta", type=float, default=None)
-    sp.set_defaults(func=cmd_value)
+    arg(sp, "--dt", type=float, default=None, check=_POSITIVE)
+    arg(sp, "--cap", type=float, default=None, check=_POSITIVE,
+        help="saturation cap (sup/integral) or ball radius K (discounted)")
+    arg(sp, "--tol", type=float, default=1e-6, check=_POSITIVE,
+        help="sweep residual tolerance")
+    arg(sp, "--lambda", dest="discount", type=float, default=1.0, check=_POSITIVE)
+    arg(sp, "--theta", type=float, default=None, check=_POSITIVE)
 
-    sp = sub.add_parser("simulate", help="run a Milstein (or Euler-Maruyama) ensemble")
-    common(sp, grid=False)
+    sp = command("simulate", cmd_simulate, "run a Milstein (or Euler-Maruyama) ensemble",
+                 grid=False)
     sp.add_argument("--x0", required=True, help="initial state, comma separated")
-    sp.add_argument("--dt", type=float, default=1e-3)
-    sp.add_argument("-T", "--horizon", type=float, default=10.0)
-    sp.add_argument("--paths", type=int, default=1000)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--workers", type=int, default=1)
+    arg(sp, "--dt", type=float, default=1e-3, check=_POSITIVE)
+    ensemble(sp, horizon=10.0, paths=1000)
     sp.add_argument("--increments", choices=["gaussian", "signed-bernoulli"],
                     default="gaussian")
-    sp.add_argument("--thin", type=int, default=0, help="store every n-th state")
-    sp.set_defaults(func=cmd_simulate)
+    arg(sp, "--thin", type=int, default=0, check=_NONNEGATIVE, help="store every n-th state")
 
-    sp = sub.add_parser("gauge", help="fit stabilizability and decay envelopes")
-    common(sp, grid=False)
+    sp = command("gauge", cmd_gauge, "fit stabilizability and decay envelopes", grid=False)
     sp.add_argument("--radii", required=True, help="initial radii, comma separated")
-    sp.add_argument("--dt", type=float, default=1e-3)
-    sp.add_argument("-T", "--horizon", type=float, default=10.0)
-    sp.add_argument("--paths", type=int, default=1000)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--workers", type=int, default=1)
-    sp.set_defaults(func=cmd_gauge)
+    arg(sp, "--dt", type=float, default=1e-3, check=_POSITIVE)
+    ensemble(sp, horizon=10.0, paths=1000)
 
-    sp = sub.add_parser("viability", help="boundary viability of a sublevel set")
-    common(sp)
-    sp.add_argument("--mu", type=float, required=True, help="sublevel of the candidate")
-    sp.add_argument("--eps-tan", type=float, default=None)
-    sp.add_argument("--tol", type=float, default=None)
-    sp.set_defaults(func=cmd_viability)
+    sp = command("viability", cmd_viability, "boundary viability of a sublevel set")
+    arg(sp, "--mu", type=float, required=True, check=_FINITE, help="sublevel of the candidate")
+    arg(sp, "--eps-tan", type=float, default=None, check=_NONNEGATIVE)
+    arg(sp, "--tol", type=float, default=None, check=_NONNEGATIVE)
 
-    sp = sub.add_parser("pipeline", help="value, feedback, ensembles, gauges, re-check")
-    common(sp)
-    sp.add_argument("--dt", type=float, default=None, help="value-iteration step")
-    sp.add_argument("--sim-dt", type=float, default=1e-3)
-    sp.add_argument("--cap", type=float, default=None)
-    sp.add_argument("-T", "--horizon", type=float, default=8.0)
-    sp.add_argument("--paths", type=int, default=500)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--workers", type=int, default=1)
-    sp.add_argument("--supermax-tol", type=float, default=0.05)
+    sp = command("pipeline", cmd_pipeline, "value, feedback, ensembles, gauges, re-check")
+    arg(sp, "--dt", type=float, default=None, check=_POSITIVE, help="value-iteration step")
+    arg(sp, "--sim-dt", type=float, default=1e-3, check=_POSITIVE)
+    arg(sp, "--cap", type=float, default=None, check=_POSITIVE)
+    ensemble(sp, horizon=8.0, paths=500)
+    arg(sp, "--supermax-tol", type=float, default=0.05, check=_NONNEGATIVE)
     sp.add_argument("--build-gauge", action="store_true")
-    sp.add_argument("--gauge-levels", type=int, default=8)
-    sp.add_argument("--gauge-horizon", type=float, default=25.0)
+    arg(sp, "--gauge-levels", type=int, default=8, check=_NONNEGATIVE)
+    arg(sp, "--gauge-horizon", type=float, default=25.0, check=_POSITIVE)
     sp.add_argument("--multi-cap", action="store_true")
-    sp.set_defaults(func=cmd_pipeline)
     return p
 
 
@@ -551,11 +551,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
     try:
+        for flag, dest, (rule, ok) in args.checks:
+            value = getattr(args, dest)
+            if value is not None and not ok(value):
+                raise ConfigError(f"{flag} must be {rule}, got {value}")
         return args.func(args)
     except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ModelError, ValueError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as err:

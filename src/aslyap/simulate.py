@@ -55,7 +55,6 @@ from . import fields
 from .fields import _coord_header, _csv
 from .gauges import ComparisonGauge, GaugeFunction, monotone_envelope
 from .model import CandidateFunction, ControlledDiffusion
-from .values import FeedbackMap
 
 __all__ = [
     "TrajectoryEnsemble",
@@ -557,6 +556,16 @@ def _run_chunks(args) -> list[dict]:
                 os.waitpid(pid, 0)
 
 
+def _step_count(T, dt) -> int:
+    """round(T / dt); ValueError unless it is at least 1 and below np.intp's
+    largest value, the longest an array axis can be."""
+    steps = T / dt
+    if not 0.5 < steps < np.iinfo(np.intp).max:
+        raise ValueError(f"need T / dt to round to at least 1 and fewer than "
+                         f"{np.iinfo(np.intp).max} steps, got T={T!r} and dt={dt!r}")
+    return int(round(steps))
+
+
 def _simulate_batch(model, x0s, dt, T, n_paths, seeds, control=None, feedback=None,
                     increment_mode="gaussian", domain=None, candidate=None, gauge=None,
                     occupation_radii=None, target_distance=None, thin=0, workers=1,
@@ -564,7 +573,7 @@ def _simulate_batch(model, x0s, dt, T, n_paths, seeds, control=None, feedback=No
     """One step loop for the ensembles from each of ``x0s``; one ensemble per start.
 
     Ensemble g equals ``simulate_ensemble(model, x0s[g], ..., seed=seeds[g])``
-    bit for bit; the other arguments are those of ``simulate_ensemble``.
+    bit for bit; ``simulate_ensemble`` documents the keywords it forwards here.
     ``workers`` sets the number of chunks (at most one per
     ``_MIN_CHUNK_PATHS`` paths of one ensemble); ``_run_chunks`` steps them
     in forked processes, at most one per usable core, or in order on the
@@ -589,10 +598,7 @@ def _simulate_batch(model, x0s, dt, T, n_paths, seeds, control=None, feedback=No
     if len(seeds) != len(x0s):
         raise ValueError(f"need one seed per start point, got {len(seeds)} seeds for "
                          f"{len(x0s)} x0")
-    n_steps = int(round(T / dt))
-    if n_steps < 1:
-        raise ValueError(f"need T / dt to round to at least 1 step, got T={T!r} and "
-                         f"dt={dt!r}")
+    n_steps = _step_count(T, dt)
     control_index = _resolve_control(model, control)
     if model.n_controls == 1 or feedback is None:
         used_controls = [control_index]
@@ -680,26 +686,16 @@ def _simulate_batch(model, x0s, dt, T, n_paths, seeds, control=None, feedback=No
     return ensembles
 
 
-def simulate_ensemble(
-    model: ControlledDiffusion,
-    x0,
-    dt: float,
-    T: float,
-    n_paths: int,
-    seed: int,
-    control=None,
-    feedback: FeedbackMap | None = None,
-    increment_mode: str = "gaussian",
-    domain: tuple | None = None,
-    candidate: CandidateFunction | None = None,
-    gauge: GaugeFunction | None = None,
-    occupation_radii=None,
-    target_distance=None,
-    thin: int = 0,
-    workers: int = 1,
-    integrator: str = "milstein",
-) -> TrajectoryEnsemble:
+def simulate_ensemble(model: ControlledDiffusion, x0, dt: float, T: float, n_paths: int,
+                      seed: int, **kw) -> TrajectoryEnsemble:
     """Simulate n_paths trajectories from x0.
+
+    The keywords, passed on to ``_simulate_batch``, and their defaults:
+    ``control=None`` (index or label), ``feedback=None`` (a ``FeedbackMap``),
+    ``increment_mode="gaussian"`` or "signed-bernoulli", ``domain=None``
+    (a (lower, upper) box, else the model's), ``candidate=None``,
+    ``gauge=None``, ``occupation_radii=None``, ``target_distance=None``,
+    ``thin=0``, ``workers=1`` and ``integrator="milstein"``.
 
     ``integrator`` is "milstein" (the default) or "euler".  The Milstein step
     runs for Gaussian increments when the noise of every control the
@@ -709,12 +705,7 @@ def simulate_ensemble(
     truncated at exit).  ``thin`` > 0 stores every thin-th state for
     plotting; running statistics always use every step.
     """
-    return _simulate_batch(
-        model, [x0], dt, T, n_paths, [seed], control=control, feedback=feedback,
-        increment_mode=increment_mode, domain=domain, candidate=candidate, gauge=gauge,
-        occupation_radii=occupation_radii, target_distance=target_distance, thin=thin,
-        workers=workers, integrator=integrator,
-    )[0]
+    return _simulate_batch(model, [x0], dt, T, n_paths, [seed], **kw)[0]
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import warnings
@@ -12,6 +13,7 @@ from aslyap.cli import main
 from conftest import MODELS
 
 ROT = str(MODELS / "rotational.model")
+ROT_TEXT = (MODELS / "rotational.model").read_text()
 LIN = str(MODELS / "linear1d.model")
 UNSTABLE = str(MODELS / "unstable1d.model")
 UNSTABLE2D = str(MODELS / "unstable2d.model")
@@ -71,6 +73,15 @@ def test_missing_model_file_is_config_error(tmp_path):
     assert main(["check", "--model", "nope.model", "--out", _runs(tmp_path)]) == 2
 
 
+def test_unreadable_model_file_is_config_error(tmp_path, capsys):
+    binary = tmp_path / "binary.model"
+    binary.write_bytes(b"\xff\xfe\x00")
+    for path in (tmp_path, binary):
+        assert main(["check", "--model", str(path), "--out", _runs(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: cannot read model file {path}")
+    assert not (tmp_path / "runs").exists()
+
+
 def test_unknown_flag_is_config_error(tmp_path):
     assert main(["check", "--model", ROT, "--bogus", "1"]) == 2
 
@@ -116,6 +127,12 @@ def test_negative_seed_is_config_error(tmp_path, capsys, argv):
     (["pipeline", "--gauge-horizon", "nan"], "--gauge-horizon"),
     (["pipeline", "--build-gauge", "--sim-dt", "0.01", "--gauge-horizon", "0.004"],
      "--gauge-horizon"),
+    (["simulate", "--x0", "nan,0"], "--x0"),
+    (["simulate", "--x0", "0.5,0", "--paths", "2", "--dt", "1e-200", "-T", "1"], "-T"),
+    (["simulate", "--x0", "0.5,0", "--paths", "2", "--dt", "1e-320", "-T", "1"], "-T"),
+    (["simulate", "--x0", "0.5,x"], "--x0"),
+    (["gauge", "--radii", "0.2,x"], "--radii"),
+    (["gauge", "--radii", "0.2", "--seed", str(2**64)], "--seed"),
 ])
 def test_bad_ensemble_flags_are_config_errors(tmp_path, capsys, argv, flag):
     assert main([*argv, "--model", ROT, "--out", _runs(tmp_path)]) == 2
@@ -139,6 +156,14 @@ def test_bad_ensemble_flags_are_config_errors(tmp_path, capsys, argv, flag):
     (["pipeline", "--dt", "nan"], "--dt"),
     (["pipeline", "--cap", "0"], "--cap"),
     (["pipeline", "--cap", "inf"], "--cap"),
+    (["check", "--eps-tan", "-1"], "--eps-tan"),
+    (["check", "--tol", "nan"], "--tol"),
+    (["viability", "--mu", "nan"], "--mu"),
+    (["viability", "--mu", "5"], "--mu"),
+    (["pipeline", "--supermax-tol", "nan"], "--supermax-tol"),
+    (["pipeline", "--build-gauge", "--gauge-levels", "-1"], "--gauge-levels"),
+    (["value", "discounted", "--cap", "1.5"], "--cap"),
+    (["value", "sup", "--lambda", "-1"], "--lambda"),
 ])
 def test_bad_value_flags_are_config_errors(tmp_path, capsys, argv, flag):
     with warnings.catch_warnings():
@@ -146,6 +171,62 @@ def test_bad_value_flags_are_config_errors(tmp_path, capsys, argv, flag):
         assert main([*argv, "--model", ROT, "--grid", "21", "--out", _runs(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {flag} must be ")
     assert not (tmp_path / "runs").exists()  # rejected before any run directory
+
+
+def _subcommands() -> dict:
+    parser = cli.build_parser()
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+# the least each subcommand needs beside --model and the flag under test
+_REQUIRED = {"check": ["check"], "value": ["value", "sup"],
+             "simulate": ["simulate", "--x0", "0.5,0"], "gauge": ["gauge", "--radii", "0.2"],
+             "viability": ["viability", "--mu", "0.5"], "pipeline": ["pipeline"]}
+
+
+def test_every_numeric_flag_has_exactly_one_check():
+    assert set(_subcommands()) == set(_REQUIRED)
+    for name, sp in _subcommands().items():
+        checked = [dest for _, dest, _ in sp.get_default("checks")]
+        numeric = [a.dest for a in sp._actions if a.type in (float, int)]
+        assert numeric and sorted(checked) == sorted(numeric), name
+
+
+@pytest.mark.parametrize("command, flag", [
+    (name, flag) for name, sp in _subcommands().items()
+    for flag, _, _ in sp.get_default("checks")
+])
+def test_every_checked_flag_rejects_a_bad_value(tmp_path, capsys, command, flag):
+    action = next(a for a in _subcommands()[command]._actions if flag in a.option_strings)
+    argv = [*_REQUIRED[command], "--model", ROT, "--out", _runs(tmp_path), flag]
+    assert main([*argv, "nan"]) == 2
+    if action.type is int:  # argparse refuses nan for an int; every int rule refuses -1
+        assert f"argument {'/'.join(action.option_strings)}: invalid int value: 'nan'" \
+            in capsys.readouterr().err
+        assert main([*argv, "-1"]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {flag} must be ")
+    assert not (tmp_path / "runs").exists()  # rejected before any run directory
+
+
+def test_negative_integral_gauge_is_config_error(tmp_path, capsys):
+    model = tmp_path / "negative_l.model"
+    model.write_text(ROT_TEXT.replace("l = 0.5*r", "l = r - 0.5"))
+    assert main(["value", "integral", "--model", str(model), "--grid", "21",
+                 "--out", _runs(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: l in the [candidate] section of ")
+    assert "must be nonnegative on the grid, got -0.5" in err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("argv", [["value", "sup"], ["value", "discounted"], ["pipeline"]])
+def test_grid_must_hold_the_origin(tmp_path, capsys, argv):
+    assert main([*argv, "--model", ROT, "--grid", "0:1:21,0:1:21",
+                 "--out", _runs(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: the grid (--grid, else the model's [domain]) must hold the origin")
+    assert not (tmp_path / "runs").exists()
 
 
 def test_value_sup_writes_field(tmp_path):
@@ -351,6 +432,24 @@ def test_pipeline_rotational(tmp_path):
     assert (run / "sup_value.csv").exists() and (run / "feedback.csv").exists()
 
 
+def test_supermaxingale_stage_checks_each_ensemble(tmp_path, monkeypatch):
+    results, check = [], cli.check_supermaxingale
+
+    def spy(ensemble, *args):
+        results.append((float(ensemble.x0[0]), check(ensemble, *args)))
+        return results[-1][1]
+
+    monkeypatch.setattr(cli, "check_supermaxingale", spy)
+    assert main(["pipeline", "--model", ROT, "--grid", "21", "--paths", "20", "-T", "1",
+                 "--sim-dt", "2e-3", "--supermax-tol", "0.5", "--out", _runs(tmp_path)]) == 0
+    # each ensemble against the threshold of its own start point's V(x0)
+    assert [r for r, _ in results] == [0.25, 0.4, 0.55]
+    assert [c.threshold for _, c in results] == pytest.approx([0.5 * (1 + r) for r, _ in results])
+    stages = json.loads((next((tmp_path / "runs").iterdir()) / "pipeline.json").read_text())
+    assert stages["supermaxingale"] == {"worst_excess": max(c.worst_excess for _, c in results),
+                                        "passed": True}
+
+
 def test_pipeline_fails_on_unstable(tmp_path):
     code = main(["pipeline", "--model", UNSTABLE2D, "--grid", "21", "--paths", "20",
                  "-T", "2", "--sim-dt", "2e-3", "--out", _runs(tmp_path)])
@@ -373,15 +472,17 @@ def test_x0_of_wrong_length_is_config_error(tmp_path, capsys):
 
 
 def test_internal_error_exits_3(tmp_path, monkeypatch, capsys):
-    def broken(*args, **kwargs):
-        raise TypeError("boom")
+    # a ValueError from inside a library call is a fault too, not a config error
+    for error in (TypeError, ValueError):
+        def broken(*args, **kwargs):
+            raise error("boom")
 
-    monkeypatch.setattr(cli, "simulate_ensemble", broken)
-    assert main(["simulate", "--model", ROT, "--x0", "0.5,0", "-T", "0.01", "--paths", "2",
-                 "--out", _runs(tmp_path)]) == 3
-    err = capsys.readouterr().err
-    assert err.splitlines()[-1] == "internal error: TypeError: boom"
-    assert "config error" not in err
+        monkeypatch.setattr(cli, "simulate_ensemble", broken)
+        assert main(["simulate", "--model", ROT, "--x0", "0.5,0", "-T", "0.01", "--paths", "2",
+                     "--out", _runs(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"internal error: {error.__name__}: boom"
+        assert "config error" not in err
 
 
 def test_version_flag():

@@ -675,6 +675,13 @@ def test_ensemble_arguments_validated(rotational, bad):
         al.simulate_ensemble(rotational.model, **kw)
 
 
+@pytest.mark.parametrize("dt", [1e-200, 1e-320])  # 1e200 steps, and T / dt = inf
+def test_step_count_must_fit_an_array_axis(rotational, dt):
+    with pytest.raises(ValueError, match=f"need T / dt to round to at least 1 and fewer than "
+                                         f"{np.iinfo(np.intp).max} steps, got T=1.0 and dt="):
+        al.simulate_ensemble(rotational.model, [0.1, 0], dt=dt, T=1.0, n_paths=1, seed=0)
+
+
 def test_small_batches_run_in_one_chunk(monkeypatch, rotational):
     monkeypatch.setattr(fields, "_cpus", lambda: 1)  # the spy sees every chunk
     bounds = []
