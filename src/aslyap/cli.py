@@ -129,16 +129,19 @@ def _run_dir(out: str, cfg: dict) -> Path:
     return d
 
 
-def _check_steps(dt_flag: str, dt: float, *horizons) -> None:
+def _check_steps(dt_flag: str, dt: float, *horizons, starts: int = 1) -> None:
     """Reject each (flag, value) horizon whose step count at ``dt`` is not one
-    ``_simulate_batch`` can step: at least 1 and below np.intp's largest value."""
+    ``_simulate_batch`` can step from ``starts`` start points: at least 1, and a
+    timeline of ``starts`` x (steps + 1) x 8 bytes at most np.intp's largest value."""
+    most = np.iinfo(np.intp).max
     for flag, value in horizons:
         try:
-            _step_count(value, dt)
+            _step_count(value, dt, starts)
         except ValueError:
-            raise ConfigError(f"{flag} must be at least one and fewer than "
-                              f"{np.iinfo(np.intp).max} {dt_flag} steps once rounded, "
-                              f"got {flag} {value} with {dt_flag} {dt}") from None
+            raise ConfigError(f"{flag} must be at least one and fewer than {most} {dt_flag} "
+                              f"steps once rounded, with a timeline of {starts} x (steps + 1) "
+                              f"x 8 bytes at most {most}, got {flag} {value} with {dt_flag} "
+                              f"{dt}") from None
 
 
 def _vector(flag: str, text: str) -> list[float]:
@@ -260,13 +263,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_gauge(args) -> int:
-    _check_steps("--dt", args.dt, ("-T", args.horizon))
     parsed = _load_model(args.model)
     radii = sorted(_vector("--radii", args.radii))
     if not all(0 < r < np.inf for r in radii):
         raise ConfigError("--radii must be positive and finite")
     if len(set(radii)) < len(radii):
         raise ConfigError(f"--radii must be strictly increasing once sorted, got {args.radii}")
+    _check_steps("--dt", args.dt, ("-T", args.horizon), starts=len(radii))
     cfg = {"cmd": "gauge", "model": args.model, "radii": args.radii, "dt": args.dt,
            "T": args.horizon, "paths": args.paths, "seed": args.seed,
            "model_hash": parsed.text_hash()}

@@ -212,8 +212,8 @@ class BoxInterpolator:
     def apply(self, flat_values: np.ndarray, prepared, fill: float) -> np.ndarray:
         idx, wts, inside, shape = prepared
         vals = np.einsum("nc,nc->n", flat_values[idx], wts)
-        out = np.where(inside, vals, fill)
-        return out.reshape(shape)
+        vals[~inside] = fill  # in place: no second array of the output's size
+        return vals.reshape(shape)
 
 
 # Two threads began to gain at about 12 000 rows on a 2-core Xeon (2-D

@@ -363,6 +363,15 @@ def _simulate_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
     present, starts = _group_starts(group)
     timeline[present, 0] = np.maximum.reduceat(radius, starts)
     live = SimpleNamespace(x=x, radius=radius, sup_radius=radius.copy())
+    # trees run bare in the step's error-state scope; a constant's scalar broadcasts
+    if isinstance(cand, CandidateFunction):
+        bare_v = ex._compile_bare(cand.expression, cand._xvars)
+        value_of = lambda x: bare_v(*x)  # noqa: E731
+    elif cand is not None:
+        value_of = lambda x: cand.value(x.T)  # noqa: E731
+    if gauge is not None and gauge.expression is not None:
+        bare_l = ex._compile_bare(gauge.expression, ["r"])
+        gauge = lambda r: bare_l(r) + 0.0  # noqa: E731
     if cand is not None:
         v0s = np.array([cand.value(x0) for x0 in x0s])
         v0 = v0s[group]
@@ -449,7 +458,7 @@ def _simulate_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
                 np.maximum(live.sup_radius, radius, out=live.sup_radius)
                 timeline[present, k + 1] = np.maximum.reduceat(radius, starts)
                 if cand is not None:
-                    vx = cand.value(live.x.T)
+                    vx = value_of(live.x)
                     np.maximum(live.sup_v, vx, out=live.sup_v)
                     excess = vx + live.acc_l - v0
                     live.supermax_t[excess > live.supermax] = (k + 1) * dt
@@ -556,14 +565,17 @@ def _run_chunks(args) -> list[dict]:
                 os.waitpid(pid, 0)
 
 
-def _step_count(T, dt) -> int:
-    """round(T / dt); ValueError unless it is at least 1 and below np.intp's
-    largest value, the longest an array axis can be."""
-    steps = T / dt
-    if not 0.5 < steps < np.iinfo(np.intp).max:
+def _step_count(T, dt, starts=1) -> int:
+    """round(T / dt); ValueError unless it is at least 1 and ``starts`` float64
+    timelines of steps + 1 fit in np.intp's largest value of bytes."""
+    steps, most = T / dt, np.iinfo(np.intp).max
+    if not 0.5 < steps < most:
         raise ValueError(f"need T / dt to round to at least 1 and fewer than "
-                         f"{np.iinfo(np.intp).max} steps, got T={T!r} and dt={dt!r}")
-    return int(round(steps))
+                         f"{most} steps, got T={T!r} and dt={dt!r}")
+    if (round(steps) + 1) * starts * 8 > most:
+        raise ValueError(f"need the timeline, {starts} x (round(T / dt) + 1) x 8 bytes, "
+                         f"to fit in {most} bytes, got T={T!r} and dt={dt!r}")
+    return round(steps)
 
 
 def _simulate_batch(model, x0s, dt, T, n_paths, seeds, control=None, feedback=None,
@@ -598,7 +610,7 @@ def _simulate_batch(model, x0s, dt, T, n_paths, seeds, control=None, feedback=No
     if len(seeds) != len(x0s):
         raise ValueError(f"need one seed per start point, got {len(seeds)} seeds for "
                          f"{len(x0s)} x0")
-    n_steps = _step_count(T, dt)
+    n_steps = _step_count(T, dt, len(x0s))
     control_index = _resolve_control(model, control)
     if model.n_controls == 1 or feedback is None:
         used_controls = [control_index]

@@ -140,6 +140,22 @@ def test_bad_ensemble_flags_are_config_errors(tmp_path, capsys, argv, flag):
     assert not (tmp_path / "runs").exists()  # rejected before any run directory
 
 
+@pytest.mark.parametrize("argv, flag, dt_flag", [
+    (["simulate", "--x0", "0.5,0", "--paths", "2", "--dt", "2e-19", "-T", "1"], "-T", "--dt"),
+    # 5e17 steps fit one start's timeline but not the three of --radii
+    (["gauge", "--radii", "0.1,0.2,0.3", "--paths", "2", "--dt", "2e-18", "-T", "1"],
+     "-T", "--dt"),
+    (["pipeline", "--build-gauge", "--sim-dt", "1e-18", "-T", "1e-18",
+      "--gauge-horizon", "2"], "--gauge-horizon", "--sim-dt"),
+])
+def test_timeline_too_big_for_an_array_is_config_error(tmp_path, capsys, argv, flag, dt_flag):
+    assert main([*argv, "--model", ROT, "--out", _runs(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {flag} must be ")
+    assert f"{dt_flag} steps once rounded, with a timeline of " in err
+    assert not (tmp_path / "runs").exists()  # rejected before any run directory
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["value", "sup", "--dt", "-1"], "--dt"),
     (["value", "sup", "--dt", "nan"], "--dt"),

@@ -179,6 +179,56 @@ def test_interpolator_fill_outside_and_nonfinite():
     assert out[1] == 9.0 and out[2] == 9.0
 
 
+def _reference_prepare(grid, points):
+    """The stencil formula of ``BoxInterpolator.prepare``, written out once more."""
+    points = np.asarray(points, dtype=float)
+    flat_pts = points.reshape(-1, grid.dim)
+    inside = grid.contains(flat_pts)
+    lo, h, counts = np.asarray(grid.lower), np.asarray(grid.spacing), np.asarray(grid.counts)
+    rel = (np.where(np.isfinite(flat_pts), flat_pts, lo) - lo) / h
+    cell = np.clip(np.floor(rel).astype(np.int64), 0, counts - 2)
+    frac = np.clip(rel - cell, 0.0, 1.0)
+    strides = np.array([int(np.prod(counts[ax + 1:])) for ax in range(grid.dim)],
+                       dtype=np.int64)
+    idx, wts = [], []
+    for c in range(2 ** grid.dim):
+        corner = np.array([(c >> ax) & 1 for ax in range(grid.dim)], dtype=np.int64)
+        idx.append((cell + corner) @ strides)
+        w = np.ones(len(flat_pts))
+        for ax in range(grid.dim):
+            w = w * (frac[:, ax] if corner[ax] else 1.0 - frac[:, ax])
+        wts.append(w)
+    return np.stack(idx, axis=1), np.stack(wts, axis=1), inside, points.shape[:-1]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_prepare_and_apply_match_the_reference_formula(dim):
+    g = al.Grid((-1.0,) * dim, (1.0, 0.5, 2.0)[:dim], (11, 7, 5)[:dim])
+    rng = np.random.Generator(np.random.Philox(key=dim))
+    lo, up = np.asarray(g.lower), np.asarray(g.upper)
+    nodes = g.nodes()
+    special = [lo, up, up + 1e-13, up + 1e-9, lo - 1e-13, lo - 0.5, up + 2.0,
+               np.full(dim, np.inf), np.full(dim, -np.inf), np.full(dim, np.nan)]
+    mixed = np.tile(0.5 * (lo + up), (3, 1))
+    mixed[:, -1] = [np.inf, -np.inf, np.nan]  # one bad coordinate of several
+    pts = np.concatenate([rng.uniform(lo - 0.3, up + 0.3, size=(201, dim)),
+                          nodes[rng.choice(len(nodes), 20)], np.array(special), mixed])
+    interp = BoxInterpolator(g)
+    for shape in [(len(pts),), (2, len(pts) // 2)]:
+        got = interp.prepare(pts.reshape(*shape, dim))
+        ref = _reference_prepare(g, pts.reshape(*shape, dim))
+        for a, b in zip(got[:3], ref[:3]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert got[3] == ref[3] == shape
+        values = rng.uniform(-1.0, 1.0, g.n_nodes)
+        for fill in (0.0, 9.0, np.nan):
+            expected = np.where(ref[2], np.einsum("nc,nc->n", values[ref[0]], ref[1]), fill)
+            out = interp.apply(values, got, fill)
+            assert out.shape == shape
+            assert np.array_equal(out.ravel(), expected, equal_nan=True)
+    assert got[2].sum() < len(pts) and got[2].any()  # the points hit both sides of the box
+
+
 def test_interpolation_is_monotone_in_field_values():
     g = al.Grid((-1.0, -1.0), (1.0, 1.0), (9, 9))
     interp = BoxInterpolator(g)

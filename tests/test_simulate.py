@@ -322,6 +322,41 @@ def test_step_loop_matches_reference(monkeypatch, name, rotational, unstable1d,
     assert len(generators) == (0 if noise_free else kw["n_paths"])
 
 
+@pytest.mark.parametrize("candidate, gauge_text", [
+    ("1", "knots"), ("x1^2 + x2^2", "knots"), ("1", "0.25"), ("x1", "r"),
+])
+def test_trackers_match_reference(monkeypatch, candidate, gauge_text):
+    # expression candidates and gauges run bare in the step loop; constant trees
+    # broadcast, knot gauges are called as before, and paths exit along the way
+    pm = al.parse_model(_NOISY_REPELLER)
+    cand = al.CandidateFunction(candidate, 2)
+    gauge = (al.GaugeFunction.from_knots([0.0, 0.3, 1.0], [0.0, 0.2, 0.3])
+             if gauge_text == "knots" else al.GaugeFunction.from_expression(gauge_text))
+    kw = dict(x0=[0.2, 0.1], dt=1e-3, T=2.0, n_paths=40, seed=13, candidate=cand,
+              gauge=gauge)
+    calls = {"value": 0, "gauge": 0}
+    value, call = al.CandidateFunction.value, al.GaugeFunction.__call__
+
+    def counted(key, fn):
+        def spy(*args):
+            calls[key] += 1
+            return fn(*args)
+        return spy
+
+    with monkeypatch.context() as mp:
+        mp.setattr(al.CandidateFunction, "value", counted("value", value))
+        mp.setattr(al.GaugeFunction, "__call__", counted("gauge", call))
+        new = al.simulate_ensemble(pm.model, **kw)
+    ref = _reference_ensemble(monkeypatch, pm.model, **kw)
+    _assert_same_arrays(new, ref)
+    assert 0 < new.exited.sum() < kw["n_paths"]
+    if candidate == "1":
+        assert np.all(new.sup_candidate == 1.0)
+    assert np.all(new.supermax_excess > 0) and np.all(new.integral_gauge > 0)
+    assert calls["value"] == 1  # V(x0) only
+    assert (calls["gauge"] > 0) == (gauge.expression is None)
+
+
 @pytest.mark.parametrize("name", ["brake", "two-controls", "signed-bernoulli"])
 def test_noise_free_batch_draws_nothing(monkeypatch, name, bang1d):
     kw = dict(x0=[0.8], dt=1e-3, T=0.512, n_paths=2000, seed=14,
@@ -680,6 +715,18 @@ def test_step_count_must_fit_an_array_axis(rotational, dt):
     with pytest.raises(ValueError, match=f"need T / dt to round to at least 1 and fewer than "
                                          f"{np.iinfo(np.intp).max} steps, got T=1.0 and dt="):
         al.simulate_ensemble(rotational.model, [0.1, 0], dt=dt, T=1.0, n_paths=1, seed=0)
+
+
+def test_timeline_must_fit_an_array(rotational):
+    # 5e18 steps fit an array axis, but not as 8-byte entries
+    with pytest.raises(ValueError, match=r"need the timeline, 1 x \(round\(T / dt\) \+ 1\) x 8 "
+                                         r"bytes, to fit in \d+ bytes, got T=1.0 and dt=2e-19"):
+        al.simulate_ensemble(rotational.model, [0.1, 0], dt=2e-19, T=1.0, n_paths=1, seed=0)
+    # 5e17 steps fit one start's timeline, not three
+    assert simulate._step_count(1.0, 2e-18) == round(1.0 / 2e-18)
+    with pytest.raises(ValueError, match=r"need the timeline, 3 x "):
+        simulate._simulate_batch(rotational.model, [[0.1, 0.0]] * 3, dt=2e-18, T=1.0,
+                                 n_paths=1, seeds=[0, 1, 2])
 
 
 def test_small_batches_run_in_one_chunk(monkeypatch, rotational):

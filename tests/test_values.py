@@ -1,6 +1,7 @@
 import faulthandler
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -485,6 +486,37 @@ def test_threaded_row_blocks_are_bit_identical_to_one_block(monkeypatch, pools, 
         sys.setswitchinterval(interval)
     assert pools == [(3,)] * 6  # one pool of three threads per solve or feedback call
     assert threaded == one_block
+
+
+def test_sub_blocks_are_bit_identical_to_whole_blocks(monkeypatch, rotational, bang1d):
+    _split(monkeypatch, block_rows=300, cpus=1)
+    monkeypatch.setattr(values, "_SUB_ROWS", 10**9)
+    whole = _solves(rotational, bang1d)
+    monkeypatch.setattr(values, "_SUB_ROWS", 7)  # uneven: a block's last sub-block is short
+    assert _solves(rotational, bang1d) == whole
+
+
+def test_stencil_build_peaks_near_the_stencils(monkeypatch, rotational):
+    # one block of 32 768 rows on one thread: the build may hold its stencils, the
+    # nodes and one sub-block's temporaries, not temporaries as wide as the block
+    monkeypatch.setattr(fields, "_cpus", lambda: 1)
+    aug = al.extended_system(rotational.model, rotational.gauge, y_bounds=(0.0, 0.9))
+    grid = al.Grid((-0.7, -0.7, 0.0), (0.7, 0.7, 0.9), (32, 32, 32))
+    scheme = al.RobustScheme(dt=0.025, increments=default_increments(1, 0.025), cap=0.9)
+    with fields._RowBlocks(grid.n_nodes, values._BLOCK_ROWS) as blocks:
+        assert len(blocks.slices) == 1 and values._SUB_ROWS < grid.n_nodes
+        tracemalloc.start()
+        try:
+            op = values._Transition(aug, grid, scheme, blocks,
+                                    cost_fn=lambda p: np.abs(p[:, 2]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    stencils, cost_next = op._blocks[0]
+    resident = sum(a.nbytes for per_w in stencils for st in per_w for a in st[:3])
+    resident += sum(a.nbytes for per_w in cost_next for a in per_w)
+    allowance = grid.nodes().nbytes + values._SUB_ROWS * 1024
+    assert resident < peak < resident + allowance
 
 
 @pytest.mark.parametrize("method", ["prepare", "apply"])
