@@ -17,6 +17,7 @@ All evaluators are pure and vectorized over leading axes.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,10 +56,23 @@ class Control:
     vector: tuple[float, ...]
 
 
-def _batch(values, shape):
-    out = np.asarray(values, dtype=float)
-    if out.shape != shape:
-        out = np.broadcast_to(out, shape).copy()
+def _points(x, dim: int) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (dim,):
+        raise ModelError(f"state must have {dim} components")
+    return x
+
+
+def _evaluate(kernel, x, dim: int, tail: tuple[int, ...]) -> np.ndarray:
+    """The rows an ``ex._compile_rows`` kernel of x1..x<dim> writes at each
+    point of ``x``, shaped ``x.shape[:-1] + tail``.
+
+    Non-finite values are legitimate here; callers mask or flag them.
+    """
+    x = _points(x, dim)
+    out = np.empty(x.shape[:-1] + tail)
+    with np.errstate(all="ignore"):
+        kernel(*x.reshape(-1, dim).T, out.reshape(-1, math.prod(tail)).T)
     return out
 
 
@@ -85,14 +99,12 @@ class ControlledDiffusion:
         k = len(self.controls[0].vector)
         if any(len(c.vector) != k for c in self.controls):
             raise ModelError("all control points must have the same length")
-        self._xvars = [f"x{i+1}" for i in range(self.dim_state)]
-        self._drift_fns = []
-        self._sigma_fns = []
+        xvars = [f"x{i+1}" for i in range(self.dim_state)]
+        self._kernels = []  # per control: (drift rows, sigma entries row by row)
         for ci in range(len(self.controls)):
             drift, sigma = self._control_trees(ci)
-            self._drift_fns.append([ex.compile_fn(t, self._xvars) for t in drift])
-            self._sigma_fns.append([[ex.compile_fn(t, self._xvars) for t in row]
-                                    for row in sigma])
+            self._kernels.append((ex._compile_rows(list(drift), xvars),
+                                  ex._compile_rows([t for row in sigma for t in row], xvars)))
 
     def _control_trees(self, control_index: int):
         """Drift rows and sigma rows of one control point as simplified trees in x."""
@@ -111,25 +123,13 @@ class ControlledDiffusion:
         )
         return drift, sigma
 
-    def _cols(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.dim_state:
-            raise ModelError(f"state must have {self.dim_state} components")
-        return x, [x[..., i] for i in range(self.dim_state)]
-
     def drift(self, x, control_index: int) -> np.ndarray:
-        x, cols = self._cols(x)
-        shape = x.shape[:-1]
-        comps = [_batch(fn(*cols), shape) for fn in self._drift_fns[control_index]]
-        return np.stack(comps, axis=-1)
+        n = self.dim_state
+        return _evaluate(self._kernels[control_index][0], x, n, (n,))
 
     def sigma(self, x, control_index: int) -> np.ndarray:
-        x, cols = self._cols(x)
-        shape = x.shape[:-1]
-        rows = []
-        for row_fns in self._sigma_fns[control_index]:
-            rows.append(np.stack([_batch(fn(*cols), shape) for fn in row_fns], axis=-1))
-        return np.stack(rows, axis=-2)
+        n = self.dim_state
+        return _evaluate(self._kernels[control_index][1], x, n, (n, self.dim_noise))
 
     def a(self, x, control_index: int) -> np.ndarray:
         return eval_a(self, x, control_index)
@@ -146,7 +146,11 @@ class ControlledDiffusion:
 
 def eval_a(model: ControlledDiffusion, x, control_index: int) -> np.ndarray:
     """Half outer product sigma sigma^T / 2, explicitly symmetrized."""
-    s = model.sigma(x, control_index)
+    return _half_outer(model.sigma(x, control_index))
+
+
+def _half_outer(s: np.ndarray) -> np.ndarray:
+    """a = s s^T / 2 of each matrix in a stack of sigmas, explicitly symmetrized."""
     a = 0.5 * np.einsum("...im,...jm->...ij", s, s)
     return 0.5 * (a + np.swapaxes(a, -1, -2))
 
@@ -175,29 +179,20 @@ class CandidateFunction:
         if extra:
             raise ModelError(f"candidate uses unknown identifier(s): {', '.join(sorted(extra))}")
         self._xvars = xvars
-        self._value_fn = ex.compile_fn(expression, xvars)
+        self._value_kernel = ex._compile_rows([expression], xvars)
         if derivative_mode == "analytic":
-            self._grad_trees = [ex.diff(expression, v) for v in xvars]
-            self._grad_fns = [ex.compile_fn(t, xvars) for t in self._grad_trees]
-            self._hess_fns = [
-                [ex.compile_fn(ex.diff(t, v), xvars) for v in xvars] for t in self._grad_trees
-            ]
-
-    def _cols(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.dim:
-            raise ValueError(f"state must have {self.dim} components")
-        return x, [x[..., i] for i in range(self.dim)]
+            grads = [ex.diff(expression, v) for v in xvars]
+            self._grad_kernel = ex._compile_rows(grads, xvars)
+            self._hess_kernel = ex._compile_rows([ex.diff(t, v) for t in grads for v in xvars],
+                                                 xvars)
 
     def value(self, x) -> np.ndarray:
-        x, cols = self._cols(x)
-        return _batch(self._value_fn(*cols), x.shape[:-1])
+        return _evaluate(self._value_kernel, x, self.dim, ())
 
     def gradient(self, x) -> np.ndarray:
-        x, cols = self._cols(x)
-        shape = x.shape[:-1]
         if self.derivative_mode == "analytic":
-            return np.stack([_batch(fn(*cols), shape) for fn in self._grad_fns], axis=-1)
+            return _evaluate(self._grad_kernel, x, self.dim, (self.dim,))
+        x = _points(x, self.dim)
         h = self.fd_step
         comps = []
         for i in range(self.dim):
@@ -207,17 +202,14 @@ class CandidateFunction:
         return np.stack(comps, axis=-1)
 
     def hessian(self, x) -> np.ndarray:
-        x, cols = self._cols(x)
-        shape = x.shape[:-1]
         n = self.dim
         if self.derivative_mode == "analytic":
-            rows = [np.stack([_batch(fn(*cols), shape) for fn in row], axis=-1)
-                    for row in self._hess_fns]
-            hess = np.stack(rows, axis=-2)
+            hess = _evaluate(self._hess_kernel, x, n, (n, n))
             return 0.5 * (hess + np.swapaxes(hess, -1, -2))
+        x = _points(x, n)
         h = self.fd_step
         v0 = self.value(x)
-        hess = np.zeros(shape + (n, n))
+        hess = np.zeros(x.shape[:-1] + (n, n))
         for i in range(n):
             xp = x.copy(); xp[..., i] += h
             xm = x.copy(); xm[..., i] -= h
@@ -241,7 +233,7 @@ class CandidateFunction:
             raise ValueError("phi may only use the variable t")
         composed = ex.simplify(ex.substitute(phi, {"t": self.expression}))
         return CandidateFunction(composed, self.dim, self.derivative_mode,
-                                 fd_step or self.fd_step)
+                                 self.fd_step if fd_step is None else fd_step)
 
     def __eq__(self, other):
         if not isinstance(other, CandidateFunction):
@@ -381,8 +373,9 @@ def parse_model(text: str) -> ParsedModel:
     upper = _floats(domain["upper"][1], domain["upper"][0])
     if len(lower) != n or len(upper) != n:
         raise ModelError("domain bounds must have one entry per state dimension")
-    if any(u <= l for l, u in zip(lower, upper)):
-        raise ModelError("domain upper bounds must exceed lower bounds")
+    if not all(l < u for l, u in zip(lower, upper)):  # also rejects a nan bound
+        raise ModelError(f"domain upper bounds must exceed lower bounds, got lower = "
+                         f"{domain['lower'][1]}, upper = {domain['upper'][1]}")
 
     model = ControlledDiffusion(
         dim_state=n,

@@ -13,16 +13,11 @@ The step loop holds the live paths coordinate-major: the state as
 (dim, paths) and each block of increments as (block, m, paths), so every
 per-step array operation reads contiguous rows.  Each control's update of
 all state rows is one kernel generated from the trees once per ensemble; it
-writes into the next-state buffer and evaluates each repeated subtree once
-(on `rotational`, 18 array operations a step instead of 23).  When no
-kernel reads an increment (sigma = 0 under every control the run can use),
-no generator is built and nothing is drawn.  On `rotational` with candidate
-and gauge tracking (dt 1e-3, one worker, 2-core Xeon) the loop runs 4.3
-million path-steps/s at 500 paths and 12.5 million at 10 000 paths with
-256-step increment blocks, against 4.4 and 12.9 million with 1024-step
-blocks in the same session (median of 15 and 7); at 1024-step blocks the
-row-major loop with one function per row ran 3.6 and 9.9 million against
-4.0 and 11.9.
+writes into the next-state buffer and evaluates each repeated subtree once.
+When no kernel reads an increment (sigma = 0 under every control the run
+can use), no generator is built and nothing is drawn.  On `rotational` with
+candidate and gauge tracking (dt 1e-3, one worker, 2-core Xeon) the loop
+runs 4.3 million path-steps/s at 500 paths and 12.5 million at 10 000 paths.
 
 Paths use counter-based per-path RNG streams keyed by (seed, path index), so
 ensembles are bit-identical for any worker count or chunk size, and whether

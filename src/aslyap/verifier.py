@@ -36,7 +36,7 @@ from . import expr as ex
 from .fields import (Grid, LevelSet, ScalarField, _coord_header, _csv, _RowBlocks, gradient_field,
                      hessian_field)
 from .gauges import GaugeFunction
-from .model import CandidateFunction, ControlledDiffusion
+from .model import CandidateFunction, ControlledDiffusion, _half_outer
 
 __all__ = [
     "STATUS_OK",
@@ -205,8 +205,7 @@ def _margin_arrays(model, nodes, grads, hessians, eps_tan, gate_norm=None, data_
     for idx in range(model.n_controls):
         f = model.drift(nodes, idx)
         s = model.sigma(nodes, idx)
-        a = 0.5 * np.einsum("nim,njm->nij", s, s)
-        a = 0.5 * (a + np.swapaxes(a, -1, -2))
+        a = _half_outer(s)
         resid = np.linalg.norm(np.einsum("nim,ni->nm", s, grads), axis=-1)
         snorm = np.linalg.norm(s.reshape(n, s.shape[-2] * s.shape[-1]), axis=-1)
         gate = eps_tan * gate_norm * np.maximum(1.0, snorm)

@@ -407,6 +407,16 @@ def test_bad_grid_names_the_flag(tmp_path, capsys, grid, reason):
     assert not (tmp_path / "runs").exists()
 
 
+def test_nan_domain_bound_is_config_error(tmp_path, capsys):
+    bad = tmp_path / "nan.model"
+    bad.write_text(ROT_TEXT.replace("lower = -1, -1", "lower = nan, -1"))
+    assert main(["simulate", "--model", str(bad), "--x0", "0.5,0", "-T", "0.01",
+                 "--paths", "10", "--out", _runs(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "upper bounds must exceed lower bounds, got lower = nan, -1" in err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_infinite_domain_without_grid_asks_for_the_flag(tmp_path, capsys):
     unbounded = tmp_path / "unbounded.model"
     unbounded.write_text(

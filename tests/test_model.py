@@ -3,6 +3,7 @@ import pytest
 import sympy as sp
 
 import aslyap as al
+from aslyap import expr as ex
 from aslyap.model import ModelError
 
 from conftest import MODELS, load
@@ -141,6 +142,61 @@ def test_per_control_override():
     assert again.model.drift([1.0], 1) == pytest.approx([7.0])
 
 
+def _entrywise(trees, x, tail=()):
+    """One compiled function per entry, each broadcast to the points, stacked."""
+    x = np.asarray(x, dtype=float)
+    args = [f"x{i+1}" for i in range(x.shape[-1])]
+    cols = [x[..., i] for i in range(x.shape[-1])]
+    entries = [np.broadcast_to(np.asarray(ex.compile_fn(t, args)(*cols), dtype=float),
+                               x.shape[:-1]) for t in trees]
+    return np.stack(entries, axis=-1).reshape(x.shape[:-1] + tail)
+
+
+# a 3-D model with two noise columns and a per-control override puts every
+# entry of sigma and of the Hessian in a distinct place
+_THREE_BY_TWO = """[dimensions]\nstate = 3\nnoise = 2
+[controls]\nslow = 0.5\nfast = 2.0
+[dynamics]\nf1 = -a1*x1 + x2*x3\nf2 = -x2 + sin(x1)\nf3 = -a1*x3
+s1_1 = x2\ns1_2 = 0.5\ns2_1 = -x1\ns3_2 = x1*x3\ns3_2@fast = max(x1, x3)
+[candidate]\nV = x1^2*x2 + x1*sin(x3) + abs(x2 - x3) + exp(x3)*x2
+[domain]\nlower = -1, -1, -1\nupper = 1, 1, 1
+"""
+
+
+def _same_array(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", [*sorted(p.name for p in MODELS.glob("*.model")), "3x2"])
+def test_array_kernels_match_entrywise_functions_bit_for_bit(name):
+    pm = al.parse_model(_THREE_BY_TWO) if name == "3x2" else load(name)
+    model, cand = pm.model, pm.candidate
+    n, m = model.dim_state, model.dim_noise
+    rng = np.random.Generator(np.random.Philox(key=4))
+    # zeros sit on the kinks of abs, min and max; bang1d's sigma is the
+    # constant 0 and its gradient and Hessian have constant branches
+    batch = np.vstack([np.zeros(n), np.eye(n), rng.uniform(-1, 1, size=(6, n))])
+    inputs = [batch[-1], batch, batch[:6].reshape(2, 3, n), np.empty((0, n))]
+    grads = [ex.diff(cand.expression, f"x{i+1}") for i in range(n)]
+    hess_trees = [ex.diff(g, f"x{j+1}") for g in grads for j in range(n)]
+    for x in inputs:
+        for ci in range(model.n_controls):
+            drift, sigma = model._control_trees(ci)
+            _same_array(model.drift(x, ci), _entrywise(drift, x, (n,)))
+            _same_array(model.sigma(x, ci), _entrywise([t for r in sigma for t in r], x, (n, m)))
+        _same_array(cand.value(x), _entrywise([cand.expression], x))
+        _same_array(cand.gradient(x), _entrywise(grads, x, (n,)))
+        hess = _entrywise(hess_trees, x, (n, n))
+        _same_array(cand.hessian(x), 0.5 * (hess + np.swapaxes(hess, -1, -2)))
+
+
+def test_evaluators_reject_points_of_the_wrong_dimension(rotational):
+    for evaluate in (lambda x: rotational.model.drift(x, 0), rotational.candidate.value,
+                     rotational.candidate.hessian):
+        with pytest.raises(ValueError, match="2 components"):
+            evaluate(np.zeros((3, 1)))
+
+
 def test_candidate_analytic_vs_central_difference(rotational):
     cand = rotational.candidate
     fd = al.CandidateFunction(cand.expression, 2, "central-difference", cand.fd_step)
@@ -157,6 +213,9 @@ def test_candidate_analytic_vs_central_difference(rotational):
 def test_candidate_requires_positive_fd_step():
     with pytest.raises(ValueError):
         al.CandidateFunction("x1^2", 1, "central-difference", fd_step=0.0)
+    with pytest.raises(ValueError, match="positive"):
+        al.CandidateFunction("x1^2", 1, fd_step=1e-4).compose("t^2", fd_step=0.0)
+    assert al.CandidateFunction("x1^2", 1, fd_step=1e-4).compose("t^2").fd_step == 1e-4
     with pytest.raises(ValueError, match="finite"):
         al.CandidateFunction("x1^2", 1, "central-difference", fd_step=np.inf)
     with pytest.raises(ValueError):
@@ -172,3 +231,11 @@ def test_missing_sections_rejected():
     with pytest.raises(ModelError, match=r"\[controls\]"):
         al.parse_model("[dimensions]\nstate = 1\nnoise = 1\n[dynamics]\nf1 = -x1\n"
                        "[domain]\nlower = -1\nupper = 1\n")
+
+
+@pytest.mark.parametrize("lower, upper", [
+    ("nan, -1", "1, 1"), ("-1, -1", "1, nan"), ("nan, nan", "nan, nan"), ("-1, 1", "1, 1"),
+])
+def test_domain_bounds_must_be_ordered(lower, upper):
+    with pytest.raises(ModelError, match="must exceed"):
+        _inline("f1 = -x1\nf2 = -x2", n=2, domain=(lower, upper))
