@@ -242,6 +242,15 @@ class CandidateFunction:
                 and self.derivative_mode == other.derivative_mode)
 
 
+def _distance_evaluator(target_distance, dim: int):
+    """A target distance (candidate, callable or expression) as a function of the points."""
+    if isinstance(target_distance, CandidateFunction):
+        return target_distance.value
+    if callable(target_distance):
+        return target_distance
+    return CandidateFunction(target_distance, dim).value
+
+
 @dataclass(eq=True)
 class ParsedModel:
     model: ControlledDiffusion

@@ -49,7 +49,7 @@ from . import expr as ex
 from . import fields
 from .fields import _coord_header, _csv
 from .gauges import ComparisonGauge, GaugeFunction, monotone_envelope
-from .model import CandidateFunction, ControlledDiffusion
+from .model import CandidateFunction, ControlledDiffusion, _distance_evaluator
 
 __all__ = [
     "TrajectoryEnsemble",
@@ -625,8 +625,6 @@ def _simulate_batch(model, x0s, dt, T, n_paths, seeds, control=None, feedback=No
 
     target_fn = None
     if target_distance is not None:
-        from .verifier import _distance_evaluator
-
         target_fn = _distance_evaluator(target_distance, model.dim_state)
     occ = np.asarray(occupation_radii, dtype=float) if occupation_radii is not None else None
 

@@ -1,13 +1,13 @@
 """Worst-case value functions by monotone grid iteration.
 
 The almost-sure criteria are robust criteria: the essential supremum over
-Brownian paths is approximated by an adversary choosing signed increments
-(+/- sqrt(dt) per channel, plus the zero increment).  The three iterations
-below and feedback synthesis read one transition operator: multilinear
-interpolation at x + f dt + sigma w with saturation outside the box, reduced
-over increments and then over controls.  It is monotone, so iterates are
-pointwise nondecreasing and converge under the cap; monotonicity is asserted
-every sweep.
+Brownian paths is approximated by an adversary choosing among moves, today
+one ``step`` per signed increment (+/- sqrt(dt) per channel, plus zero).
+The three iterations below and feedback synthesis read one transition
+operator: multilinear interpolation at the next points of a move set, one
+map per (control, move), saturating outside the box, reduced over moves and
+then over controls.  It is monotone, so iterates are pointwise nondecreasing
+and converge under the cap; monotonicity is asserted every sweep.
 
 A sweep works on contiguous row blocks: each block reads the whole previous
 iterate, writes only its own rows of the next one and reduces its own NaN,
@@ -128,8 +128,7 @@ def default_scheme(
 
 def step(model: ControlledDiffusion, x, control_index: int, w, dt: float) -> np.ndarray:
     """One explicit update x + f dt + sigma w with a prescribed increment w."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    _check_positive(dt=dt)
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
     return x + model.drift(x, control_index) * dt + model.sigma(x, control_index) @ w
@@ -158,20 +157,28 @@ _BLOCK_ROWS = 32768
 _SUB_ROWS = 4096
 
 
-class _Transition:
-    """The robust transition operator, built once per (model, grid, scheme).
+def _adversary_moves(model: ControlledDiffusion, scheme: RobustScheme):
+    """The increment adversary as a move set: per control a, the maps
+    x -> step(model, x, a, w, dt), one per increment w of the scheme."""
+    return [[lambda x, a=a, w=w: step(model, x, a, w, scheme.dt) for w in scheme.increments]
+            for a in range(model.n_controls)]
 
-    Holds, per row block, one BoxInterpolator stencil per (control,
-    increment) for the next point x + f(x, a) dt + sigma(x, a) w.  With
-    ``cost_fn`` it also holds the running cost at the next points, in closed
-    form, capped, and exactly the cap off the box; reads then add the
-    interpolated excess over the cost.  Interpolating the excess instead of
-    the value removes the systematic overshoot of multilinear interpolation
-    on cone-shaped fields, which otherwise accumulates along trajectories
-    that spiral into the origin.
+
+class _Transition:
+    """The robust transition operator, built once per (grid, move set).
+
+    Holds, per row block, one BoxInterpolator stencil per (control a, move k)
+    at the next points ``moves[a][k](x)`` of the nodes x, shaped (rows, n);
+    controls may have different numbers of moves.  With ``cost_fn`` it also
+    holds the running cost at the next points, in closed form, capped at
+    ``cap``, and exactly the cap off the box; reads then add the interpolated
+    excess over the cost.  Interpolating the excess instead of the value
+    removes the systematic overshoot of multilinear interpolation on
+    cone-shaped fields, which otherwise accumulates along trajectories that
+    spiral into the origin.
     """
 
-    def __init__(self, model, grid, scheme, blocks, cost_fn=None):
+    def __init__(self, grid, moves, blocks, cost_fn=None, cap=None):
         self.interp = BoxInterpolator(grid)
         nodes = grid.nodes()
         corners = 2 ** grid.dim
@@ -179,35 +186,30 @@ class _Transition:
         def build(rows):
             n = rows.stop - rows.start
             stencils = [[(np.empty((n, corners), dtype=np.int64), np.empty((n, corners)),
-                          np.empty(n, dtype=bool), (n,)) for _ in scheme.increments]
-                         for _ in range(model.n_controls)]
-            cost_next = [[np.empty(n) for _ in scheme.increments if cost_fn is not None]
-                         for _ in range(model.n_controls)]
+                          np.empty(n, dtype=bool), (n,)) for _ in per_a] for per_a in moves]
+            cost_next = [[np.empty(n) for _ in per_a if cost_fn is not None] for per_a in moves]
             # filled a sub-block at a time: the temporaries scale with _SUB_ROWS, not n
             for lo in range(0, n, _SUB_ROWS):
                 sub = slice(lo, lo + _SUB_ROWS)
                 x = nodes[rows][sub]
-                for ai in range(model.n_controls):
-                    f = model.drift(x, ai)
-                    s = model.sigma(x, ai)
-                    for k, w in enumerate(scheme.increments):
-                        nxt = x + f * scheme.dt + s @ w
+                for per_a, st_a, cost_a in zip(moves, stencils, cost_next):
+                    for k, move in enumerate(per_a):
+                        nxt = move(x)
                         st = self.interp.prepare(nxt)
-                        for whole, part in zip(stencils[ai][k], st[:3]):
+                        for whole, part in zip(st_a[k], st[:3]):
                             whole[sub] = part
                         if cost_fn is not None:
                             with np.errstate(all="ignore"):
-                                cn = np.minimum(np.asarray(cost_fn(nxt), dtype=float),
-                                                scheme.cap)
-                            cn[~st[2]] = scheme.cap
-                            cost_next[ai][k][sub] = cn
+                                cn = np.minimum(np.asarray(cost_fn(nxt), dtype=float), cap)
+                            cn[~st[2]] = cap
+                            cost_a[k][sub] = cn
             return rows.start, (stencils, cost_next)
 
         self._blocks = dict(blocks.map(build))
 
     def continuation(self, flat_values, fill, rows, mean=False):
-        """(controls, rows) table of the worst next value over increments,
-        or their mean with ``mean``, for one row block.  With a running
+        """(controls, rows) table of the worst next value over each control's
+        moves, or their mean with ``mean``, for one row block.  With a running
         cost, ``flat_values`` is the excess over the cost and ``fill`` must
         be 0.
         """
@@ -282,7 +284,7 @@ def worst_case_sup_value(
     pin_mask: np.ndarray | None = None,
     snapshot_every: int = 0,
 ) -> ValueResult:
-    """Fixed point of V <- min(cap, max(cost, min_a max_w V(x + f dt + s w))).
+    """Fixed point of V <- min(cap, max(cost, min_a max_w V(step(x, a, w)))).
 
     ``cost`` defaults to |x|; the value is the robust running supremum of the
     cost along adversarially-driven trajectories, truncated at the cap.
@@ -305,7 +307,7 @@ def worst_case_sup_value(
     # only the floor outlives this line: the nodes and costs are not held through the sweeps
     floor = np.minimum(np.asarray(cost_fn(grid.nodes()), dtype=float), cap)
     with _RowBlocks(grid.n_nodes, _BLOCK_ROWS) as blocks:
-        op = _Transition(model, grid, scheme, blocks, cost_fn=cost_fn)
+        op = _Transition(grid, _adversary_moves(model, scheme), blocks, cost_fn=cost_fn, cap=cap)
 
         def update(excess, rows):
             swept = op.continuation(excess, 0.0, rows).min(axis=0)
@@ -343,7 +345,7 @@ def worst_case_integral_value(
     )
     cap = scheme.cap
     with _RowBlocks(grid.n_nodes, _BLOCK_ROWS) as blocks:
-        op = _Transition(model, grid, scheme, blocks)
+        op = _Transition(grid, _adversary_moves(model, scheme), blocks)
 
         def update(v, rows):
             swept = op.continuation(v, cap, rows).min(axis=0)
@@ -374,6 +376,8 @@ def discounted_value_and_prop_set(
         raise ValueError("discount rate lam must be positive")
     if theta <= 0:
         raise ValueError("zero-threshold theta must be positive")
+    if scheme is not None and dt is not None:
+        raise ValueError("give dt or scheme, not both: the scheme carries its own dt")
     inner_radius = min(min(abs(l), abs(u)) for l, u in zip(grid.lower, grid.upper))
     if K >= inner_radius:
         raise ValueError(f"K={K} must be below the grid radius {inner_radius}")
@@ -383,11 +387,10 @@ def discounted_value_and_prop_set(
     run_cost = np.maximum(0.0, radii - K)
     w_cap = float(run_cost.max()) / lam
     if scheme is None:
-        base = default_scheme(model, grid, cap=max(w_cap, theta), dt=dt)
-        scheme = base
+        scheme = default_scheme(model, grid, cap=max(w_cap, theta), dt=dt)
     disc = np.exp(-lam * scheme.dt)
     with _RowBlocks(grid.n_nodes, _BLOCK_ROWS) as blocks:
-        op = _Transition(model, grid, scheme, blocks)
+        op = _Transition(grid, _adversary_moves(model, scheme), blocks)
 
         def update(v, rows):
             swept = op.continuation(v, w_cap, rows, mean=True).min(axis=0)
@@ -427,7 +430,7 @@ def synthesize_feedback(
     Ties break toward the lowest control index.
     """
     with _RowBlocks(value.grid.n_nodes, _BLOCK_ROWS) as blocks:
-        op = _Transition(model, value.grid, scheme, blocks)
+        op = _Transition(value.grid, _adversary_moves(model, scheme), blocks)
         # first minimum wins
         indices = np.concatenate(blocks.map(
             lambda rows: np.argmin(op.continuation(value.flat, scheme.cap, rows), axis=0)))

@@ -36,7 +36,7 @@ from . import expr as ex
 from .fields import (Grid, LevelSet, ScalarField, _coord_header, _csv, _RowBlocks, gradient_field,
                      hessian_field)
 from .gauges import GaugeFunction
-from .model import CandidateFunction, ControlledDiffusion, _half_outer
+from .model import CandidateFunction, ControlledDiffusion, _distance_evaluator, _half_outer
 
 __all__ = [
     "STATUS_OK",
@@ -570,16 +570,6 @@ def check_viability_boundary(
         params={"eps_tan": eps_tan, "level": levelset.level, "tol": tol,
                 "touches_boundary": levelset.touches_boundary},
     )
-
-
-def _distance_evaluator(target_distance, dim: int):
-    if isinstance(target_distance, CandidateFunction):
-        return target_distance.value
-    if callable(target_distance):
-        return target_distance
-    node = ex.parse_expr(target_distance) if isinstance(target_distance, str) else target_distance
-    cand = CandidateFunction(node, dim)
-    return cand.value
 
 
 def check_set_lyapunov(

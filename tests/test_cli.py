@@ -23,13 +23,20 @@ def _runs(tmp_path):
     return str(tmp_path / "runs")
 
 
-def test_check_passes_on_rotational(tmp_path):
+def test_check_passes_on_rotational(tmp_path, capsys):
     assert main(["check", "--model", ROT, "--grid", "41", "--out", _runs(tmp_path)]) == 0
     run = next((tmp_path / "runs").iterdir())
     report = json.loads((run / "report.json").read_text())
     assert report["all_pass"] is True
     assert (run / "report.csv").exists()
     assert (run / "manifest.json").exists()
+    # the cell centres are checked as well
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("checked 1670 nodes: 0 failing")
+    assert out[1].startswith("checked 1588 cell centres: 0 failing")
+    report = json.loads((run / "report_staggered.json").read_text())
+    assert report["all_pass"] is True and report["n_pass"] == 1588
+    assert (run / "report_staggered.csv").exists()
 
 
 def test_check_fails_on_unstable(tmp_path):
@@ -38,6 +45,21 @@ def test_check_fails_on_unstable(tmp_path):
     run = next((tmp_path / "runs").iterdir())
     report = json.loads((run / "report.json").read_text())
     assert report["n_fail"] > 0
+
+
+def test_check_fails_a_candidate_that_passes_only_at_the_nodes(tmp_path):
+    # sin(50 pi x1)^3 and its first two derivatives vanish at every node of the 101^2
+    # grid, but not at the cell centres, where the candidate fails the decrease
+    wavy = tmp_path / "wavy.model"
+    wavy.write_text(ROT_TEXT.replace(
+        "V = sqrt(x1^2 + x2^2)", "V = sqrt(x1^2 + x2^2) + 0.01*sin(157.07963267948966*x1)^3"))
+    assert main(["check", "--model", str(wavy), "--grid", "101",
+                 "--out", _runs(tmp_path)]) == 1
+    run = next((tmp_path / "runs").iterdir())
+    nodes = json.loads((run / "report.json").read_text())
+    centres = json.loads((run / "report_staggered.json").read_text())
+    assert nodes["all_pass"] is True and nodes["n_pass"] == 10192
+    assert centres["all_pass"] is False and centres["n_fail"] == 4594
 
 
 def test_check_missing_candidate_is_config_error(tmp_path):
@@ -394,6 +416,7 @@ def test_pipeline_steps_each_start_point_once(tmp_path, monkeypatch):
 @pytest.mark.parametrize("grid, reason", [
     ("abc", "invalid literal for int()"),
     ("2", "need at least 3 nodes per axis"),
+    ("3", "check needs at least 4 nodes per axis"),
     ("1:-1:5,-1:1:5", "bounds must be finite with upper > lower"),
     ("21,21,21", "grid counts must match the state dimension"),
     ("0:1:5", "expected one lo:hi:n block per axis"),

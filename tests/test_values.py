@@ -42,6 +42,13 @@ def test_step_zero_increment_is_deterministic_euler(rotational):
     assert out == pytest.approx([0.3 * 0.98, 0.4 * 0.98])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dt", [np.nan, 0.0, -1.0])
+def test_step_rejects_a_nonpositive_dt(rotational, dt):
+    with pytest.raises(ValueError, match="^dt must be positive"):
+        al.step(rotational.model, [0.5, 0.0], 0, [0.1], dt=dt)
+
+
 def test_default_increments_symmetric():
     w = default_increments(2, dt=0.04)
     assert w.shape == (5, 2)
@@ -218,6 +225,11 @@ def test_discounted_parameter_validation(rotational):
     with pytest.raises(ValueError, match="grid radius"):
         al.discounted_value_and_prop_set(rotational.model, grid, K=1.5, lam=1.0,
                                          theta=0.1)
+    # a dt beside a scheme would be dropped without a word
+    scheme = al.default_scheme(rotational.model, grid, cap=1.0)
+    with pytest.raises(ValueError, match="not both"):
+        al.discounted_value_and_prop_set(rotational.model, grid, K=1.0, lam=1.0,
+                                         theta=0.1, scheme=scheme, dt=0.5)
 
 
 # ------------------------------------------------ brute-force operator reference
@@ -312,6 +324,53 @@ def test_operator_matches_brute_force(request, name, box, sweeps):
         v = np.minimum(w_cap, run_cost * scheme.dt + np.exp(-lam * scheme.dt) * _brute_min(
             _brute_table(model, grid, scheme, v, w_cap, mean=True)))
     assert np.array_equal(res.field.flat, v)
+
+
+def _brute_moves_table(grid, moves, values, fill, cost=None, cap=None, mean=False):
+    """Per control, the worst (or mean) next value over its moves, read by a
+    fresh BoxInterpolator stencil per (control, move) on all nodes at once."""
+    interp = BoxInterpolator(grid)
+    nodes = grid.nodes()
+    rows = []
+    for per_a in moves:
+        acc = 0.0 if mean else None
+        for move in per_a:
+            nxt = move(nodes)
+            st = interp.prepare(nxt)
+            if cost is None:
+                vals = interp.apply(values, st, fill=fill)
+            else:
+                vals = np.minimum(cost(nxt), cap) + interp.apply(values, st, fill=0.0)
+                vals = np.where(grid.contains(nxt), vals, cap)
+            if mean:
+                acc = acc + vals
+            else:
+                acc = vals if acc is None else np.maximum(acc, vals)
+        rows.append(acc / len(per_a) if mean else acc)
+    return np.stack(rows)
+
+
+@pytest.mark.parametrize("mean", [False, True])
+@pytest.mark.parametrize("with_cost", [False, True])
+def test_operator_reads_any_move_set(monkeypatch, bang1d, mean, with_cost):
+    # a move set that is no increment set: a drift-only step under the brake, and
+    # three fixed shifts while coasting, some of them leaving the box
+    _split(monkeypatch, block_rows=10, cpus=1)
+    monkeypatch.setattr(values, "_SUB_ROWS", 3)  # uneven sub-blocks
+    grid = al.Grid((-1.0,), (1.0,), (41,))
+    moves = [[lambda x: al.step(bang1d.model, x, 0, [0.0], 0.05)],
+             [lambda x, d=d: x + d for d in (-0.13, 0.0, 0.31)]]
+    cost, cap = (lambda p: np.abs(p[:, 0] - 0.3), 1.2) if with_cost else (None, None)
+    fill = 0.0 if with_cost else 0.9
+    v = np.abs(np.sin(3.0 * grid.nodes()[:, 0]))
+    with fields._RowBlocks(grid.n_nodes, values._BLOCK_ROWS) as blocks:
+        op = values._Transition(grid, moves, blocks, cost_fn=cost, cap=cap)
+        assert len(blocks.slices) == 5
+        table = np.concatenate([op.continuation(v, fill, rows, mean=mean)
+                                for rows in blocks.slices], axis=1)
+    expected = _brute_moves_table(grid, moves, v, fill, cost=cost, cap=cap, mean=mean)
+    assert table.shape == (2, grid.n_nodes)
+    assert np.array_equal(table, expected)
 
 
 # ------------------------------------------------------------------ feedback
@@ -507,8 +566,8 @@ def test_stencil_build_peaks_near_the_stencils(monkeypatch, rotational):
         assert len(blocks.slices) == 1 and values._SUB_ROWS < grid.n_nodes
         tracemalloc.start()
         try:
-            op = values._Transition(aug, grid, scheme, blocks,
-                                    cost_fn=lambda p: np.abs(p[:, 2]))
+            op = values._Transition(grid, values._adversary_moves(aug, scheme), blocks,
+                                    cost_fn=lambda p: np.abs(p[:, 2]), cap=scheme.cap)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
