@@ -341,17 +341,6 @@ def cmd_viability(args) -> int:
     return EXIT_OK if report.all_pass else EXIT_VERIFICATION
 
 
-class _FieldValue:
-    """Adapter making a computed field usable as a path-statistics candidate."""
-
-    def __init__(self, field: ScalarField, fill: float):
-        self.field = field
-        self.fill = fill
-
-    def value(self, x):
-        return self.field.interpolate(np.asarray(x, dtype=float), fill=self.fill)
-
-
 def cmd_pipeline(args) -> int:
     _check_steps("--sim-dt", args.sim_dt, ("-T", args.horizon),
                  ("--gauge-horizon", args.gauge_horizon))
@@ -392,7 +381,8 @@ def cmd_pipeline(args) -> int:
     # 3. ensembles over initial radii
     radii = [f * inner_radius for f in (0.25, 0.4, 0.55)]
     x0s = [np.concatenate([[r], np.zeros(model.dim_state - 1)]) for r in radii]
-    sim_candidate = parsed.candidate or _FieldValue(result.field, fill=cap)
+    # without a [candidate], the paths track the value field, read at the cap off the grid
+    sim_candidate = parsed.candidate or result.field
     ensembles = []
     for i, x0 in enumerate(x0s):
         ens = simulate_ensemble(
@@ -469,7 +459,7 @@ def cmd_pipeline(args) -> int:
                      tuple(2 * c - 1 for c in grid.counts), rho=grid.rho)
         scheme2 = default_scheme(model, grid2, cap=2 * cap, dt=scheme.dt)
         result2 = worst_case_sup_value(model, grid2, scheme2)
-        v2_at = result2.field.interpolate(nodes, fill=2 * cap)
+        v2_at = result2.field.value(nodes)
         tol = 10 * max(grid.spacing) ** 2 + scheme.tolerance * 10
         ok = bool(np.all(v2_at >= result.field.flat - tol))
         stages["multi_cap"] = {"monotone_in_cap": ok}

@@ -100,9 +100,13 @@ class Grid:
         return np.ravel_multi_index(tuple(idx[..., i] for i in range(self.dim)), self.counts)
 
 
-@dataclass
+@dataclass(eq=False)  # compared by identity: an array has no single truth value
 class ScalarField:
-    """Node values over a Grid plus iteration metadata."""
+    """Node values over a Grid plus iteration metadata.
+
+    ``fill`` is the value read off the grid: the cap of the solve that
+    computed the field, NaN when no solve set it.
+    """
 
     grid: Grid
     values: np.ndarray
@@ -110,6 +114,7 @@ class ScalarField:
     iterations: int = 0
     residual: float = float("nan")
     converged: bool = True
+    fill: float = float("nan")
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -133,6 +138,10 @@ class ScalarField:
     def interpolate(self, points: np.ndarray, fill: float = np.nan) -> np.ndarray:
         interp = BoxInterpolator(self.grid)
         return interp.apply(self.flat, interp.prepare(points), fill=fill)
+
+    def value(self, x) -> np.ndarray:
+        """The field at the points ``x``, interpolated, and ``fill`` off the grid."""
+        return self.interpolate(x, fill=self.fill)
 
     def to_csv(self) -> str:
         return _csv(_coord_header(self.grid.dim) + ",value", [*self.grid.nodes().T, self.flat])

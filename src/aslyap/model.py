@@ -156,21 +156,17 @@ def _half_outer(s: np.ndarray) -> np.ndarray:
 
 
 class CandidateFunction:
-    """Scalar function of the state with gradient and Hessian evaluation.
+    """Scalar function of the state with analytic gradient and Hessian.
 
-    ``derivative_mode`` is 'analytic' (tree differentiation) or
-    'central-difference' with step ``fd_step``.
+    ``fd_step`` is the step of the verifier's central differences, which
+    cross-check the Hessian to flag nonsmooth candidates.
     """
 
-    def __init__(self, expression: ex.Node | str, dim: int,
-                 derivative_mode: str = "analytic", fd_step: float = 1e-5):
+    def __init__(self, expression: ex.Node | str, dim: int, *, fd_step: float = 1e-5):
         if isinstance(expression, str):
             expression = ex.parse_expr(expression)
         self.expression = expression
         self.dim = dim
-        if derivative_mode not in ("analytic", "central-difference"):
-            raise ValueError(f"unknown derivative mode {derivative_mode!r}")
-        self.derivative_mode = derivative_mode
         if not 0 < fd_step < np.inf:
             raise ValueError(f"fd_step must be positive and finite, got {fd_step!r}")
         self.fd_step = float(fd_step)
@@ -180,66 +176,35 @@ class CandidateFunction:
             raise ModelError(f"candidate uses unknown identifier(s): {', '.join(sorted(extra))}")
         self._xvars = xvars
         self._value_kernel = ex._compile_rows([expression], xvars)
-        if derivative_mode == "analytic":
-            grads = [ex.diff(expression, v) for v in xvars]
-            self._grad_kernel = ex._compile_rows(grads, xvars)
-            self._hess_kernel = ex._compile_rows([ex.diff(t, v) for t in grads for v in xvars],
-                                                 xvars)
+        grads = [ex.diff(expression, v) for v in xvars]
+        self._grad_kernel = ex._compile_rows(grads, xvars)
+        self._hess_kernel = ex._compile_rows([ex.diff(t, v) for t in grads for v in xvars],
+                                             xvars)
 
     def value(self, x) -> np.ndarray:
         return _evaluate(self._value_kernel, x, self.dim, ())
 
     def gradient(self, x) -> np.ndarray:
-        if self.derivative_mode == "analytic":
-            return _evaluate(self._grad_kernel, x, self.dim, (self.dim,))
-        x = _points(x, self.dim)
-        h = self.fd_step
-        comps = []
-        for i in range(self.dim):
-            xp = x.copy(); xp[..., i] += h
-            xm = x.copy(); xm[..., i] -= h
-            comps.append((self.value(xp) - self.value(xm)) / (2 * h))
-        return np.stack(comps, axis=-1)
+        return _evaluate(self._grad_kernel, x, self.dim, (self.dim,))
 
     def hessian(self, x) -> np.ndarray:
         n = self.dim
-        if self.derivative_mode == "analytic":
-            hess = _evaluate(self._hess_kernel, x, n, (n, n))
-            return 0.5 * (hess + np.swapaxes(hess, -1, -2))
-        x = _points(x, n)
-        h = self.fd_step
-        v0 = self.value(x)
-        hess = np.zeros(x.shape[:-1] + (n, n))
-        for i in range(n):
-            xp = x.copy(); xp[..., i] += h
-            xm = x.copy(); xm[..., i] -= h
-            hess[..., i, i] = (self.value(xp) - 2 * v0 + self.value(xm)) / h**2
-            for j in range(i + 1, n):
-                xpp = x.copy(); xpp[..., i] += h; xpp[..., j] += h
-                xpm = x.copy(); xpm[..., i] += h; xpm[..., j] -= h
-                xmp = x.copy(); xmp[..., i] -= h; xmp[..., j] += h
-                xmm = x.copy(); xmm[..., i] -= h; xmm[..., j] -= h
-                mixed = (self.value(xpp) - self.value(xpm) - self.value(xmp)
-                         + self.value(xmm)) / (4 * h**2)
-                hess[..., i, j] = mixed
-                hess[..., j, i] = mixed
-        return hess
+        hess = _evaluate(self._hess_kernel, x, n, (n, n))
+        return 0.5 * (hess + np.swapaxes(hess, -1, -2))
 
-    def compose(self, phi: ex.Node | str, fd_step: float | None = None) -> "CandidateFunction":
+    def compose(self, phi: ex.Node | str) -> "CandidateFunction":
         """Return phi(V) where phi is an expression in the variable t."""
         if isinstance(phi, str):
             phi = ex.parse_expr(phi)
         if not ex.free_vars(phi) <= {"t"}:
             raise ValueError("phi may only use the variable t")
         composed = ex.simplify(ex.substitute(phi, {"t": self.expression}))
-        return CandidateFunction(composed, self.dim, self.derivative_mode,
-                                 self.fd_step if fd_step is None else fd_step)
+        return CandidateFunction(composed, self.dim, fd_step=self.fd_step)
 
     def __eq__(self, other):
         if not isinstance(other, CandidateFunction):
             return NotImplemented
-        return (self.expression == other.expression and self.dim == other.dim
-                and self.derivative_mode == other.derivative_mode)
+        return self.expression == other.expression and self.dim == other.dim
 
 
 def _distance_evaluator(target_distance, dim: int):

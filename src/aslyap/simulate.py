@@ -127,7 +127,7 @@ class TrajectoryEnsemble:
     outside_at_horizon: np.ndarray | None = None
     path_times: np.ndarray | None = None
     paths: np.ndarray | None = None
-    candidate_ref: CandidateFunction | None = None
+    candidate_ref: CandidateFunction | fields.ScalarField | None = None
     gauge_ref: GaugeFunction | None = None
 
     @property
@@ -698,9 +698,10 @@ def simulate_ensemble(model: ControlledDiffusion, x0, dt: float, T: float, n_pat
     The keywords, passed on to ``_simulate_batch``, and their defaults:
     ``control=None`` (index or label), ``feedback=None`` (a ``FeedbackMap``),
     ``increment_mode="gaussian"`` or "signed-bernoulli", ``domain=None``
-    (a (lower, upper) box, else the model's), ``candidate=None``,
-    ``gauge=None``, ``occupation_radii=None``, ``target_distance=None``,
-    ``thin=0``, ``workers=1`` and ``integrator="milstein"``.
+    (a (lower, upper) box, else the model's), ``candidate=None`` (a
+    candidate or a value field), ``gauge=None``, ``occupation_radii=None``,
+    ``target_distance=None``, ``thin=0``, ``workers=1`` and
+    ``integrator="milstein"``.
 
     ``integrator`` is "milstein" (the default) or "euler".  The Milstein step
     runs for Gaussian increments when the noise of every control the
@@ -919,22 +920,22 @@ class SupermaxingaleResult:
 
 def check_supermaxingale(
     ensemble: TrajectoryEnsemble,
-    candidate: CandidateFunction,
+    candidate: CandidateFunction | fields.ScalarField,
     gauge: GaugeFunction | None,
     tol: float,
 ) -> SupermaxingaleResult:
     """Worst pathwise excess of V(X_t) + int_0^t l over V(x0).
 
-    Uses the statistics tracked online during simulation; the ensemble must
-    have been simulated with the same candidate (and gauge).
+    V is a candidate or a value field.  Uses the statistics tracked online
+    during simulation; the ensemble must have been simulated with the same
+    candidate and gauge, where a zero gauge counts as none.
     """
     if ensemble.supermax_excess is None:
         raise ValueError("ensemble lacks the running V + integral statistic; pass "
                          "candidate= (and gauge=) to simulate_ensemble")
-    if ensemble.candidate_ref != candidate or (
-        gauge is not None and ensemble.gauge_ref is not None
-        and ensemble.gauge_ref != gauge
-    ):
+    tracked, checked = (None if g is None or g.is_zero() else g
+                        for g in (ensemble.gauge_ref, gauge))
+    if ensemble.candidate_ref != candidate or tracked != checked:
         raise ValueError("ensemble was tracked with a different candidate or gauge")
     v0 = float(candidate.value(ensemble.x0))
     worst_idx = int(np.argmax(ensemble.supermax_excess))

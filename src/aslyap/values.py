@@ -233,12 +233,13 @@ class _Transition:
         return table
 
 
-def _iterate(blocks, update, v0, scheme, grid, name, source=None, snapshot_every=0):
+def _iterate(blocks, update, v0, scheme, grid, name, fill, source=None, snapshot_every=0):
     """Sweep ``v <- update(source(v), rows)`` block by block to the tolerance.
 
     ``update`` returns the new values of one row block, read from the whole
     ``source(v)`` (default ``v``); each block also reduces its NaN flag, least
-    increase and largest change, and the sweep combines them exactly.
+    increase and largest change, and the sweep combines them exactly.  The
+    field reads ``fill`` off the grid, as the sweeps did.
     """
     v = v0
     residuals = []
@@ -272,7 +273,7 @@ def _iterate(blocks, update, v0, scheme, grid, name, source=None, snapshot_every
             break
     fld = ScalarField(grid=grid, values=v, name=name, iterations=iterations,
                       residual=residuals[-1] if residuals else float("nan"),
-                      converged=converged)
+                      converged=converged, fill=fill)
     return ValueResult(field=fld, residuals=residuals, snapshots=snapshots)
 
 
@@ -317,7 +318,7 @@ def worst_case_sup_value(
                 vn[pinned] = floor[rows][pinned]
             return vn
 
-        return _iterate(blocks, update, floor.copy(), scheme, grid, "sup-value",
+        return _iterate(blocks, update, floor.copy(), scheme, grid, "sup-value", cap,
                         source=lambda v: v - floor, snapshot_every=snapshot_every)
 
 
@@ -354,7 +355,7 @@ def worst_case_integral_value(
             return vn
 
         return _iterate(blocks, update, np.zeros(grid.n_nodes), scheme, grid,
-                        "integral-value", snapshot_every=snapshot_every)
+                        "integral-value", cap, snapshot_every=snapshot_every)
 
 
 def discounted_value_and_prop_set(
@@ -397,7 +398,7 @@ def discounted_value_and_prop_set(
             return np.minimum(w_cap, run_cost[rows] * scheme.dt + disc * swept)
 
         result = _iterate(blocks, update, np.zeros(grid.n_nodes), scheme, grid,
-                          "discounted-value")
+                          "discounted-value", w_cap)
     return result, result.field.flat <= theta
 
 

@@ -10,12 +10,17 @@ relative gate).  A node passes when the best margin dominates the required
 decrease rate l.  Controls never become tangential by accident: the gate is
 scaled by |p| and the diffusion magnitude.
 
+The function checked is a candidate, differentiated analytically, or a
+value field, differentiated by grid differences.  Central differences of a
+candidate's values serve only to cross-check its Hessian, which flags a
+nonsmooth candidate.
+
 Grid checks (supersolution from a candidate or a field, set-Lyapunov,
 radial, and through them change of unknown) are one pass over contiguous
 row blocks of at most ``_BLOCK_ROWS`` nodes.  Each block evaluates its own
 candidate value, gradient and Hessian, finite mask, margin, witness,
 residual and tolerance, with one model evaluation per control; a field's
-finite differences are taken once on the whole grid and sliced.  Blocks are
+grid differences are taken once on the whole grid and sliced.  Blocks are
 mapped with ``fields._RowBlocks``: one thread per 8192 nodes, at most one
 per CPU the process may use, started for that check only, so checks below
 16 384 nodes start no thread.  Every node takes the same operations in the
@@ -248,11 +253,12 @@ def _finite_derivatives(vals, grads, hessians):
 def _derivative_source(source, grid: Grid):
     """Derivatives of a candidate or a field, one row block at a time.
 
-    Returns (derivatives, fd_mode, edge_mask): ``derivatives(rows, keep, x)``
-    gives values, gradients and Hessians at the nodes ``x`` selected by
-    ``keep`` among the grid rows ``rows``.  A field's finite differences are
-    taken once on the whole grid; blocks read slices of them.  ``edge_mask``
-    flags the grid-edge nodes of one-sided stencils, or is None.
+    Returns (derivatives, edge_mask): ``derivatives(rows, keep, x)`` gives
+    values, gradients and Hessians at the nodes ``x`` selected by ``keep``
+    among the grid rows ``rows``.  A field's grid differences are taken once
+    on the whole grid; blocks read slices of them.  ``edge_mask`` flags the
+    grid-edge nodes of a field's one-sided stencils; it is None for a
+    candidate.
     """
     if isinstance(source, ScalarField):
         if source.grid != grid:
@@ -264,32 +270,50 @@ def _derivative_source(source, grid: Grid):
         def from_field(rows, keep, x):
             return vals[rows][keep], grads[rows][keep], hess[rows][keep]
 
-        return from_field, True, grid.boundary_mask()
+        return from_field, grid.boundary_mask()
     if isinstance(source, CandidateFunction):
 
         def from_candidate(rows, keep, x):
             return source.value(x), source.gradient(x), source.hessian(x)
 
-        return from_candidate, source.derivative_mode != "analytic", None
+        return from_candidate, None
     raise TypeError(f"cannot take derivatives of {type(source).__name__}")
 
 
-def _default_eps_tan(fd_mode: bool, h_max: float, eps_tan):
+def _default_eps_tan(of_field: bool, h_max: float, eps_tan):
     if eps_tan is not None:
         return float(eps_tan)
-    # finite-difference normals carry O(h^2) error; analytic ones do not
-    return max(1e-6, 10.0 * h_max**2) if fd_mode else 1e-6
+    # a field's grid-difference normals carry O(h^2) error; analytic ones do not
+    return max(1e-6, 10.0 * h_max**2) if of_field else 1e-6
+
+
+def _central_hessian(value, x: np.ndarray, h: float) -> np.ndarray:
+    """Central-difference Hessian of the function ``value`` at the points ``x``."""
+    n = x.shape[-1]
+    v0 = value(x)
+    hess = np.zeros(x.shape[:-1] + (n, n))
+    for i in range(n):
+        xp = x.copy(); xp[..., i] += h
+        xm = x.copy(); xm[..., i] -= h
+        hess[..., i, i] = (value(xp) - 2 * v0 + value(xm)) / h**2
+        for j in range(i + 1, n):
+            xpp = x.copy(); xpp[..., i] += h; xpp[..., j] += h
+            xpm = x.copy(); xpm[..., i] += h; xpm[..., j] -= h
+            xmp = x.copy(); xmp[..., i] -= h; xmp[..., j] += h
+            xmm = x.copy(); xmm[..., i] -= h; xmm[..., j] -= h
+            mixed = (value(xpp) - value(xpm) - value(xmp) + value(xmm)) / (4 * h**2)
+            hess[..., i, j] = mixed
+            hess[..., j, i] = mixed
+    return hess
 
 
 def _detect_nonsmooth(candidate: CandidateFunction, nodes: np.ndarray) -> bool:
     """Cross-check analytic Hessians against central differences on a sample."""
-    if candidate.derivative_mode != "analytic" or len(nodes) == 0:
+    if len(nodes) == 0:
         return False
     sample = nodes[:: max(1, len(nodes) // 40)][:40]
-    fd = CandidateFunction(candidate.expression, candidate.dim,
-                           "central-difference", candidate.fd_step)
     ha = candidate.hessian(sample)
-    hf = fd.hessian(sample)
+    hf = _central_hessian(candidate.value, sample, candidate.fd_step)
     denom = 1.0 + np.linalg.norm(ha, axis=(-2, -1))
     rel = np.linalg.norm(ha - hf, axis=(-2, -1)) / denom
     rel = rel[np.isfinite(rel)]
@@ -320,8 +344,8 @@ def _decrease_pass(kind, model, source, grid, distance, l, eps_tan, tol,
     outside the sandwich.
     """
     h_max = max(grid.spacing)
-    derivatives, fd_mode, edge_mask = _derivative_source(source, grid)
-    eps_tan = _default_eps_tan(fd_mode, h_max, eps_tan)
+    derivatives, edge_mask = _derivative_source(source, grid)
+    eps_tan = _default_eps_tan(isinstance(source, ScalarField), h_max, eps_tan)
     nodes = grid.nodes()
 
     def block(rows):

@@ -1,6 +1,8 @@
 import argparse
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -497,6 +499,38 @@ def test_supermaxingale_stage_checks_each_ensemble(tmp_path, monkeypatch):
     stages = json.loads((next((tmp_path / "runs").iterdir()) / "pipeline.json").read_text())
     assert stages["supermaxingale"] == {"worst_excess": max(c.worst_excess for _, c in results),
                                         "passed": True}
+
+
+def test_pipeline_without_candidate_tracks_the_value_field(tmp_path, monkeypatch):
+    model = tmp_path / "no_candidate.model"
+    model.write_text(ROT_TEXT.replace("[candidate]\nV = sqrt(x1^2 + x2^2)\nl = 0.5*r\n", ""))
+    assert "[candidate]" not in model.read_text()
+    candidates, check = [], cli.check_supermaxingale
+
+    def spy(ensemble, candidate, *args):
+        candidates.append(candidate)
+        return check(ensemble, candidate, *args)
+
+    monkeypatch.setattr(cli, "check_supermaxingale", spy)
+    assert main(["pipeline", "--model", str(model), "--grid", "21", "--paths", "20", "-T", "1",
+                 "--out", _runs(tmp_path)]) == 0
+    # the ensembles track the sup value, read at the cap (the grid's radius) off the grid
+    assert len(candidates) == 3 and all(isinstance(c, al.ScalarField) for c in candidates)
+    assert candidates[0].name == "sup-value" and candidates[0].fill == 1.0
+    stages = json.loads((next((tmp_path / "runs").iterdir()) / "pipeline.json").read_text())
+    assert list(stages) == ["value", "feedback", "simulate", "gauge", "supermaxingale",
+                            "re_verify"]
+    assert stages["supermaxingale"] == {"worst_excess": pytest.approx(0.004431527941703539,
+                                                                      rel=1e-9),
+                                        "passed": True}
+
+
+def test_python_m_aslyap_runs_the_cli():
+    src = str(MODELS.parent / "src")
+    done = subprocess.run([sys.executable, "-m", "aslyap", "--version"], capture_output=True,
+                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == al.__version__
 
 
 def test_pipeline_fails_on_unstable(tmp_path):

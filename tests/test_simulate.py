@@ -1113,6 +1113,38 @@ def test_supermaxingale_requires_tracking(rotational):
         al.check_supermaxingale(ens, rotational.candidate, rotational.gauge, 0.05)
 
 
+def test_supermaxingale_requires_the_tracked_gauge(rotational, linear1d):
+    cand, gauge = rotational.candidate, rotational.gauge
+    kw = dict(dt=1e-2, T=2.0, n_paths=20, seed=3, candidate=cand)
+    ens = al.simulate_ensemble(rotational.model, [0.5, 0.0], **kw)
+    # the excess was tracked without l, so a check given l never saw it
+    with pytest.raises(ValueError, match="different candidate or gauge"):
+        al.check_supermaxingale(ens, cand, gauge, 0.05)
+    ens = al.simulate_ensemble(rotational.model, [0.5, 0.0], gauge=gauge, **kw)
+    assert al.check_supermaxingale(ens, cand, gauge, 0.05).worst_excess > 0
+    with pytest.raises(ValueError, match="different candidate or gauge"):
+        al.check_supermaxingale(ens, cand, None, 0.05)
+    # a zero gauge adds nothing to the excess: it matches none
+    ens = al.simulate_ensemble(linear1d.model, [0.8], dt=1e-2, T=1.0, n_paths=2, seed=1,
+                               candidate=linear1d.candidate)
+    assert al.check_supermaxingale(ens, linear1d.candidate, al.GaugeFunction.zero(),
+                                   1e-9).passed
+
+
+def test_supermaxingale_tells_value_fields_apart(rotational):
+    grid = al.Grid((-1.0, -1.0), (1.0, 1.0), (21, 21))
+    scheme = al.default_scheme(rotational.model, grid, cap=1.0)
+    fld = al.worst_case_sup_value(rotational.model, grid, scheme).field
+    other = al.ScalarField(grid, fld.flat, name=fld.name, fill=fld.fill)
+    # fields compare by identity: an array comparison has no single truth value
+    assert fld == fld and fld != other
+    ens = al.simulate_ensemble(rotational.model, [0.5, 0.0], dt=1e-2, T=1.0, n_paths=4,
+                               seed=2, candidate=fld)
+    assert al.check_supermaxingale(ens, fld, None, 0.05).passed
+    with pytest.raises(ValueError, match="different candidate or gauge"):
+        al.check_supermaxingale(ens, other, None, 0.05)
+
+
 # ------------------------------------------------------------- viability MC
 
 def test_empirical_viability_deterministic_zero(linear1d):

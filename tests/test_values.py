@@ -471,6 +471,23 @@ def test_value_result_metadata(linear1d):
     assert res.field.residual < scheme.tolerance
 
 
+def test_each_solve_reads_its_cap_off_the_grid(rotational):
+    grid = al.Grid((-1.0, -1.0), (1.0, 1.0), (11, 11))
+    scheme = al.default_scheme(rotational.model, grid, cap=0.9)
+    sup = al.worst_case_sup_value(rotational.model, grid, scheme).field
+    integral = al.worst_case_integral_value(rotational.model, grid, rotational.gauge,
+                                            scheme).field
+    disc, _ = al.discounted_value_and_prop_set(rotational.model, grid, K=0.5, lam=2.0,
+                                               theta=0.1, scheme=scheme)
+    # the discounted cap is the largest running cost over the discount rate
+    w_cap = (np.sqrt(2.0) - 0.5) / 2.0
+    for fld, cap in ((sup, 0.9), (integral, 0.9), (disc.field, pytest.approx(w_cap))):
+        inside, outside, nan = fld.value(np.array([[0.25, -0.3], [1.5, 0.0], [np.nan, 0.0]]))
+        assert inside == fld.interpolate(np.array([0.25, -0.3]))
+        assert fld.fill == outside == nan == cap
+    assert np.isnan(al.ScalarField(grid, sup.values).value(np.array([2.0, 0.0])))
+
+
 # ------------------------------------------------------ row blocks and threads
 
 class _Boom(RuntimeError):
