@@ -22,7 +22,6 @@ import numpy as np
 
 from . import __version__
 from .fields import Grid, ScalarField, _csv, extract_level_set
-from .gauges import GaugeFunction
 from .model import ModelError, ParsedModel, parse_model
 from .simulate import (
     _simulate_batch,

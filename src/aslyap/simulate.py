@@ -36,11 +36,13 @@ the property, never as proof.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import mmap
 import os
 import pickle
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -88,6 +90,7 @@ _MIN_CHUNK_PATHS = 250
 # Each path fills its slab row with one draw call per block, so the slab's size
 # changes the bytes held, not the number of calls.
 _SLAB_PATHS = 128
+_PRIVATE = {"flags": mmap.MAP_PRIVATE} if os.name == "posix" else {}  # Windows takes no flags
 
 
 def _path_generator(seed: int, path_index: int) -> np.random.Generator:
@@ -396,7 +399,11 @@ def _simulate_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
     if draws:
         gens = [_path_generator(seeds[p // n_paths], p % n_paths)
                 for p in range(path_lo, path_hi)]
-        incs_buffer = np.empty((block_steps, m, n))
+        # its own mapping, unmapped when it goes: in the heap, huge-page advice spread past it
+        mapping = mmap.mmap(-1, 8 * block_steps * m * n, **_PRIVATE)
+        with contextlib.suppress(AttributeError, OSError):  # no huge pages on this system
+            mapping.madvise(mmap.MADV_HUGEPAGE)
+        incs_buffer = np.frombuffer(mapping).reshape(block_steps, m, n)
         slab = np.empty((min(_SLAB_PATHS, n), block_steps, m))
     step_index = 0
     while step_index < n_steps and len(index):

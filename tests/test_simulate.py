@@ -536,17 +536,27 @@ def test_block_length_rule(monkeypatch, rotational):
         assert shapes == [(100, 1, 4 * n_starts)]
 
 
-def test_increment_block_is_held_once(rotational):
+def test_increment_block_is_held_once(monkeypatch, rotational):
     n_paths = 4000
     block_bytes = simulate._BLOCK_STEPS * n_paths * 8
+    mapped = []
+    mapping = simulate.mmap.mmap
+
+    def spy(fileno, length, **kw):
+        mapped.append(length)
+        return mapping(fileno, length, **kw)
+
+    # the block is a mapping of its own, which tracemalloc does not see
+    monkeypatch.setattr(simulate.mmap, "mmap", spy)
     tracemalloc.start()
     try:
         al.simulate_ensemble(rotational.model, [0.5, 0.0], dt=1e-3, T=1.024,
                              n_paths=n_paths, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
+        peak = tracemalloc.get_traced_memory()[1] + sum(mapped)
     finally:
         tracemalloc.stop()
     # one (steps, paths, noise) block and per-path state, not a per-path copy as well
+    assert mapped == [block_bytes]
     assert block_bytes <= peak < 1.5 * block_bytes
     # 256-step blocks: 11.0 MiB, where 1024-step blocks took 35.8 MiB
     assert peak < 16 * 2**20
