@@ -158,6 +158,7 @@ def _write_field(run_dir: Path, name: str, result, extra: dict | None = None):
         "iterations": fld.iterations,
         "residual": fld.residual,
         "converged": fld.converged,
+        "fill": fld.fill,
         "residual_history": result.residuals[-50:],
     }
     sidecar.update(extra or {})

@@ -8,6 +8,7 @@ so repeated queries at fixed points are exact gather + dot operations
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -147,10 +148,11 @@ class ScalarField:
         return _csv(_coord_header(self.grid.dim) + ",value", [*self.grid.nodes().T, self.flat])
 
     @classmethod
-    def from_csv(cls, text: str, grid: Grid) -> "ScalarField":
+    def from_csv(cls, text: str, grid: Grid, fill: float = float("nan")) -> "ScalarField":
+        """The field ``to_csv`` wrote; the text holds no ``fill``, so pass it."""
         lines = text.strip().splitlines()
         vals = np.array([float(line.rsplit(",", 1)[1]) for line in lines[1:]])
-        return cls(grid=grid, values=vals)
+        return cls(grid=grid, values=vals, fill=fill)
 
     def to_binary(self) -> bytes:
         """Little-endian dump: dim, per-axis (lower, upper, count), row-major values."""
@@ -161,7 +163,8 @@ class ScalarField:
         return b"".join(out)
 
     @classmethod
-    def from_binary(cls, blob: bytes) -> "ScalarField":
+    def from_binary(cls, blob: bytes, fill: float = float("nan")) -> "ScalarField":
+        """The field ``to_binary`` wrote; the dump holds no ``fill``, so pass it."""
         (dim,) = struct.unpack_from("<I", blob, 0)
         off = 4
         lower, upper, counts = [], [], []
@@ -173,7 +176,7 @@ class ScalarField:
             counts.append(c)
         grid = Grid(tuple(lower), tuple(upper), tuple(counts))
         vals = np.frombuffer(blob, dtype="<f8", offset=off, count=grid.n_nodes)
-        return cls(grid=grid, values=vals.copy())
+        return cls(grid=grid, values=vals.copy(), fill=fill)
 
 
 class BoxInterpolator:
@@ -274,6 +277,25 @@ class _RowBlocks:
         if self._pool is None:
             return [fn(rows) for rows in self.slices]
         return list(self._pool.map(fn, self.slices))
+
+
+def _norm(a: np.ndarray, axes: int = 1) -> np.ndarray:
+    """Euclidean norms over the last ``axes`` axes of the float array ``a``, bit-equal
+    to ``np.linalg.norm`` of ``a`` in C order (over one axis, in any order).
+
+    Fewer than eight squares are added left to right one column at a time,
+    as numpy adds them but faster than its reduction over a short axis; more
+    take numpy's norm.  The entry count comes from the shape: a -1 reshape
+    fails on an empty row block.
+    """
+    count = math.prod(a.shape[a.ndim - axes:])
+    rows = a.reshape(a.shape[:a.ndim - axes] + (count,))
+    if not 0 < count < 8:
+        return np.linalg.norm(np.ascontiguousarray(rows), axis=-1)
+    out = rows[..., 0] * rows[..., 0]
+    for i in range(1, count):
+        out += rows[..., i] * rows[..., i]
+    return np.sqrt(out, out=out)
 
 
 def _coord_header(dim: int) -> str:

@@ -63,16 +63,28 @@ def _points(x, dim: int) -> np.ndarray:
     return x
 
 
+# Points per kernel call: each call's temporaries then stay at most 64 KiB an
+# array, under glibc's mmap threshold, so a whole-grid call reuses heap pages
+# instead of faulting in fresh mappings.
+_EVAL_POINTS = 8192
+
+
 def _evaluate(kernel, x, dim: int, tail: tuple[int, ...]) -> np.ndarray:
     """The rows an ``ex._compile_rows`` kernel of x1..x<dim> writes at each
     point of ``x``, shaped ``x.shape[:-1] + tail``.
 
-    Non-finite values are legitimate here; callers mask or flag them.
+    The kernel runs over sub-blocks of at most ``_EVAL_POINTS`` points,
+    writing into the one output; every kernel is elementwise, so the
+    sub-blocks change no bit.  Non-finite values are legitimate here;
+    callers mask or flag them.
     """
     x = _points(x, dim)
     out = np.empty(x.shape[:-1] + tail)
+    points, rows = x.reshape(-1, dim), out.reshape(-1, math.prod(tail))
     with np.errstate(all="ignore"):
-        kernel(*x.reshape(-1, dim).T, out.reshape(-1, math.prod(tail)).T)
+        for lo in range(0, len(points), _EVAL_POINTS):
+            block = slice(lo, lo + _EVAL_POINTS)
+            kernel(*points[block].T, rows[block].T)
     return out
 
 

@@ -15,9 +15,13 @@ per-step array operation reads contiguous rows.  Each control's update of
 all state rows is one kernel generated from the trees once per ensemble; it
 writes into the next-state buffer and evaluates each repeated subtree once.
 When no kernel reads an increment (sigma = 0 under every control the run
-can use), no generator is built and nothing is drawn.  On `rotational` with
-candidate and gauge tracking (dt 1e-3, one worker, 2-core Xeon) the loop
-runs 4.3 million path-steps/s at 500 paths and 12.5 million at 10 000 paths.
+can use), no generator is built and nothing is drawn.  Increments are drawn
+in the calling process, or, when a usable core is left over, by a forked
+producer process that draws ahead into shared memory while the calling
+process only steps (``_increments``).  On `rotational` with candidate and
+gauge tracking (dt 1e-3, one worker, 2-core Xeon) a 10 000-path ensemble of
+2000 steps took a median of 0.86 s with the producer against 1.06 s with
+inline draws, 23 and 19 million path-steps/s (10 alternating runs each).
 
 Paths use counter-based per-path RNG streams keyed by (seed, path index), so
 ensembles are bit-identical for any worker count or chunk size, and whether
@@ -37,6 +41,7 @@ the property, never as proof.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import mmap
 import os
@@ -264,23 +269,6 @@ def _compile_steps(model, control_indices, integrator):
     return {ci: ex._compile_rows(rows, args) for ci, rows in trees.items()}, integrator, draws
 
 
-def _radius(x, out):
-    """Column norms of x, shape (dim, paths), into ``out``.
-
-    Bit-equal to ``np.linalg.norm`` of the row-major (paths, dim) array along
-    its last axis: numpy adds fewer than eight squares left to right and more
-    pairwise, and on other memory orders in another order, so wider states
-    take numpy's own norm of a row-major copy.
-    """
-    if len(x) >= 8:
-        out[:] = np.linalg.norm(x.T.copy(), axis=-1)
-        return out
-    np.multiply(x[0], x[0], out=out)
-    for c in x[1:]:
-        out += c * c
-    return np.sqrt(out, out=out)
-
-
 def _inside(x, lower, upper, ok, flag):
     """Flag into ``ok`` the columns of x inside the box; ``flag`` is scratch."""
     for i, row in enumerate(x):
@@ -296,7 +284,7 @@ def _draw(gens, increment_mode, root_dt, slab, out):
     """Scaled increments of ``gens`` into ``out``, shape (block, m, paths).
 
     Each path's draws fill one row of ``slab`` (up to ``_SLAB_PATHS`` paths)
-    and the slab is copied into ``out`` transposed, so the block is held
+    and the slab is scaled into ``out`` transposed, so the block is held
     once, not once per path and once stacked.
     """
     block = out.shape[0]
@@ -307,9 +295,114 @@ def _draw(gens, increment_mode, root_dt, slab, out):
                 g.standard_normal(out=row)
             else:  # signed-bernoulli
                 row[...] = g.integers(0, 2, size=row.shape) * 2.0 - 1.0
-        out[..., lo:lo + len(rows)] = rows.transpose(1, 2, 0)
-    out *= root_dt
+        np.multiply(rows.transpose(1, 2, 0), root_dt, out=out[..., lo:lo + len(rows)])
     return out
+
+
+_READY = b"\0"  # a slot is drawn; a pickled outcome starts with another byte
+
+
+@contextlib.contextmanager
+def _apart():
+    """Pin the calling process to one of its CPUs, yield the others (None if it has one),
+    and give it all of them back on exit.
+
+    A producer pins itself to the others.  Unpinned, a pipe's wake-up can run
+    the woken process on the waker's CPU while the waker runs on: at 500
+    paths each 1-byte token the step loop wrote took 2.2 ms, and the producer
+    lost to inline draws (2-vCPU Xeon VM).
+    """
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+    if len(cpus) < 2:
+        yield None
+        return
+    os.sched_setaffinity(0, cpus[:1])
+    try:
+        yield cpus[1:]
+    finally:
+        os.sched_setaffinity(0, cpus)
+
+
+@contextlib.contextmanager
+def _increments(draws, spare, seeds, n_paths, path_lo, path_hi, m, increment_mode, root_dt,
+                 n_steps):
+    """The increments of batch paths path_lo..path_hi-1: yields (block steps, ``take``).
+
+    ``take(block, index)`` gives the next ``block`` steps, shape (block, m,
+    columns), and the live paths' ``index`` columns in them, None when they
+    are all of them in order; without ``draws``, (None, None).  Inline,
+    ``_draw`` fills a block of ``_BLOCK_STEPS`` steps with the live paths'
+    streams.  With ``spare`` a forked producer builds the generators and
+    draws every path into two shared slots of ``max(1, _BLOCK_STEPS // 2)``
+    steps, the bytes of one inline block; a token on one pipe hands a slot
+    over, one on the other frees it.  Each stream is drawn in order either
+    way, so no bit moves.  The producer's exception or death is raised from
+    ``take``, and it is killed and reaped when the context exits.
+    """
+    n = path_hi - path_lo
+    block_steps = min(max(1, _BLOCK_STEPS // 2) if spare else _BLOCK_STEPS, n_steps)
+    if not draws:
+        yield block_steps, lambda block, index: (None, None)
+        return
+    slots = 2 if spare else 1
+    # its own mapping, unmapped when it goes: in the heap, huge-page advice spread past it
+    mapping = mmap.mmap(-1, 8 * slots * block_steps * m * n,
+                        **({"flags": mmap.MAP_SHARED} if spare else _PRIVATE))
+    with contextlib.suppress(AttributeError, OSError):  # no huge pages on this system
+        mapping.madvise(mmap.MADV_HUGEPAGE)
+    incs = np.frombuffer(mapping).reshape(slots, block_steps, m, n)
+    slab = np.empty((min(_SLAB_PATHS, n), block_steps, m))
+
+    def generators():
+        return [_path_generator(seeds[p // n_paths], p % n_paths) for p in range(path_lo, path_hi)]
+
+    if not spare:
+        gens = generators()
+
+        def take(block, index):
+            live = gens if len(index) == n else [gens[i] for i in index]
+            return _draw(live, increment_mode, root_dt, slab, incs[0, :block, :, :len(index)]), None
+
+        yield block_steps, take
+        return
+
+    free_read, free_write = os.pipe()
+    children = {}
+    try:
+        with _apart() as theirs:
+
+            def produce(ready):
+                if theirs:
+                    os.sched_setaffinity(0, theirs)
+                gens = generators()
+                for k, lo in enumerate(range(0, n_steps, block_steps)):
+                    if k >= 2 and not os.read(free_read, 1):
+                        return  # the caller is gone
+                    _draw(gens, increment_mode, root_dt, slab,
+                          incs[k % 2, :min(block_steps, n_steps - lo)])
+                    os.write(ready, _READY)
+
+            try:
+                pid, children[pid] = _fork(produce, free_write)
+            finally:
+                os.close(free_read)
+            blocks = itertools.count()
+
+            def take(block, index):
+                k = next(blocks)
+                if children[pid].peek(1)[:1] != _READY:
+                    _outcome(children, pid,
+                             f"drawing the increments of paths {path_lo}..{path_hi - 1}")
+                children[pid].read(1)
+                if k:  # the caller is done with the slot it stepped last
+                    with contextlib.suppress(BrokenPipeError):  # a dead producer shows next read
+                        os.write(free_write, _READY)
+                return incs[k % 2, :block], None if len(index) == n else index
+
+            yield block_steps, take
+    finally:
+        os.close(free_write)
+        _kill(children)
 
 
 def _group_starts(groups):
@@ -320,7 +413,7 @@ def _group_starts(groups):
 
 def _simulate_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
                     increment_mode, lower, upper, control_index, feedback, steps, draws, cand,
-                    gauge, occ_radii, target_fn, thin):
+                    gauge, occ_radii, target_fn, thin, spare):
     """Simulate batch paths path_lo..path_hi-1 and return their full-size statistics.
 
     Batch path p is path j = p % n_paths of ensemble g = p // n_paths: it
@@ -337,13 +430,15 @@ def _simulate_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
     the rest of the block's increments are read through the live paths'
     columns.  Without ``draws`` (no kernel reads an increment) no generator
     is built and nothing is drawn.  The step runs with one ``np.errstate``
-    scope per block of steps; increments, states, box flags and radii go
-    into buffers reused from step to step.  A block has ``_BLOCK_STEPS``
-    steps (fewer in the last one and when the horizon is shorter), in a
-    batch as in a single ensemble; each path's stream is drawn in order, so
-    the block length changes no bit.  The outputs equal the masked loop that
-    steps every path bit for bit.  ``feedback`` is None when one control
-    serves every path (``control_index``).
+    scope per block of steps; states and box flags go into buffers reused
+    from step to step.  The blocks come from ``_increments``: drawn inline,
+    or by a forked producer when ``spare`` says a usable core is left over.
+    A block has the source's length (fewer steps in the last one and when
+    the horizon is shorter), in a batch as in a single ensemble; each path's
+    stream is drawn in order, so neither the source nor the block length
+    changes a bit.  The outputs equal the masked loop that steps every path
+    bit for bit.  ``feedback`` is None when one control serves every path
+    (``control_index``).
     """
     n = path_hi - path_lo
     dim = model.dim_state
@@ -356,7 +451,7 @@ def _simulate_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
     upper = np.broadcast_to(np.minimum(upper, big), (dim,))
 
     x = np.ascontiguousarray(x0s[group].T)
-    radius = _radius(x, np.empty(n))
+    radius = fields._norm(x.T)
     timeline = np.zeros((len(x0s), n_steps + 1))
     present, starts = _group_starts(group)
     timeline[present, 0] = np.maximum.reduceat(radius, starts)
@@ -394,84 +489,73 @@ def _simulate_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
         return np.empty((dim, size)), np.empty(size, dtype=bool), np.empty(size, dtype=bool)
 
     xn, ok, flag = buffers(n)
-    block_steps = min(_BLOCK_STEPS, n_steps)
     w = ()  # the increments of one step, as rows (m, paths), when drawn
-    if draws:
-        gens = [_path_generator(seeds[p // n_paths], p % n_paths)
-                for p in range(path_lo, path_hi)]
-        # its own mapping, unmapped when it goes: in the heap, huge-page advice spread past it
-        mapping = mmap.mmap(-1, 8 * block_steps * m * n, **_PRIVATE)
-        with contextlib.suppress(AttributeError, OSError):  # no huge pages on this system
-            mapping.madvise(mmap.MADV_HUGEPAGE)
-        incs_buffer = np.frombuffer(mapping).reshape(block_steps, m, n)
-        slab = np.empty((min(_SLAB_PATHS, n), block_steps, m))
-    step_index = 0
-    while step_index < n_steps and len(index):
-        block = min(block_steps, n_steps - step_index)
-        if draws:
-            incs = _draw(gens, increment_mode, root_dt, slab, incs_buffer[:block, :, :len(index)])
-        cols = None  # after an exit, the block's columns of the live paths
-        with np.errstate(all="ignore"):
-            for b in range(block):
-                k = step_index + b
-                if draws:
-                    w = incs[b] if cols is None else incs[b].take(cols, axis=-1)
-                x = live.x
-                # pre-step state carries the running integrals over [t_k, t_k + dt)
-                if gauge is not None:
-                    live.acc_l += gauge(live.radius) * dt
-                if occ_radii is not None:
-                    live.occupation += dt * (live.radius > occ_col)
-
-                if feedback is None:
-                    steps[control_index](*x, *w, dt, xn)
-                else:
-                    indices = feedback.lookup(x.T)
-                    for ci in np.unique(indices):
-                        mask = indices == ci
-                        xm = x.compress(mask, axis=-1)
-                        wm = w.compress(mask, axis=-1) if draws else ()
-                        xn[:, mask] = steps[ci](*xm, *wm, dt, np.empty_like(xm))
-
-                if not _inside(xn, lower, upper, ok, flag).all():
-                    kept, gone = np.flatnonzero(ok), np.flatnonzero(~ok)
-                    at = index[gone]
-                    alive[at] = False
-                    exit_times[at] = (k + 1) * dt
-                    if thin:
-                        stored[sample_row:, at] = x[:, gone].T
-                    for key, arr in vars(live).items():
-                        final[key][..., at] = arr[..., gone]
-                        setattr(live, key, arr.take(kept, axis=-1))
-                    index = index[kept]
+    with _increments(draws, spare, seeds, n_paths, path_lo, path_hi, m, increment_mode, root_dt,
+                     n_steps) as (block_steps, take):
+        step_index = 0
+        while step_index < n_steps and len(index):
+            block = min(block_steps, n_steps - step_index)
+            # cols: the block's columns of the live paths, None while they are all of them
+            incs, cols = take(block, index)
+            with np.errstate(all="ignore"):
+                for b in range(block):
+                    k = step_index + b
                     if draws:
-                        gens = [gens[j] for j in kept]
-                    cols = kept if cols is None else cols[kept]
-                    xn = xn.take(kept, axis=-1)
-                    x, ok, flag = buffers(len(index))
-                    if not len(index):
-                        break
-                    present, starts = _group_starts(group[index])
-                    if cand is not None:
-                        v0 = v0s[group[index]]
-                live.x, xn = xn, x  # the pre-step buffer takes the next step
+                        w = incs[b] if cols is None else incs[b].take(cols, axis=-1)
+                    x = live.x
+                    # pre-step state carries the running integrals over [t_k, t_k + dt)
+                    if gauge is not None:
+                        live.acc_l += gauge(live.radius) * dt
+                    if occ_radii is not None:
+                        live.occupation += dt * (live.radius > occ_col)
 
-                radius = _radius(live.x, live.radius)
-                np.maximum(live.sup_radius, radius, out=live.sup_radius)
-                timeline[present, k + 1] = np.maximum.reduceat(radius, starts)
-                if cand is not None:
-                    vx = value_of(live.x)
-                    np.maximum(live.sup_v, vx, out=live.sup_v)
-                    excess = vx + live.acc_l - v0
-                    live.supermax_t[excess > live.supermax] = (k + 1) * dt
-                    np.maximum(live.supermax, excess, out=live.supermax)
-                if target_fn is not None:
-                    dx = np.abs(np.asarray(target_fn(live.x.T), dtype=float))
-                    np.maximum(live.sup_d, dx, out=live.sup_d)
-                if thin and (k + 1) % thin == 0:
-                    stored[sample_row, index] = live.x.T
-                    sample_row += 1
-        step_index += block
+                    if feedback is None:
+                        steps[control_index](*x, *w, dt, xn)
+                    else:
+                        indices = feedback.lookup(x.T)
+                        for ci in np.unique(indices):
+                            mask = indices == ci
+                            xm = x.compress(mask, axis=-1)
+                            wm = w.compress(mask, axis=-1) if draws else ()
+                            xn[:, mask] = steps[ci](*xm, *wm, dt, np.empty_like(xm))
+
+                    if not _inside(xn, lower, upper, ok, flag).all():
+                        kept, gone = np.flatnonzero(ok), np.flatnonzero(~ok)
+                        at = index[gone]
+                        alive[at] = False
+                        exit_times[at] = (k + 1) * dt
+                        if thin:
+                            stored[sample_row:, at] = x[:, gone].T
+                        for key, arr in vars(live).items():
+                            final[key][..., at] = arr[..., gone]
+                            setattr(live, key, arr.take(kept, axis=-1))
+                        index = index[kept]
+                        cols = kept if cols is None else cols[kept]
+                        xn = xn.take(kept, axis=-1)
+                        x, ok, flag = buffers(len(index))
+                        if not len(index):
+                            break
+                        present, starts = _group_starts(group[index])
+                        if cand is not None:
+                            v0 = v0s[group[index]]
+                    live.x, xn = xn, x  # the pre-step buffer takes the next step
+
+                    live.radius = radius = fields._norm(live.x.T)
+                    np.maximum(live.sup_radius, radius, out=live.sup_radius)
+                    timeline[present, k + 1] = np.maximum.reduceat(radius, starts)
+                    if cand is not None:
+                        vx = value_of(live.x)
+                        np.maximum(live.sup_v, vx, out=live.sup_v)
+                        excess = vx + live.acc_l - v0
+                        live.supermax_t[excess > live.supermax] = (k + 1) * dt
+                        np.maximum(live.supermax, excess, out=live.supermax)
+                    if target_fn is not None:
+                        dx = np.abs(np.asarray(target_fn(live.x.T), dtype=float))
+                        np.maximum(live.sup_d, dx, out=live.sup_d)
+                    if thin and (k + 1) % thin == 0:
+                        stored[sample_row, index] = live.x.T
+                        sample_row += 1
+            step_index += block
 
     for key, arr in vars(live).items():
         final[key][..., index] = arr
@@ -482,19 +566,31 @@ def _simulate_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
     return out
 
 
-def _chunk_child(args, read_end, write_end):
-    """In a forked child: step ``args``' chunks, pickle the outcome down the pipe, exit.
+def _fork(work, *close):
+    """Fork a child that closes ``close``, pickles the outcome of ``work(fd)`` down the
+    pipe ``fd`` and exits; return its pid and the read end of the pipe, as a file.
 
-    The outcome is (True, result dicts) or (False, exception); an exception
-    that does not survive a pickle round trip is sent as a ``RuntimeError``
-    with its type and message.  The child always leaves through ``os._exit``,
-    so it runs no atexit handler and flushes no inherited buffer.
+    The outcome is (True, result) or (False, exception); an exception that
+    does not survive a pickle round trip is sent as a ``RuntimeError`` with
+    its type and message.  The child always leaves through ``os._exit``, so
+    it runs no atexit handler and flushes no inherited buffer.
     """
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid:
+        os.close(write_end)
+        return pid, os.fdopen(read_end, "rb")
     code = 1
     try:
-        os.close(read_end)
+        for fd in (read_end, *close):
+            os.close(fd)
         try:
-            out = (True, [_simulate_chunk(*a) for a in args])
+            out = (True, work(write_end))
         except BaseException as err:
             try:
                 pickle.loads(pickle.dumps(err))
@@ -508,8 +604,35 @@ def _chunk_child(args, read_end, write_end):
         os._exit(code)
 
 
+def _outcome(children, pid, what):
+    """The result the child ``pid`` pickled down ``children[pid]``, once reaped; its
+    exception is raised again, and ``RuntimeError`` names ``what`` if it died without one."""
+    with children[pid] as pipe:
+        try:
+            ok, out = pickle.load(pipe)
+        except (EOFError, pickle.UnpicklingError):
+            ok = None
+    status = os.waitpid(pid, 0)[1]
+    del children[pid]
+    if ok is None:
+        raise RuntimeError(f"the process {what} died without a result (wait status {status})")
+    if not ok:
+        raise out
+    return out
+
+
+def _kill(children):
+    """Close the pipes of the children left in ``children``, kill and reap them."""
+    import signal
+
+    for pid, pipe in children.items():
+        pipe.close()
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
 def _run_chunks(args) -> list[dict]:
-    """``[_simulate_chunk(*a) for a in args]`` on up to ``fields._cpus()`` processes.
+    """``[_simulate_chunk(*a, spare) for a in args]`` on up to ``fields._cpus()`` processes.
 
     With P = min(chunks, usable CPUs) >= 2, ``os.fork`` available and no
     other thread alive, P - 1 forked children step chunks k, k + P, ... and
@@ -520,51 +643,29 @@ def _run_chunks(args) -> list[dict]:
     child's exception is raised again here; a child that dies without a
     result raises ``RuntimeError``.  If anything raises, the children still
     running are killed and reaped.  Otherwise the chunks run in order on the
-    calling thread.
+    calling thread.  ``spare`` is true where forks are allowed and the
+    usable CPUs outnumber the processes stepping chunks: the calling
+    process's chunks then draw in a forked producer (``_increments``).
     """
-    procs = min(len(args), fields._cpus())
-    if procs < 2 or not hasattr(os, "fork") or threading.active_count() != 1:
-        return [_simulate_chunk(*a) for a in args]
+    cpus = fields._cpus()
+    procs = min(len(args), cpus)
+    forks = hasattr(os, "fork") and threading.active_count() == 1
+    spare = forks and cpus > procs
+    if procs < 2 or not forks:
+        return [_simulate_chunk(*a, spare) for a in args]
     children = {}  # pid -> the read end of its pipe, in the order forked
     try:
         for k in range(1, procs):
-            read_end, write_end = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(read_end)
-                os.close(write_end)
-                raise
-            if pid == 0:
-                _chunk_child(args[k::procs], read_end, write_end)
-            os.close(write_end)
-            children[pid] = os.fdopen(read_end, "rb")
+            pid, children[pid] = _fork(
+                lambda _, own=args[k::procs]: [_simulate_chunk(*a, False) for a in own])
         results = [None] * len(args)
-        results[::procs] = [_simulate_chunk(*a) for a in args[::procs]]
+        results[::procs] = [_simulate_chunk(*a, spare) for a in args[::procs]]
         for k, pid in enumerate(list(children), 1):
-            with children[pid] as pipe:
-                try:
-                    ok, out = pickle.load(pipe)
-                except (EOFError, pickle.UnpicklingError):
-                    ok = None
-            status = os.waitpid(pid, 0)[1]
-            del children[pid]
-            if ok is None:
-                chunks = ", ".join(map(str, range(k, len(args), procs)))
-                raise RuntimeError(f"the process stepping ensemble chunk(s) {chunks} died "
-                                   f"without a result (wait status {status})")
-            if not ok:
-                raise out
-            results[k::procs] = out
+            chunks = ", ".join(map(str, range(k, len(args), procs)))
+            results[k::procs] = _outcome(children, pid, f"stepping ensemble chunk(s) {chunks}")
         return results
     finally:
-        if children:
-            import signal
-
-            for pid, pipe in children.items():
-                pipe.close()
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+        _kill(children)
 
 
 def _step_count(T, dt, starts=1) -> int:

@@ -38,8 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
-from .fields import (Grid, LevelSet, ScalarField, _coord_header, _csv, _RowBlocks, gradient_field,
-                     hessian_field)
+from .fields import (Grid, LevelSet, ScalarField, _coord_header, _csv, _norm, _RowBlocks,
+                     gradient_field, hessian_field)
 from .gauges import GaugeFunction
 from .model import CandidateFunction, ControlledDiffusion, _distance_evaluator, _half_outer
 
@@ -206,13 +206,13 @@ def _margin_arrays(model, nodes, grads, hessians, eps_tan, gate_norm=None, data_
     min_resid = np.full(n, np.inf)
     scale = None if data_norms is None else np.ones(n)
     if gate_norm is None:
-        gate_norm = np.linalg.norm(grads, axis=-1)
+        gate_norm = _norm(grads)
     for idx in range(model.n_controls):
         f = model.drift(nodes, idx)
         s = model.sigma(nodes, idx)
         a = _half_outer(s)
-        resid = np.linalg.norm(np.einsum("nim,ni->nm", s, grads), axis=-1)
-        snorm = np.linalg.norm(s.reshape(n, s.shape[-2] * s.shape[-1]), axis=-1)
+        resid = _norm(np.einsum("nim,ni->nm", s, grads))
+        snorm = _norm(s, 2)
         gate = eps_tan * gate_norm * np.maximum(1.0, snorm)
         tangential = resid <= gate
         m = -np.einsum("ni,ni->n", grads, f) - np.einsum("nij,nji->n", a, hessians)
@@ -223,8 +223,7 @@ def _margin_arrays(model, nodes, grads, hessians, eps_tan, gate_norm=None, data_
         wit_resid = np.where(better, resid, wit_resid)
         if scale is not None:
             pnorm, ynorm = data_norms
-            scale = np.maximum(scale, 1.0 + np.linalg.norm(f, axis=-1)
-                               + np.linalg.norm(a, axis=(-2, -1)) + pnorm + ynorm)
+            scale = np.maximum(scale, 1.0 + _norm(f) + _norm(a, 2) + pnorm + ynorm)
     resid_out = np.where(witness >= 0, wit_resid, min_resid)
     return best, witness, resid_out, scale
 
@@ -355,8 +354,8 @@ def _decrease_pass(kind, model, source, grid, distance, l, eps_tan, tol,
         x, d = x[keep], d[keep]
         vals, grads, hess = derivatives(rows, keep, x)
         finite, grads, hess = _finite_derivatives(vals, grads, hess)
-        pnorm = np.linalg.norm(grads, axis=-1)
-        norms = None if tol is not None else (pnorm, np.linalg.norm(hess, axis=(-2, -1)))
+        pnorm = _norm(grads)
+        norms = None if tol is not None else (pnorm, _norm(hess, 2))
         best, witness, resid, scale = _margin_arrays(model, x, grads, hess, eps_tan,
                                                      pnorm, norms)
         margins = best - l(d)
@@ -401,9 +400,8 @@ def check_supersolution(
     derivatives are flagged and excluded from the summary.
     """
     l = l or GaugeFunction.zero()
-    report, _, _ = _decrease_pass("supersolution", model, candidate, grid,
-                                  lambda x: np.linalg.norm(x, axis=-1), l, eps_tan, tol,
-                                  edges=True)
+    report, _, _ = _decrease_pass("supersolution", model, candidate, grid, _norm, l, eps_tan,
+                                  tol, edges=True)
     report.params["gauge_zero"] = l.is_zero()
     if isinstance(candidate, CandidateFunction):
         finite = report.statuses != STATUS_NONFINITE
@@ -426,7 +424,7 @@ def radial_sufficient_check(
 
     def block(rows):
         x = nodes[rows]
-        radii = np.linalg.norm(x, axis=-1)
+        radii = _norm(x)
         hess = np.broadcast_to(eye, (len(x),) + eye.shape)
         best, witness, resid, _ = _margin_arrays(model, x, x, hess, eps_tan,
                                                  gate_norm=np.maximum(radii, h_max))

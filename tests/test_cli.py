@@ -282,6 +282,21 @@ def test_value_sup_writes_field(tmp_path):
     assert sidecar["converged"] is True
 
 
+def test_value_field_keeps_its_fill_on_a_round_trip(tmp_path):
+    assert main(["value", "sup", "--model", ROT, "--grid", "11",
+                 "--out", _runs(tmp_path)]) == 0
+    run = next((tmp_path / "runs").iterdir())
+    grid = al.Grid((-1.0, -1.0), (1.0, 1.0), (11, 11))
+    fill = json.loads((run / "field.json").read_text())["fill"]
+    from_csv = al.ScalarField.from_csv((run / "field.csv").read_text(), grid, fill=fill)
+    from_binary = al.ScalarField.from_binary(from_csv.to_binary(), fill=fill)
+    off_grid = np.array([[1.5, 0.0]])
+    for fld in (from_csv, from_binary):
+        assert fld.value(off_grid).tolist() == [1.0]  # the solve's cap
+    # without the sidecar's fill, a field reads NaN off the grid as before
+    assert np.isnan(al.ScalarField.from_binary(from_csv.to_binary()).value(off_grid)).all()
+
+
 def test_value_discounted_rejects_bad_lambda(tmp_path):
     assert main(["value", "discounted", "--model", ROT, "--lambda", "-1",
                  "--out", _runs(tmp_path)]) == 2

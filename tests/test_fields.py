@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import aslyap as al
-from aslyap.fields import BoxInterpolator, gradient_field, hessian_field
+from aslyap.fields import BoxInterpolator, _norm, gradient_field, hessian_field
 
 
 def _field_from(expr, grid):
@@ -238,3 +238,37 @@ def test_interpolation_is_monotone_in_field_values():
     lo = rng.uniform(0, 1, g.n_nodes)
     hi = lo + rng.uniform(0, 1, g.n_nodes)
     assert np.all(interp.apply(hi, prep, 0.0) >= interp.apply(lo, prep, 0.0))
+
+
+def _same_bits(got, want):
+    """Equal bit for bit, NaN as NaN: IEEE 754 leaves the sign of a NaN result open,
+    and numpy's vector and scalar loops give either sign for (-NaN)^2."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.where(np.isnan(got), np.nan, got).tobytes() == \
+        np.where(np.isnan(want), np.nan, want).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(300, 1), (300, 2), (300, 3), (300, 2, 1), (300, 2, 2),
+                                   (0, 2), (0, 2, 2), (40, 9)])
+def test_norm_matches_numpy_bit_for_bit(shape):
+    axes = len(shape) - 1
+    axis = -1 if axes == 1 else (-2, -1)
+    rng = np.random.Generator(np.random.Philox(key=17))
+    # mostly comparable magnitudes, so that the order of the sums shows in the last bits,
+    # and some from 1e-150 to 1e150
+    a = rng.standard_normal(shape) * 10.0 ** rng.choice([-150, -1, 0, 0, 0, 1, 150], size=shape)
+    odd = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan])
+    a.reshape(-1)[:2 * len(odd)] = np.tile(odd, 2)[:a.size]  # +-0, +-inf, +-NaN, even whole rows
+    _same_bits(_norm(a, axes), np.linalg.norm(a, axis=axis))
+    # the same entries in the other memory order, as the step loop's (dim, paths).T
+    flipped = np.asfortranarray(a)
+    assert not flipped.flags.c_contiguous or a.size == 0 or a.shape[-1] == 1
+    # over several axes numpy adds in memory order; _norm adds in C order throughout
+    want = flipped if axes == 1 and a.shape[-1] < 8 else a
+    _same_bits(_norm(flipped, axes), np.linalg.norm(want, axis=axis))
+    if len(a):  # broadcast rows, and a broadcast last axis
+        rows = np.broadcast_to(a[3:4], a.shape)
+        _same_bits(_norm(rows, axes), np.linalg.norm(rows, axis=axis))
+        last = np.broadcast_to(a[..., :1], a.shape)
+        _same_bits(_norm(last, axes), np.linalg.norm(last, axis=axis))

@@ -4,7 +4,7 @@ import sympy as sp
 
 import aslyap as al
 from aslyap import expr as ex
-from aslyap.model import ModelError
+from aslyap.model import _EVAL_POINTS, ModelError
 from aslyap.verifier import _central_hessian
 
 from conftest import MODELS, load
@@ -177,7 +177,10 @@ def test_array_kernels_match_entrywise_functions_bit_for_bit(name):
     # zeros sit on the kinks of abs, min and max; bang1d's sigma is the
     # constant 0 and its gradient and Hessian have constant branches
     batch = np.vstack([np.zeros(n), np.eye(n), rng.uniform(-1, 1, size=(6, n))])
-    inputs = [batch[-1], batch, batch[:6].reshape(2, 3, n), np.empty((0, n))]
+    # more points than one kernel call takes: sub-blocks, the last one partial
+    large = rng.uniform(-1, 1, size=(3, _EVAL_POINTS - 1, n))
+    inputs = [batch[-1], batch, batch[:6].reshape(2, 3, n), np.empty((0, n)), large,
+              large.reshape(-1, n)]
     grads = [ex.diff(cand.expression, f"x{i+1}") for i in range(n)]
     hess_trees = [ex.diff(g, f"x{j+1}") for g in grads for j in range(n)]
     for x in inputs:

@@ -1,5 +1,8 @@
+import ast
 import dataclasses
+import itertools
 import os
+import signal
 import threading
 import time
 import tracemalloc
@@ -13,6 +16,23 @@ import aslyap as al
 from aslyap import expr as ex
 from aslyap import fields, simulate
 from aslyap.simulate import _path_generator, build_decay_gauge, default_weight_rule
+
+
+def _no_children_left():
+    """Fail if this process has a child, still running or exited and unreaped."""
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail("a child process was left " + ("running" if pid == 0 else
+                                               f"unreaped: pid {pid}, wait status {status}"))
+
+
+@pytest.fixture(autouse=True)
+def _children_reaped():
+    """Every test reaps the chunk children and producers it forks."""
+    yield
+    _no_children_left()
 
 
 def _inline(dynamics, n=1, m=1, candidate="", domain=None):
@@ -88,8 +108,9 @@ def _assert_same_arrays(new, ref):
 
 def _reference_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
                      increment_mode, lower, upper, control_index, feedback, steps, draws, cand,
-                     gauge, occ_radii, target_fn, thin):
-    """The masked loop for one ensemble: every path is stepped every step, exited or not."""
+                     gauge, occ_radii, target_fn, thin, spare):
+    """The masked loop for one ensemble: every path is stepped every step, exited or not;
+    it draws inline whether or not a core is ``spare``."""
     (x0,), (seed,) = x0s, seeds
     # the compiled rows set no error state of their own
     with np.errstate(all="ignore"):
@@ -503,8 +524,8 @@ def test_batch_matches_separate_ensembles(monkeypatch, forks, name, rotational, 
         assert len(batch) == len(x0s)
         for got, ens in zip(batch, alone):
             _assert_same_ensemble(got, ens)
-    if name == "forked-workers":  # one child per batch
-        assert len(forks) == len(_BLOCK_LENGTHS)
+    if name == "forked-workers":  # a producer per ensemble stepped alone, a child per batch
+        assert len(forks) == len(x0s) + len(_BLOCK_LENGTHS)
     exited = [ens.exited.all() for ens in batch]
     if name == "staggered-exits":  # two ensembles empty while the third runs on
         assert exited == [True, False, True]
@@ -513,27 +534,36 @@ def test_batch_matches_separate_ensembles(monkeypatch, forks, name, rotational, 
         assert any(0 < ens.exited.sum() < kw["n_paths"] for ens in batch)
 
 
-def test_block_length_rule(monkeypatch, rotational):
-    shapes = []
+def test_block_length_rule(monkeypatch, tmp_path, rotational):
+    log = tmp_path / "shapes"
     draw = simulate._draw
 
     def spy(gens, increment_mode, root_dt, slab, out):
-        shapes.append(out.shape)
+        with open(log, "a") as f:  # a producer's draws reach the test through the file
+            f.write(f"{out.shape}\n")
         return draw(gens, increment_mode, root_dt, slab, out)
+
+    def shapes():
+        lines = log.read_text().splitlines()
+        log.unlink()
+        return [ast.literal_eval(line) for line in lines]
 
     monkeypatch.setattr(simulate, "_draw", spy)
     kw = dict(dt=1e-3, n_paths=4)
-    for n_starts in (1, 3):
-        # 256-step blocks for one start and for a batch alike: 7 blocks and 208 steps
-        shapes.clear()
+    for cpus, n_starts in itertools.product((1, 2), (1, 3)):
+        monkeypatch.setattr(fields, "_cpus", lambda: cpus)
+        # inline, 256-step blocks for one start and for a batch alike: 7 blocks and 208
+        # steps; a producer fills 128-step slots: 15 slots and 80 steps
         simulate._simulate_batch(rotational.model, [[0.5, 0.0]] * n_starts,
                                  seeds=list(range(n_starts)), T=2.0, **kw)
-        assert shapes == [(256, 1, 4 * n_starts)] * 7 + [(208, 1, 4 * n_starts)]
+        if cpus == 1:
+            assert shapes() == [(256, 1, 4 * n_starts)] * 7 + [(208, 1, 4 * n_starts)]
+        else:
+            assert shapes() == [(128, 1, 4 * n_starts)] * 15 + [(80, 1, 4 * n_starts)]
         # a horizon shorter than a block is drawn in one block of its length
-        shapes.clear()
         simulate._simulate_batch(rotational.model, [[0.5, 0.0]] * n_starts,
                                  seeds=list(range(n_starts)), T=0.1, **kw)
-        assert shapes == [(100, 1, 4 * n_starts)]
+        assert shapes() == [(100, 1, 4 * n_starts)]
 
 
 def test_increment_block_is_held_once(monkeypatch, rotational):
@@ -548,18 +578,22 @@ def test_increment_block_is_held_once(monkeypatch, rotational):
 
     # the block is a mapping of its own, which tracemalloc does not see
     monkeypatch.setattr(simulate.mmap, "mmap", spy)
-    tracemalloc.start()
-    try:
-        al.simulate_ensemble(rotational.model, [0.5, 0.0], dt=1e-3, T=1.024,
-                             n_paths=n_paths, seed=1)
-        peak = tracemalloc.get_traced_memory()[1] + sum(mapped)
-    finally:
-        tracemalloc.stop()
-    # one (steps, paths, noise) block and per-path state, not a per-path copy as well
-    assert mapped == [block_bytes]
-    assert block_bytes <= peak < 1.5 * block_bytes
-    # 256-step blocks: 11.0 MiB, where 1024-step blocks took 35.8 MiB
-    assert peak < 16 * 2**20
+    # inline, and by a producer, whose two slots of 128 steps hold the bytes of one block
+    for cpus in (1, 2):
+        monkeypatch.setattr(fields, "_cpus", lambda: cpus)
+        mapped.clear()
+        tracemalloc.start()
+        try:
+            al.simulate_ensemble(rotational.model, [0.5, 0.0], dt=1e-3, T=1.024,
+                                 n_paths=n_paths, seed=1)
+            peak = tracemalloc.get_traced_memory()[1] + sum(mapped)
+        finally:
+            tracemalloc.stop()
+        # one (steps, paths, noise) block and per-path state, not a per-path copy as well
+        assert mapped == [block_bytes]
+        assert block_bytes <= peak < 1.5 * block_bytes
+        # 256-step blocks: 11.0 MiB, where 1024-step blocks took 35.8 MiB
+        assert peak < 16 * 2**20
 
 
 def _per_start_estimate(model, x0_list, dt, T, n_paths, seed):
@@ -798,11 +832,6 @@ def forks(monkeypatch):
     return made
 
 
-def _no_children_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.parametrize("workers", [2, 3])
 @pytest.mark.parametrize("batch", [False, True], ids=["alone", "batch"])
 def test_forked_workers_match_one_worker(monkeypatch, forks, workers, batch):
@@ -819,7 +848,8 @@ def test_forked_workers_match_one_worker(monkeypatch, forks, workers, batch):
     for x0, seed, ens in zip(x0s, seeds, got):
         alone = al.simulate_ensemble(pm.model, x0, seed=seed, workers=1, **kw)
         _assert_same_ensemble(ens, alone)
-    assert len(forks) == workers - 1  # one chunk: nothing more forked
+    # one chunk on spare cores: one producer per ensemble, no chunk child
+    assert len(forks) == workers - 1 + len(x0s)
     assert any(0 < ens.exited.sum() < kw["n_paths"] for ens in got)
 
 
@@ -928,6 +958,182 @@ def test_nothing_forks_beside_another_thread(monkeypatch, forks, rotational):
     forked = al.simulate_ensemble(rotational.model, **kw, workers=2)
     assert len(forks) == 1
     _assert_same_ensemble(got, forked)
+
+
+# ------------------------------------------------------ increment producer
+
+_ALL_EXIT = (  # x0 e^(2t) leaves [-1, 1] near t = 0.35 on every path
+    "[dimensions]\nstate = 1\nnoise = 1\n[controls]\nhold = 0.0\n"
+    "[dynamics]\nf1 = 2*x1\ns1_1 = 0.3*x1\n"
+    "[candidate]\nV = abs(x1)\nl = 0.5*r\n[domain]\nlower = -1\nupper = 1\n"
+)
+_PRODUCER_CASES = {  # model text, start points, keywords
+    "exits-mid-slot": (_NOISY_REPELLER, [[0.2, 0.1]], dict(thin=7, occupation_radii=[0.5])),
+    "all-exit": (_ALL_EXIT, [[0.5]], dict(thin=30)),
+    "signed-bernoulli": (_NOISY_REPELLER, [[0.2, 0.1]], dict(increment_mode="signed-bernoulli")),
+    "feedback": (_CALM_OR_NOISY, [[0.1]], dict(T=3.0, thin=30, feedback="two-controls")),
+    "three-starts": (_NOISY_REPELLER, [[0.2, 0.1], [0.05, -0.3], [0.6, 0.0]], dict(thin=25)),
+}
+
+
+@pytest.mark.parametrize("block_steps", _BLOCK_LENGTHS)
+@pytest.mark.parametrize("name", list(_PRODUCER_CASES))
+def test_producer_matches_inline_draws(monkeypatch, forks, name, block_steps):
+    text, x0s, extra = _PRODUCER_CASES[name]
+    pm = al.parse_model(text)
+    if "feedback" in extra:
+        extra = {**extra, "feedback": _two_control_feedback()}
+    kw = dict(dt=1e-3, T=2.0, n_paths=20, seeds=[30 + g for g in range(len(x0s))],
+              candidate=pm.candidate, gauge=pm.gauge)
+    kw.update(extra)
+    monkeypatch.setattr(simulate, "_BLOCK_STEPS", block_steps)
+    path_generator, generators = simulate._path_generator, []
+    monkeypatch.setattr(simulate, "_path_generator",
+                        lambda *a: generators.append(a) or path_generator(*a))
+    runs = {}
+    for cpus in (1, 2):
+        with monkeypatch.context() as mp:
+            mp.setattr(fields, "_cpus", lambda: cpus)
+            runs[cpus] = simulate._simulate_batch(pm.model, x0s, **kw)
+    # two usable cores, one chunk: the producer builds the generators and draws
+    assert len(forks) == 1
+    assert len(generators) == len(x0s) * kw["n_paths"]  # seen here for the inline run only
+    for inline, produced in zip(runs[1], runs[2]):
+        _assert_same_ensemble(produced, inline)
+    exits = np.concatenate([ens.exit_times[ens.exited] for ens in runs[2]])
+    if name == "all-exit":
+        assert len(exits) == len(x0s) * kw["n_paths"] and exits.max() < kw["T"] / 2
+    else:
+        assert 0 < len(exits) < len(x0s) * kw["n_paths"]
+    slot = max(1, block_steps // 2)
+    if slot > 1:  # some path leaves inside a slot, not at its end
+        assert (np.rint(exits / kw["dt"]).astype(int) % slot).any()
+
+
+def _two_cores_drawing(monkeypatch, in_producer):
+    """Two usable cores and one chunk, whose producer calls ``in_producer(draws so far)``
+    before each draw; returns the draws made in this process."""
+    monkeypatch.setattr(fields, "_cpus", lambda: 2)
+    draw, here = simulate._draw, []
+
+    def spy(*args):
+        here.append(None)
+        in_producer(len(here))
+        return draw(*args)
+
+    monkeypatch.setattr(simulate, "_draw", spy)
+    return here
+
+
+_SMALL = dict(x0=[0.5, 0.0], dt=1e-3, T=1.0, n_paths=4, seed=1)
+
+
+def test_producer_error_reaches_the_caller(monkeypatch, forks, rotational):
+    def fail(drawn):
+        if drawn == 3:
+            raise ValueError("bad draw in the producer")
+
+    here = _two_cores_drawing(monkeypatch, fail)
+    with pytest.raises(ValueError, match="^bad draw in the producer$"):
+        al.simulate_ensemble(rotational.model, **_SMALL)
+    assert len(forks) == 1 and here == []
+
+
+def test_killed_producer_is_named(monkeypatch, forks, rotational):
+    def die(drawn):
+        if drawn == 3:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    _two_cores_drawing(monkeypatch, die)
+    with pytest.raises(RuntimeError, match=r"^the process drawing the increments of paths 0\.\.3 "
+                                           r"died without a result \(wait status 9\)$"):
+        al.simulate_ensemble(rotational.model, **_SMALL)
+    assert len(forks) == 1
+
+
+def test_stepper_error_kills_and_reaps_the_producer(monkeypatch, forks, rotational):
+    _two_cores_drawing(monkeypatch, lambda drawn: drawn == 3 and time.sleep(60))
+    compile_steps = simulate._compile_steps
+    stepped = []
+
+    def failing_steps(*args):
+        steps, integrator, draws = compile_steps(*args)
+
+        def step(*a):
+            stepped.append(None)
+            if len(stepped) == 200:  # in the second slot, while the producer sleeps
+                raise KeyError("step 200")
+            return steps[0](*a)
+
+        return {0: step}, integrator, draws
+
+    monkeypatch.setattr(simulate, "_compile_steps", failing_steps)
+    start = time.perf_counter()
+    with pytest.raises(KeyError, match="step 200"):
+        al.simulate_ensemble(rotational.model, **_SMALL)
+    assert time.perf_counter() - start < 30  # killed, not waited for
+    assert len(forks) == 1
+    _no_children_left()
+
+
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2,
+                    reason="needs two usable CPUs and affinity calls")
+def test_producer_and_stepper_run_on_cpus_apart(monkeypatch, tmp_path, rotational):
+    cpus = os.sched_getaffinity(0)
+    log = tmp_path / "producer-cpus"
+
+    def in_producer(drawn):
+        if drawn == 1:
+            log.write_text(repr(sorted(os.sched_getaffinity(0))))
+
+    _two_cores_drawing(monkeypatch, in_producer)
+    compile_steps, stepper = simulate._compile_steps, []
+
+    def spied_steps(*args):
+        steps, integrator, draws = compile_steps(*args)
+
+        def step(*a):
+            stepper.append(os.sched_getaffinity(0))
+            return steps[0](*a)
+
+        return {0: step}, integrator, draws
+
+    monkeypatch.setattr(simulate, "_compile_steps", spied_steps)
+    al.simulate_ensemble(rotational.model, **_SMALL)
+    producer = set(ast.literal_eval(log.read_text()))
+    # the stepper on one CPU for every step, the producer on all the others
+    assert len(stepper[0]) == 1 and all(s == stepper[0] for s in stepper)
+    assert producer == cpus - stepper[0]
+    assert os.sched_getaffinity(0) == cpus  # given back
+
+
+def test_no_producer_without_a_spare_core_or_draws(monkeypatch, forks, rotational, bang1d):
+    monkeypatch.setattr(simulate, "_MIN_CHUNK_PATHS", 1)
+    # one usable core
+    monkeypatch.setattr(fields, "_cpus", lambda: 1)
+    al.simulate_ensemble(rotational.model, **_SMALL)
+    assert forks == []
+    monkeypatch.setattr(fields, "_cpus", lambda: 2)
+    # nothing drawn: bang1d's brake has no noise
+    al.simulate_ensemble(bang1d.model, [0.5], dt=1e-3, T=1.0, n_paths=4, seed=1)
+    assert forks == []
+    # beside another thread nothing forks at all
+    done = threading.Event()
+    other = threading.Thread(target=done.wait)
+    other.start()
+    try:
+        al.simulate_ensemble(rotational.model, **_SMALL)
+    finally:
+        done.set()
+        other.join()
+    assert forks == []
+    # two chunks on two cores: one chunk child and no producer
+    al.simulate_ensemble(rotational.model, **_SMALL, workers=2)
+    assert len(forks) == 1
+    # two chunks on three cores: a chunk child, and a producer for the caller's chunk
+    monkeypatch.setattr(fields, "_cpus", lambda: 3)
+    al.simulate_ensemble(rotational.model, **_SMALL, workers=2)
+    assert len(forks) == 3
 
 
 def test_integrator_validation(rotational):
