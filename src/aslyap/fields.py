@@ -298,6 +298,12 @@ def _norm(a: np.ndarray, axes: int = 1) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
+def _node_coords(grid: Grid, idx: np.ndarray) -> np.ndarray:
+    """``grid.nodes()[idx]`` without building every node."""
+    return np.stack([ax[i] for ax, i in zip(grid.axes(), np.unravel_index(idx, grid.counts))],
+                    axis=-1)
+
+
 def _coord_header(dim: int) -> str:
     return ",".join(f"x{i+1}" for i in range(dim))
 
@@ -388,6 +394,38 @@ def hessian_field(field: ScalarField) -> np.ndarray:
     return hess
 
 
+def _first_at(fn, p, h, n, ax):
+    """``_first_derivative`` along ``ax`` of the node function ``fn`` at the index
+    rows ``p`` only, bit-equal: the same stencils and operations in the same order."""
+    e = np.eye(p.shape[1], dtype=np.int64)[ax]
+    i = p[:, ax]
+    out = np.empty(len(p))
+    for at, diff in ((i == 0, lambda q: -3 * fn(q) + 4 * fn(q + e) - fn(q + 2 * e)),
+                     ((i > 0) & (i < n - 1), lambda q: fn(q + e) - fn(q - e)),
+                     (i == n - 1, lambda q: 3 * fn(q) - 4 * fn(q - e) + fn(q - 2 * e))):
+        out[at] = diff(p[at]) / (2 * h)
+    return out
+
+
+def _derivatives_at(field: ScalarField, idx: np.ndarray):
+    """``gradient_field`` and ``hessian_field`` of ``field`` at the flat node indices
+    ``idx`` only, bit-equal to them there."""
+    vals, h, n = field.values, field.grid.spacing, field.grid.counts
+    nd = vals.ndim
+    p = np.stack(np.unravel_index(idx, n), axis=-1)
+    node = lambda q: vals[tuple(q.T)]  # noqa: E731
+    d = lambda fn, ax: lambda q: _first_at(fn, q, h[ax], n[ax], ax)  # noqa: E731
+    hess = np.empty((len(idx), nd, nd))
+    for i in range(nd):
+        e = np.eye(nd, dtype=np.int64)[i]
+        q = p.copy()
+        q[:, i] = np.clip(q[:, i], 1, n[i] - 2)  # edges take the adjacent interior stencil
+        hess[:, i, i] = (node(q + e) - 2 * node(q) + node(q - e)) / h[i]**2
+        for j in range(i + 1, nd):
+            hess[:, i, j] = hess[:, j, i] = 0.5 * (d(d(node, i), j)(p) + d(d(node, j), i)(p))
+    return np.stack([d(node, ax)(p) for ax in range(nd)], axis=-1), hess
+
+
 @dataclass
 class LevelSet:
     """Discrete boundary of a sublevel set {field <= level}.
@@ -436,8 +474,7 @@ def extract_level_set(field: ScalarField, level: float) -> LevelSet:
 
     flat = boundary.ravel()
     idx = np.nonzero(flat)[0]
-    grads = gradient_field(field).reshape(-1, nd)[idx]
-    hesss = hessian_field(field).reshape(-1, nd, nd)[idx]
+    grads, hesss = _derivatives_at(field, idx)
     normals = -grads
     curvatures = -hesss
 
@@ -450,7 +487,7 @@ def extract_level_set(field: ScalarField, level: float) -> LevelSet:
         field=field,
         level=level,
         node_indices=idx,
-        coords=field.grid.nodes()[idx],
+        coords=_node_coords(field.grid, idx),
         normals=normals,
         curvatures=curvatures,
         edge_flags=edge_flags,

@@ -19,7 +19,14 @@ Every row takes the same operations in the same order however the rows are
 split, so fields, residuals, sweep counts and feedback indices are
 bit-identical for any CPU count.  Each block's stencils are allocated once
 and filled ``_SUB_ROWS`` rows at a time, so the `solve` benchmark peaks at
-101 MB RSS, 47 MB of it the stencils of its 120 213-node augmented solve.
+about 100 MB RSS, 45 MB of it the stencils of its 120 213-node augmented solve.
+
+A sweep skips the frozen rows: pinned nodes, and nodes at the iteration's
+cap.  That is exact: every update is a monotone gather and nonnegative dot
+ending in ``min(cap, .)``, so a node at the cap stays there bit for bit and
+changes by 0.  Every computed row is checked each sweep, and each node at
+the cap is swept once more with the full operator before a solve returns.
+The C6 augmented solve skips 18.5 % of its row-sweeps this way.
 
 Convergence is measured in the sup norm; the discounted construction uses
 risk-neutral expectation over increments instead of the worst case.
@@ -32,7 +39,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
-from .fields import BoxInterpolator, Grid, ScalarField, _coord_header, _csv, _RowBlocks
+from .fields import (BoxInterpolator, Grid, ScalarField, _coord_header, _csv, _node_coords,
+                     _RowBlocks)
 from .gauges import GaugeFunction
 from .model import ControlledDiffusion
 
@@ -164,6 +172,12 @@ def _adversary_moves(model: ControlledDiffusion, scheme: RobustScheme):
             for a in range(model.n_controls)]
 
 
+def _at_cap(values, cap):
+    """The nodes an iteration freezes: a monotone sweep that ends in
+    ``min(cap, .)`` holds a node at the cap for good."""
+    return values == cap
+
+
 class _Transition:
     """The robust transition operator, built once per (grid, move set).
 
@@ -176,45 +190,76 @@ class _Transition:
     removes the systematic overshoot of multilinear interpolation on
     cone-shaped fields, which otherwise accumulates along trajectories that
     spiral into the origin.
+
+    A block holds the rows ``held(rows)``: all of them but those flagged in
+    ``skip``, less those ``drop`` took out since.
     """
 
-    def __init__(self, grid, moves, blocks, cost_fn=None, cap=None):
+    def __init__(self, grid, moves, blocks, cost_fn=None, cap=None, skip=None):
         self.interp = BoxInterpolator(grid)
-        nodes = grid.nodes()
-        corners = 2 ** grid.dim
+        self._grid, self._moves, self._cost_fn, self._cap = grid, moves, cost_fn, cap
+        keep = np.ones(grid.n_nodes, dtype=bool) if skip is None else ~skip
+        self._held = {rows.start: rows.start + np.flatnonzero(keep[rows])
+                      for rows in blocks.slices}
+        self._blocks = dict(zip(self._held, blocks.map(lambda rows: self.build(self.held(rows)))))
 
-        def build(rows):
-            n = rows.stop - rows.start
-            stencils = [[(np.empty((n, corners), dtype=np.int64), np.empty((n, corners)),
-                          np.empty(n, dtype=bool), (n,)) for _ in per_a] for per_a in moves]
-            cost_next = [[np.empty(n) for _ in per_a if cost_fn is not None] for per_a in moves]
-            # filled a sub-block at a time: the temporaries scale with _SUB_ROWS, not n
-            for lo in range(0, n, _SUB_ROWS):
-                sub = slice(lo, lo + _SUB_ROWS)
-                x = nodes[rows][sub]
-                for per_a, st_a, cost_a in zip(moves, stencils, cost_next):
-                    for k, move in enumerate(per_a):
-                        nxt = move(x)
-                        st = self.interp.prepare(nxt)
-                        for whole, part in zip(st_a[k], st[:3]):
-                            whole[sub] = part
-                        if cost_fn is not None:
-                            with np.errstate(all="ignore"):
-                                cn = np.minimum(np.asarray(cost_fn(nxt), dtype=float), cap)
-                            cn[~st[2]] = cap
-                            cost_a[k][sub] = cn
-            return rows.start, (stencils, cost_next)
+    def build(self, ids):
+        """The stencils and next-point costs of the nodes ``ids``, allocated once and
+        filled a sub-block at a time: the temporaries scale with _SUB_ROWS."""
+        n, corners = len(ids), 2 ** self._grid.dim
+        stencils = [[(np.empty((n, corners), dtype=np.int64), np.empty((n, corners)),
+                      np.empty(n, dtype=bool), (n,)) for _ in per_a] for per_a in self._moves]
+        cost_next = [[np.empty(n) for _ in per_a if self._cost_fn is not None]
+                     for per_a in self._moves]
+        for lo in range(0, n, _SUB_ROWS):
+            sub = slice(lo, lo + _SUB_ROWS)
+            x = _node_coords(self._grid, ids[sub])
+            for per_a, st_a, cost_a in zip(self._moves, stencils, cost_next):
+                for k, move in enumerate(per_a):
+                    nxt = move(x)
+                    st = self.interp.prepare(nxt)
+                    for whole, part in zip(st_a[k], st[:3]):
+                        whole[sub] = part
+                    if self._cost_fn is not None:
+                        with np.errstate(all="ignore"):
+                            cn = np.minimum(np.asarray(self._cost_fn(nxt), dtype=float), self._cap)
+                        cn[~st[2]] = self._cap
+                        cost_a[k][sub] = cn
+        return stencils, cost_next
 
-        self._blocks = dict(blocks.map(build))
+    def held(self, rows):
+        """Flat indices of the rows the block at ``rows`` still holds."""
+        return self._held[rows.start]
+
+    def drop(self, rows, flags):
+        """Take the held rows flagged in ``flags`` out of the block at ``rows``,
+        moving the kept ones down in place ``_SUB_ROWS`` rows at a time."""
+        keep = np.flatnonzero(~flags)
+
+        def squeeze(a):
+            for lo in range(0, len(keep), _SUB_ROWS):
+                sub = keep[lo:lo + _SUB_ROWS]
+                a[lo:lo + len(sub)] = a[sub]  # a[sub] is read before the rows it may cover
+            return a[:len(keep)]
+
+        stencils, cost_next = self._blocks[rows.start]
+        self._blocks[rows.start] = (
+            [[(*map(squeeze, st[:3]), (len(keep),)) for st in per_a] for per_a in stencils],
+            [[squeeze(c) for c in per_a] for per_a in cost_next])
+        self._held[rows.start] = squeeze(self._held[rows.start])
 
     def continuation(self, flat_values, fill, rows, mean=False):
         """(controls, rows) table of the worst next value over each control's
-        moves, or their mean with ``mean``, for one row block.  With a running
-        cost, ``flat_values`` is the excess over the cost and ``fill`` must
-        be 0.
+        moves, or their mean with ``mean``, for the rows the block at ``rows``
+        holds.  With a running cost, ``flat_values`` is the excess over the
+        cost and ``fill`` must be 0.
         """
-        stencils, cost_next = self._blocks[rows.start]
-        table = np.empty((len(stencils), rows.stop - rows.start))
+        return self.read(self._blocks[rows.start], flat_values, fill, mean)
+
+    def read(self, part, flat_values, fill, mean=False):
+        """``continuation`` over the rows of ``part``, a result of ``build``."""
+        stencils, cost_next = part
+        table = np.empty((len(stencils), len(stencils[0][0][2])))
         for row, per_w, per_w_cost in zip(table, stencils, cost_next):
             if mean:
                 row[:] = 0.0
@@ -233,47 +278,88 @@ class _Transition:
         return table
 
 
-def _iterate(blocks, update, v0, scheme, grid, name, fill, source=None, snapshot_every=0):
-    """Sweep ``v <- update(source(v), rows)`` block by block to the tolerance.
+def _iterate(model, grid, scheme, name, cap, update, v0, pinned=None, cost_fn=None,
+             mean=False, source=None, snapshot_every=0):
+    """Sweep ``v <- update(T(source(v)), ids)`` block by block to the tolerance.
 
-    ``update`` returns the new values of one row block, read from the whole
-    ``source(v)`` (default ``v``); each block also reduces its NaN flag, least
-    increase and largest change, and the sweep combines them exactly.  The
-    field reads ``fill`` off the grid, as the sweeps did.
+    T is ``model``'s transition operator at the nodes ``ids``, reduced over
+    moves (worst case, or ``mean``) and then controls (least), reading
+    ``source(v)`` (default ``v``) and, with ``cost_fn``, adding the running
+    cost to that excess; ``update`` ends in ``min(cap, .)``.  The ``pinned``
+    nodes and the nodes at the cap are frozen and skipped.  A block drops
+    those that reached the cap from its stencils once the row-sweeps spent
+    on them reach the rows it has left (ski rental: a compaction costs about
+    one sweep of the block).  Each block reduces the NaN flag, least increase
+    and largest change of the rows it computes, which are every row's: a
+    frozen row changes by exactly 0.
     """
-    v = v0
-    residuals = []
-    snapshots = []
-    converged = False
-    iterations = 0
-    for it in range(1, scheme.max_iterations + 1):
+    if np.isnan(v0).any():
+        raise NumericalError("NaN in the initial iterate")
+    pinned = np.zeros(grid.n_nodes, dtype=bool) if pinned is None else pinned
+    fill = cap if cost_fn is None else 0.0
+    with _RowBlocks(grid.n_nodes, _BLOCK_ROWS) as blocks:
+        op = _Transition(grid, _adversary_moves(model, scheme), blocks, cost_fn=cost_fn,
+                         cap=cap, skip=pinned | _at_cap(v0, cap))
+        spent = {rows.start: 0 for rows in blocks.slices}  # row-sweeps on frozen rows held
+        # two buffers in turn: the rows a sweep skips hold the same values in both
+        v, vn = v0, v0.copy()
+        residuals = []
+        snapshots = []
+        converged = False
+        iterations = 0
+        for it in range(1, scheme.max_iterations + 1):
+            src = v if source is None else source(v)
+
+            def sweep(rows):
+                ids = op.held(rows)
+                old = v[ids]
+                new = vn[ids] = update(op.continuation(src, fill, rows, mean).min(axis=0), ids)
+                delta = new - old
+                frozen = _at_cap(old, cap)
+                n_frozen = np.count_nonzero(frozen)
+                spent[rows.start] += n_frozen
+                if n_frozen and spent[rows.start] >= len(old) - n_frozen:
+                    op.drop(rows, frozen)
+                    spent[rows.start] = 0
+                return (bool(np.isnan(new).any()), delta.min(initial=0.0),
+                        np.abs(delta).max(initial=0.0))
+
+            nans, lows, highs = zip(*blocks.map(sweep))
+            if any(nans):
+                raise NumericalError(f"NaN produced at sweep {it}")
+            if min(lows) < 0:
+                raise NumericalError(
+                    f"monotonicity violated at sweep {it} (min delta {min(lows):.3e})"
+                )
+            resid = float(max(highs))
+            residuals.append(resid)
+            v, vn = vn, v
+            iterations = it
+            if snapshot_every and it % snapshot_every == 0:
+                snapshots.append(v.copy())
+            if resid < scheme.tolerance:
+                converged = True
+                break
+
+        # every node at the cap is swept once more, by stencils built a sub-block at a time
+        op._blocks.clear()
         src = v if source is None else source(v)
-        vn = np.empty_like(v)
+        recheck = _at_cap(v, cap) & ~pinned
 
-        def sweep(rows):
-            new = vn[rows] = update(src, rows)
-            delta = new - v[rows]
-            return bool(np.isnan(new).any()), delta.min(), np.abs(delta).max()
+        def moved(rows):
+            ids = rows.start + np.flatnonzero(recheck[rows])
+            for lo in range(0, len(ids), _SUB_ROWS):
+                sub = ids[lo:lo + _SUB_ROWS]
+                swept = op.read(op.build(sub), src, fill, mean).min(axis=0)
+                if (update(swept, sub) != v[sub]).any():
+                    return True
+            return False
 
-        nans, lows, highs = zip(*blocks.map(sweep))
-        if any(nans):
-            raise NumericalError(f"NaN produced at sweep {it}")
-        if min(lows) < 0:
-            raise NumericalError(
-                f"monotonicity violated at sweep {it} (min delta {min(lows):.3e})"
-            )
-        resid = float(max(highs))
-        residuals.append(resid)
-        v = vn
-        iterations = it
-        if snapshot_every and it % snapshot_every == 0:
-            snapshots.append(v.copy())
-        if resid < scheme.tolerance:
-            converged = True
-            break
+        if any(blocks.map(moved)):
+            raise NumericalError(f"a node frozen at the cap {cap} moves when swept again")
     fld = ScalarField(grid=grid, values=v, name=name, iterations=iterations,
                       residual=residuals[-1] if residuals else float("nan"),
-                      converged=converged, fill=fill)
+                      converged=converged, fill=cap)
     return ValueResult(field=fld, residuals=residuals, snapshots=snapshots)
 
 
@@ -293,8 +379,9 @@ def worst_case_sup_value(
     saturate to the cap; the running cost is evaluated in closed form at the
     query points and only the excess over it is interpolated.
 
-    ``pin_mask`` freezes nodes at the cost floor (used where the value is
-    known to equal the cost, e.g. a small ball around the equilibrium set).
+    ``pin_mask``, a boolean array with one entry per node, freezes nodes at
+    the cost floor (used where the value is known to equal the cost, e.g. a
+    small ball around the equilibrium set).
 
     ``cost`` must be pointwise and thread-safe: it is called on row blocks
     of the nodes and of their next points, possibly from several threads at
@@ -304,22 +391,18 @@ def worst_case_sup_value(
         cost_fn = lambda pts: np.linalg.norm(pts, axis=-1)  # noqa: E731
     else:
         cost_fn = cost
+    if pin_mask is not None:
+        pin_mask = np.asarray(pin_mask)
+        if pin_mask.dtype != bool or pin_mask.shape != (grid.n_nodes,):
+            raise ValueError(f"pin_mask must be a boolean array of shape ({grid.n_nodes},), "
+                             f"got {pin_mask.dtype} of shape {pin_mask.shape}")
     cap = scheme.cap
     # only the floor outlives this line: the nodes and costs are not held through the sweeps
     floor = np.minimum(np.asarray(cost_fn(grid.nodes()), dtype=float), cap)
-    with _RowBlocks(grid.n_nodes, _BLOCK_ROWS) as blocks:
-        op = _Transition(grid, _adversary_moves(model, scheme), blocks, cost_fn=cost_fn, cap=cap)
-
-        def update(excess, rows):
-            swept = op.continuation(excess, 0.0, rows).min(axis=0)
-            vn = np.minimum(cap, np.maximum(floor[rows], swept))
-            if pin_mask is not None:
-                pinned = pin_mask[rows]
-                vn[pinned] = floor[rows][pinned]
-            return vn
-
-        return _iterate(blocks, update, floor.copy(), scheme, grid, "sup-value", cap,
-                        source=lambda v: v - floor, snapshot_every=snapshot_every)
+    return _iterate(model, grid, scheme, "sup-value", cap,
+                    lambda swept, ids: np.minimum(cap, np.maximum(floor[ids], swept)),
+                    floor.copy(), pinned=pin_mask, cost_fn=cost_fn,
+                    source=lambda v: v - floor, snapshot_every=snapshot_every)
 
 
 def worst_case_integral_value(
@@ -345,17 +428,9 @@ def worst_case_integral_value(
         grid.rho if pin_radius is None else pin_radius
     )
     cap = scheme.cap
-    with _RowBlocks(grid.n_nodes, _BLOCK_ROWS) as blocks:
-        op = _Transition(grid, _adversary_moves(model, scheme), blocks)
-
-        def update(v, rows):
-            swept = op.continuation(v, cap, rows).min(axis=0)
-            vn = np.minimum(cap, run_cost[rows] + swept)
-            vn[pin[rows]] = 0.0
-            return vn
-
-        return _iterate(blocks, update, np.zeros(grid.n_nodes), scheme, grid,
-                        "integral-value", cap, snapshot_every=snapshot_every)
+    return _iterate(model, grid, scheme, "integral-value", cap,
+                    lambda swept, ids: np.minimum(cap, run_cost[ids] + swept),
+                    np.zeros(grid.n_nodes), pinned=pin, snapshot_every=snapshot_every)
 
 
 def discounted_value_and_prop_set(
@@ -390,15 +465,10 @@ def discounted_value_and_prop_set(
     if scheme is None:
         scheme = default_scheme(model, grid, cap=max(w_cap, theta), dt=dt)
     disc = np.exp(-lam * scheme.dt)
-    with _RowBlocks(grid.n_nodes, _BLOCK_ROWS) as blocks:
-        op = _Transition(grid, _adversary_moves(model, scheme), blocks)
-
-        def update(v, rows):
-            swept = op.continuation(v, w_cap, rows, mean=True).min(axis=0)
-            return np.minimum(w_cap, run_cost[rows] * scheme.dt + disc * swept)
-
-        result = _iterate(blocks, update, np.zeros(grid.n_nodes), scheme, grid,
-                          "discounted-value", w_cap)
+    run_cost *= scheme.dt
+    result = _iterate(model, grid, scheme, "discounted-value", w_cap,
+                      lambda swept, ids: np.minimum(w_cap, run_cost[ids] + disc * swept),
+                      np.zeros(grid.n_nodes), mean=True)
     return result, result.field.flat <= theta
 
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import aslyap as al
-from aslyap.fields import BoxInterpolator, _norm, gradient_field, hessian_field
+from aslyap.fields import (BoxInterpolator, _derivatives_at, _norm, gradient_field,
+                           hessian_field)
 
 
 def _field_from(expr, grid):
@@ -119,6 +120,35 @@ def test_level_touching_grid_boundary_is_flagged():
     ls = al.extract_level_set(fld, 1.5)  # disk of radius ~1.22 pokes out of the box
     assert ls.touches_boundary
     assert ls.edge_flags.any()
+
+
+@pytest.mark.parametrize("counts", [(3, 4, 5), (6, 3), (5,)])
+def test_derivatives_at_nodes_match_the_whole_field_bit_for_bit(counts):
+    # every node of a small grid: edge nodes, their neighbours and, in 3-D, mixed partials
+    dim = len(counts)
+    g = al.Grid(tuple(-1.0 - 0.1 * i for i in range(dim)),
+                tuple(1.0 + 0.3 * i for i in range(dim)), counts)
+    rng = np.random.default_rng(7)
+    scales = 10.0 ** rng.uniform(-3, 3, g.n_nodes)
+    fld = al.ScalarField(g, rng.standard_normal(g.n_nodes) * scales)
+    idx = rng.permutation(g.n_nodes)
+    grads, hess = _derivatives_at(fld, idx)
+    assert np.array_equal(grads, gradient_field(fld).reshape(-1, dim)[idx])
+    assert np.array_equal(hess, hessian_field(fld).reshape(-1, dim, dim)[idx])
+
+
+def test_level_set_reads_the_whole_field_differences_at_its_nodes():
+    # a tilted ellipsoid cut by the box: the boundary has edge nodes and their neighbours
+    g = al.Grid((-1.0, -0.8, -0.6), (1.0, 0.8, 0.6), (21, 17, 13))
+    fld = _field_from("x1^2 + 3*x2^2 + 5*x3^2 + x1*x2 - 0.5*x2*x3", g)
+    ls = al.extract_level_set(fld, 1.2)
+    counts = np.array(g.counts)
+    p = np.stack(np.unravel_index(ls.node_indices, g.counts), axis=-1)
+    assert ls.edge_flags.any() and ((p == 1) | (p == counts - 2)).any()
+    assert np.array_equal(ls.normals, -gradient_field(fld).reshape(-1, 3)[ls.node_indices])
+    assert np.array_equal(ls.curvatures,
+                          -hessian_field(fld).reshape(-1, 3, 3)[ls.node_indices])
+    assert np.array_equal(ls.coords, g.nodes()[ls.node_indices])
 
 
 def test_csv_round_trip():

@@ -639,3 +639,125 @@ def test_small_solves_start_no_thread(pools, rotational):
     res = al.worst_case_sup_value(rotational.model, grid, scheme)
     al.synthesize_feedback(rotational.model, res.field, scheme)
     assert pools == []
+
+
+# ------------------------------------------------------------------ frozen rows
+
+def _never_at_cap(values_, cap):
+    return np.zeros(np.shape(values_), dtype=bool)
+
+
+def _freezing_solves(rotational, bang1d):
+    """Every solve kind with rows frozen from the start and rows reaching the cap;
+    their fields, residual lists and sweep counts in comparable form."""
+    grid = al.Grid((-1.0, -1.0), (1.0, 1.0), (31, 31))
+    model = rotational.model
+    scheme = al.default_scheme(model, grid, cap=0.8)
+    grid1 = al.Grid((-1.0,), (1.0,), (101,))
+    results = [
+        # the cost reaches the cap on x1 <= -0.5: those nodes are frozen from the start
+        al.worst_case_sup_value(model, grid, scheme, cost=lambda p: np.abs(p[:, 0] - 0.3),
+                                pin_mask=np.linalg.norm(grid.nodes(), axis=1) <= 0.2),
+        al.worst_case_integral_value(model, grid, rotational.gauge, scheme),
+        al.discounted_value_and_prop_set(model, grid, K=0.5, lam=1.0, theta=0.1)[0],
+        al.worst_case_sup_value(bang1d.model, grid1, al.default_scheme(bang1d.model, grid1,
+                                                                         cap=0.6)),
+    ]
+    return [(r.field.flat.tobytes(), r.residuals, r.field.iterations) for r in results]
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_frozen_rows_change_no_bit(monkeypatch, rotational, bang1d, cpus):
+    _split(monkeypatch, block_rows=100, cpus=cpus)  # uneven blocks: 961 = 9 x 100 + 61
+    monkeypatch.setattr(values, "_SUB_ROWS", 7)
+    dropped = []
+    drop = values._Transition.drop
+    monkeypatch.setattr(values._Transition, "drop", lambda self, rows, flags: (
+        dropped.append(int(flags.sum())), drop(self, rows, flags)))
+    frozen = _freezing_solves(rotational, bang1d)
+    assert sum(dropped) > 0
+    monkeypatch.setattr(values, "_at_cap", _never_at_cap)
+    dropped.clear()
+    full = _freezing_solves(rotational, bang1d)
+    assert dropped == []
+    assert frozen == full
+    # every solve kind reached its cap somewhere, so each one froze rows
+    caps = (0.8, 0.8, None, 0.6)
+    for (flat, _, _), cap in zip(frozen, caps):
+        v = np.frombuffer(flat)
+        assert (v == (v.max() if cap is None else cap)).any()
+
+
+def test_a_zero_discount_cap_freezes_every_row(rotational):
+    # an infinite discount rate puts the cap w_cap at 0, where every iterate starts
+    grid = al.Grid((-1.2, -1.2), (1.2, 1.2), (21, 21))
+    built = []
+    build = values._Transition.build
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(values._Transition, "build",
+                   lambda self, ids: (built.append(len(ids)), build(self, ids))[1])
+        res, prop = al.discounted_value_and_prop_set(rotational.model, grid, K=0.5,
+                                                     lam=np.inf, theta=0.1)
+    assert res.field.fill == 0.0 and res.field.iterations == 1 and res.residuals == [0.0]
+    assert not res.field.flat.any() and prop.all()
+    # the sweeps hold no row; the recheck sweeps every one of them
+    assert built == [0, grid.n_nodes]
+
+
+def test_recheck_catches_a_capped_row_that_moves(monkeypatch, rotational):
+    # after the sweeps, stencils built anew read a quarter lower, as an operator that
+    # is not monotone could; only the recheck of the frozen rows can see that
+    read = values._Transition.read
+
+    def lower_once_dropped(self, part, flat_values, fill, mean=False):
+        table = read(self, part, flat_values, fill, mean)
+        if not self._blocks:  # the held stencils are gone: this is the recheck
+            table -= 0.25
+        return table
+
+    monkeypatch.setattr(values._Transition, "read", lower_once_dropped)
+    grid = al.Grid((-1.0, -1.0), (1.0, 1.0), (21, 21))
+    scheme = al.default_scheme(rotational.model, grid, cap=0.8)
+    with pytest.raises(al.NumericalError, match="frozen at the cap 0.8 moves"):
+        al.worst_case_integral_value(rotational.model, grid, rotational.gauge, scheme)
+
+
+def test_compaction_peaks_within_a_sub_block(monkeypatch, rotational):
+    # one block of 32 768 rows on one thread: dropping rows moves the kept ones down
+    # in place, so it may hold the kept positions and one sub-block's rows, no more
+    monkeypatch.setattr(fields, "_cpus", lambda: 1)
+    aug = al.extended_system(rotational.model, rotational.gauge, y_bounds=(0.0, 0.9))
+    grid = al.Grid((-0.7, -0.7, 0.0), (0.7, 0.7, 0.9), (32, 32, 32))
+    scheme = al.RobustScheme(dt=0.025, increments=default_increments(1, 0.025), cap=0.9)
+    excess = np.abs(np.sin(7.0 * np.arange(grid.n_nodes)))
+    with fields._RowBlocks(grid.n_nodes, values._BLOCK_ROWS) as blocks:
+        rows = blocks.slices[0]
+        op = values._Transition(grid, values._adversary_moves(aug, scheme), blocks,
+                                cost_fn=lambda p: np.abs(p[:, 2]), cap=scheme.cap)
+        before = op.continuation(excess, 0.0, rows)
+        stencils = op._blocks[0][0]
+        flags = np.arange(rows.stop) % 3 == 1
+        tracemalloc.start()
+        try:
+            op.drop(rows, flags)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        after = op.continuation(excess, 0.0, rows)
+    widest = max(a.nbytes // a.shape[0] for per_w in stencils for st in per_w for a in st[:3])
+    assert peak < rows.stop * 8 + 2 * values._SUB_ROWS * widest
+    assert current < 16 * 1024  # views of the arrays built, and no new array
+    kept = op._blocks[0][0][0][0][0]
+    assert np.shares_memory(kept, stencils[0][0][0]) and len(kept) == (~flags).sum()
+    assert np.array_equal(op.held(rows), np.flatnonzero(~flags))
+    assert np.array_equal(after, before[:, ~flags])
+
+
+def test_pin_mask_must_be_one_boolean_per_node(rotational):
+    grid = al.Grid((-1.0, -1.0), (1.0, 1.0), (21, 21))
+    scheme = al.default_scheme(rotational.model, grid, cap=1.0)
+    for bad in (np.zeros(500, dtype=bool), np.zeros(grid.n_nodes),
+                np.zeros((21, 21), dtype=bool), [True] * grid.n_nodes + [False]):
+        with pytest.raises(ValueError, match=r"^pin_mask must be a boolean array of shape "
+                                             r"\(441,\)"):
+            al.worst_case_sup_value(rotational.model, grid, scheme, pin_mask=bad)
