@@ -342,8 +342,8 @@ def cmd_viability(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    _check_steps("--sim-dt", args.sim_dt, ("-T", args.horizon),
-                 ("--gauge-horizon", args.gauge_horizon))
+    _check_steps("--sim-dt", args.sim_dt, ("-T", args.horizon), starts=3)
+    _check_steps("--sim-dt", args.sim_dt, ("--gauge-horizon", args.gauge_horizon))
     parsed = _load_model(args.model)
     model = parsed.model
     grid = _parse_grid(args.grid, parsed, args.rho)
@@ -378,19 +378,15 @@ def cmd_pipeline(args) -> int:
     stages["feedback"] = {"n_controls_used": int(len(np.unique(feedback.control_indices)))}
     print("stage feedback: ok")
 
-    # 3. ensembles over initial radii
+    # 3. ensembles over initial radii, stepped in one batch, one seed per radius
     radii = [f * inner_radius for f in (0.25, 0.4, 0.55)]
     x0s = [np.concatenate([[r], np.zeros(model.dim_state - 1)]) for r in radii]
     # without a [candidate], the paths track the value field, read at the cap off the grid
     sim_candidate = parsed.candidate or result.field
-    ensembles = []
-    for i, x0 in enumerate(x0s):
-        ens = simulate_ensemble(
-            model, x0, dt=args.sim_dt, T=args.horizon, n_paths=args.paths,
-            seed=args.seed + i, feedback=feedback, candidate=sim_candidate,
-            gauge=parsed.gauge, workers=args.workers,
-        )
-        ensembles.append(ens)
+    ensembles = _simulate_batch(model, x0s, args.sim_dt, args.horizon, args.paths,
+                                [args.seed + i for i in range(len(x0s))], feedback=feedback,
+                                candidate=sim_candidate, gauge=parsed.gauge,
+                                workers=args.workers)
     n_exited = sum(int(e.exited.sum()) for e in ensembles)
     stages["simulate"] = {"radii": radii, "exited": n_exited,
                           "integrator": ensembles[0].integrator}

@@ -171,6 +171,8 @@ def test_bad_ensemble_flags_are_config_errors(tmp_path, capsys, argv, flag):
      "-T", "--dt"),
     (["pipeline", "--build-gauge", "--sim-dt", "1e-18", "-T", "1e-18",
       "--gauge-horizon", "2"], "--gauge-horizon", "--sim-dt"),
+    # nor the three start radii that the pipeline's simulate stage steps in one batch
+    (["pipeline", "--sim-dt", "1", "-T", "5e17"], "-T", "--sim-dt"),
 ])
 def test_timeline_too_big_for_an_array_is_config_error(tmp_path, capsys, argv, flag, dt_flag):
     assert main([*argv, "--model", ROT, "--out", _runs(tmp_path)]) == 2
@@ -397,6 +399,34 @@ def test_gauge_decay_batch_equals_separate_ensembles(tmp_path, monkeypatch):
     assert batch.read_bytes() == alone.read_bytes()
 
 
+@pytest.mark.parametrize("candidate", [True, False])
+def test_pipeline_batch_equals_separate_ensembles(tmp_path, monkeypatch, candidate):
+    monkeypatch.setattr(simulate, "_MIN_CHUNK_PATHS", 1)  # chunks cut ensembles
+    model = tmp_path / "rot.model"
+    # without a [candidate], the paths track the value field
+    model.write_text(ROT_TEXT if candidate else
+                     ROT_TEXT.replace("[candidate]\nV = sqrt(x1^2 + x2^2)\nl = 0.5*r\n", ""))
+    assert candidate or "[candidate]" not in model.read_text()
+    argv = ["pipeline", "--model", str(model), "--grid", "21", "--paths", "20", "-T", "1",
+            "--sim-dt", "2e-3", "--seed", "8", "--workers", "2"]
+    assert main([*argv, "--out", str(tmp_path / "batch")]) == 0
+    used = []
+
+    def separate(model, x0s, dt, T, n_paths, seeds, **kw):
+        used.append(([float(x0[0]) for x0 in x0s], list(seeds)))
+        return [al.simulate_ensemble(model, x0, dt, T, n_paths, s, **kw)
+                for x0, s in zip(x0s, seeds)]
+
+    monkeypatch.setattr(cli, "_simulate_batch", separate)
+    assert main([*argv, "--out", str(tmp_path / "alone")]) == 0
+    assert used == [([0.25, 0.4, 0.55], [8, 9, 10])]
+    batch, alone = (next((tmp_path / d).iterdir()) for d in ("batch", "alone"))
+    files = sorted(f.name for f in batch.iterdir())
+    assert "pipeline.json" in files and files == sorted(f.name for f in alone.iterdir())
+    for name in files:
+        assert (batch / name).read_bytes() == (alone / name).read_bytes(), name
+
+
 def _batches(monkeypatch):
     """The (start points, seeds) of every batch of paths stepped from here on."""
     batches, batch = [], simulate._simulate_batch
@@ -422,9 +452,8 @@ def test_pipeline_steps_each_start_point_once(tmp_path, monkeypatch):
     batches = _batches(monkeypatch)
     assert main(["pipeline", "--model", ROT, "--grid", "21", "--paths", "20", "-T", "1",
                  "--sim-dt", "2e-3", "--seed", "5", "--out", _runs(tmp_path)]) == 0
-    # only the simulate stage's three ensembles; the gauge stage fits them
-    radii = [f * 1.0 for f in (0.25, 0.4, 0.55)]
-    assert batches == [([[r, 0.0]], [5 + i]) for i, r in enumerate(radii)]
+    # the simulate stage's three ensembles in one batch; the gauge stage fits them
+    assert batches == [([[0.25, 0.0], [0.4, 0.0], [0.55, 0.0]], [5, 6, 7])]
     run = next((tmp_path / "runs").iterdir())
     stages = json.loads((run / "pipeline.json").read_text())
     assert stages["gauge"]["stabilizability"] is True
