@@ -24,6 +24,8 @@ from . import __version__
 from .fields import Grid, ScalarField, _csv, extract_level_set
 from .model import ModelError, ParsedModel, parse_model
 from .simulate import (
+    _MIN_CHUNK_PATHS,
+    _SPLIT_PATHS,
     _simulate_batch,
     _step_count,
     build_decay_gauge,
@@ -498,7 +500,10 @@ def build_parser() -> argparse.ArgumentParser:
         arg(sp, "-T", "--horizon", type=float, default=horizon, check=_POSITIVE)
         arg(sp, "--paths", type=int, default=paths, check=_AT_LEAST_1)
         arg(sp, "--seed", type=int, default=0, check=_SEED)
-        arg(sp, "--workers", type=int, default=1, check=_AT_LEAST_1)
+        arg(sp, "--workers", type=int, default=1, check=_AT_LEAST_1,
+            help=f"least number of chunks of at least {_MIN_CHUNK_PATHS} paths; a batch of "
+                 f"at least {_SPLIT_PATHS} paths gets one per usable core, a smaller one a "
+                 "draw producer on a spare core; no value changes a result")
 
     sp = command("check", cmd_check, "verify the model's candidate function")
     arg(sp, "--eps-tan", type=float, default=None, check=_NONNEGATIVE)

@@ -15,23 +15,32 @@ per-step array operation reads contiguous rows.  Each control's update of
 all state rows is one kernel generated from the trees once per ensemble; it
 writes into the next-state buffer and evaluates each repeated subtree once.
 When no kernel reads an increment (sigma = 0 under every control the run
-can use), no generator is built and nothing is drawn.  Increments are drawn
-in the calling process, or, when a usable core is left over, by a forked
-producer process that draws ahead into shared memory while the calling
-process only steps (``_increments``).  On `rotational` with candidate and
-gauge tracking (dt 1e-3, one worker, 2-core Xeon) a 10 000-path ensemble of
-2000 steps took a median of 0.86 s with the producer against 1.06 s with
-inline draws, 23 and 19 million path-steps/s (10 alternating runs each).
+can use), no generator is built and nothing is drawn.  The post-step radius
+is computed once per step.  Its per-start maxima fill the timeline and
+decide the box test: the coordinates are flagged (``_inside``) only when a
+maximum is NaN or past the largest origin-centred ball in the box
+(``_inscribed``).  The gauge reads the radius, and so does the candidate,
+whose tree reads it in place of every subtree that computes |x|
+(``_share_radius``).
+
+Which processes step and which draw follows the batch size.  A batch of
+at least ``_SPLIT_PATHS`` paths gets at least one chunk per usable core,
+and every stepping process draws its own increments.  In a smaller batch,
+a chunk stepped in the calling process gets a forked producer that draws
+ahead into shared memory when a usable core is left over (``_increments``).
+On `rotational` with candidate and gauge tracking (dt 1e-3, one worker,
+2-core Xeon) a 10 000-path ensemble of 2000 steps took a median of 0.74 s,
+27 million path-steps/s (5 runs).
 
 Paths use counter-based per-path RNG streams keyed by (seed, path index), so
 ensembles are bit-identical for any worker count or chunk size, and whether
 they run alone or in a batch that steps the ensembles of several start
 points in one loop, each path keeping its own start point and stream.
-``workers`` only sets how many chunks the paths are split into.  The chunks
-are stepped in forked processes, at most one per usable core, and their
-results are read back in chunk order, so the ensemble is the same bit for
-bit; without ``os.fork``, with one usable core or with other threads alive
-they are stepped one after another in the calling thread.  The envelope fits
+``workers`` only sets the least number of chunks the paths are split into.
+The chunks are stepped in forked processes, at most one per usable core,
+and their results are read back in chunk order, so the ensemble is the
+same bit for bit; without ``os.fork``, with one usable core or with other
+threads alive they are stepped one after another in the calling thread.  The envelope fits
 read ensembles and step nothing.  All pathwise verdicts are statistical
 lower bounds on essential suprema: a max over finitely many paths never
 proves an almost-sure bound, so results are reported as "consistent with"
@@ -41,6 +50,7 @@ the property, never as proof.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import json
 import mmap
@@ -90,6 +100,14 @@ _BLOCK_STEPS = 256
 # Without a fork the chunks run one after another and small ones only add
 # per-step call overhead.
 _MIN_CHUNK_PATHS = 250
+# Fewest paths in a batch that is split into a chunk per usable core, so that every
+# core steps and none only draws: the smallest batch that two forked chunks step at
+# least 10 % faster than one stepper fed by a producer.  On `rotational` with tracking
+# (dt 1e-3, T 2; median of 5, 2-core Xeon) the producer against two chunks take
+# 0.172 / 0.263 s at 1500 paths (0.65x), 0.251 / 0.247 s at 2000 (1.02x), 0.283 /
+# 0.249 s at 2500 (1.14x), 0.353 / 0.320 s at 3000 (1.10x), 0.446 / 0.369 s at 4000
+# (1.21x) and 1.127 / 0.740 s at 10 000 (1.52x, and 1.80 / 1.41 s of CPU).
+_SPLIT_PATHS = 2500
 # Paths whose increments are drawn into one slab before it is copied, transposed,
 # into the block; 128 paths of 256 steps and one noise channel take 256 KiB.
 # Each path fills its slab row with one draw call per block, so the slab's size
@@ -267,6 +285,43 @@ def _compile_steps(model, control_indices, integrator):
     draws = not read.isdisjoint(wvars)
     args = [f"x{i+1}" for i in range(model.dim_state)] + (wvars if draws else []) + ["dt"]
     return {ci: ex._compile_rows(rows, args) for ci, rows in trees.items()}, integrator, draws
+
+
+def _inscribed(lower, upper):
+    """Radius of the largest origin-centred ball inside the box, -inf below 1e-150.
+
+    A coordinate with |x_i| >= 2^-511 (so x_i^2 is normal) has
+    |x_i| <= fl(|x|) as ``fields._norm`` computes it, since rounding is
+    monotone and fl(sqrt(fl(x_i^2))) = |x_i|; a smaller one is within any
+    ball of radius >= 1e-150.  So every state whose computed radius is at
+    most this radius is inside the box, and a NaN radius never is.
+    """
+    ball = min(-np.max(lower), np.min(upper))
+    return ball if ball >= 1e-150 else -np.inf
+
+
+def _share_radius(tree, xvars):
+    """``tree`` with every subtree sqrt(x1^2 + ... + xn^2), summed left to right, read
+    from the variable ``r``.  Below eight coordinates that is ``fields._norm`` bit for
+    bit, since numpy takes ``x ** 2.0`` as ``np.square``, which is ``x * x``; from
+    eight on ``_norm`` sums pairwise, and the tree is returned as it is."""
+    if len(xvars) >= 8:
+        return tree
+    squares = [ex.Bin("^", ex.Var(v), ex.Num(2.0)) for v in xvars]
+    norm = ex.Call("sqrt", (functools.reduce(lambda a, b: ex.Bin("+", a, b), squares),))
+
+    def share(node):
+        if node == norm:
+            return ex.Var("r")
+        if isinstance(node, ex.Neg):
+            return ex.Neg(share(node.arg))
+        if isinstance(node, ex.Bin):
+            return ex.Bin(node.op, share(node.left), share(node.right))
+        if isinstance(node, ex.Call):
+            return ex.Call(node.fn, tuple(map(share, node.args)))
+        return node
+
+    return share(tree)
 
 
 def _inside(x, lower, upper, ok, flag):
@@ -449,6 +504,7 @@ def _simulate_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
     big = np.finfo(float).max
     lower = np.broadcast_to(np.maximum(lower, -big), (dim,))
     upper = np.broadcast_to(np.minimum(upper, big), (dim,))
+    ball = _inscribed(lower, upper)
 
     x = np.ascontiguousarray(x0s[group].T)
     radius = fields._norm(x.T)
@@ -457,11 +513,12 @@ def _simulate_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
     timeline[present, 0] = np.maximum.reduceat(radius, starts)
     live = SimpleNamespace(x=x, radius=radius, sup_radius=radius.copy())
     # trees run bare in the step's error-state scope; a constant's scalar broadcasts
-    if isinstance(cand, CandidateFunction):
-        bare_v = ex._compile_bare(cand.expression, cand._xvars)
-        value_of = lambda x: bare_v(*x)  # noqa: E731
+    if isinstance(cand, CandidateFunction):  # the tree reads the radius the loop holds
+        bare_v = ex._compile_bare(_share_radius(cand.expression, cand._xvars),
+                                  [*cand._xvars, "r"])
+        value_of = lambda x, r: bare_v(*x, r)  # noqa: E731
     elif cand is not None:
-        value_of = lambda x: cand.value(x.T)  # noqa: E731
+        value_of = lambda x, r: cand.value(x.T)  # noqa: E731
     if gauge is not None and gauge.expression is not None:
         bare_l = ex._compile_bare(gauge.expression, ["r"])
         gauge = lambda r: bare_l(r) + 0.0  # noqa: E731
@@ -519,7 +576,11 @@ def _simulate_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
                             wm = w.compress(mask, axis=-1) if draws else ()
                             xn[:, mask] = steps[ci](*xm, *wm, dt, np.empty_like(xm))
 
-                    if not _inside(xn, lower, upper, ok, flag).all():
+                    radius = fields._norm(xn.T)
+                    peaks = np.maximum.reduceat(radius, starts)
+                    # within the inscribed ball every live path is inside the box
+                    if (not peaks.max() <= ball
+                            and not _inside(xn, lower, upper, ok, flag).all()):
                         kept, gone = np.flatnonzero(ok), np.flatnonzero(~ok)
                         at = index[gone]
                         alive[at] = False
@@ -535,16 +596,18 @@ def _simulate_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
                         x, ok, flag = buffers(len(index))
                         if not len(index):
                             break
+                        radius = radius.take(kept)
                         present, starts = _group_starts(group[index])
+                        peaks = np.maximum.reduceat(radius, starts)
                         if cand is not None:
                             v0 = v0s[group[index]]
                     live.x, xn = xn, x  # the pre-step buffer takes the next step
 
-                    live.radius = radius = fields._norm(live.x.T)
+                    live.radius = radius
                     np.maximum(live.sup_radius, radius, out=live.sup_radius)
-                    timeline[present, k + 1] = np.maximum.reduceat(radius, starts)
+                    timeline[present, k + 1] = peaks
                     if cand is not None:
-                        vx = value_of(live.x)
+                        vx = value_of(live.x, radius)
                         np.maximum(live.sup_v, vx, out=live.sup_v)
                         excess = vx + live.acc_l - v0
                         live.supermax_t[excess > live.supermax] = (k + 1) * dt
@@ -689,10 +752,16 @@ def _simulate_batch(model, x0s, dt, T, n_paths, seeds, control=None, feedback=No
 
     Ensemble g equals ``simulate_ensemble(model, x0s[g], ..., seed=seeds[g])``
     bit for bit; ``simulate_ensemble`` documents the keywords it forwards here.
-    ``workers`` sets the number of chunks (at most one per
-    ``_MIN_CHUNK_PATHS`` paths of one ensemble); ``_run_chunks`` steps them
-    in forked processes, at most one per usable core, or in order on the
-    calling thread, with the same bits.
+    ``workers`` sets the least number of chunks (at most one per
+    ``_MIN_CHUNK_PATHS`` paths of one ensemble).  A batch of at least
+    ``_SPLIT_PATHS`` paths gets at least one chunk per usable core (at most
+    one per ``_MIN_CHUNK_PATHS`` of its paths), so every core steps and each
+    stepping process draws its own increments; a smaller one keeps
+    ``workers`` chunks, and the calling process's chunk gets a producer on a
+    spare core.  ``_run_chunks`` steps the chunks in forked processes, at
+    most one per usable core, or in order on the calling thread, with the
+    same bits.  Each step's box test reads the radius first: ``_inside``
+    runs only when a path is NaN or past the box's inscribed radius.
     """
     for name, value, need, ok in (
         ("dt", dt, "> 0", dt > 0), ("T", T, "> 0", T > 0),
@@ -736,8 +805,11 @@ def _simulate_batch(model, x0s, dt, T, n_paths, seeds, control=None, feedback=No
         target_fn = _distance_evaluator(target_distance, model.dim_state)
     occ = np.asarray(occupation_radii, dtype=float) if occupation_radii is not None else None
 
-    # chunked by the size of one ensemble, as when each ensemble ran alone
+    # chunked by the size of one ensemble, as when each ensemble ran alone; a large
+    # batch gets a chunk per usable core, stepped there, in place of a producer
     n_chunks = max(1, min(int(workers), n_paths // _MIN_CHUNK_PATHS))
+    if len(x0s) * n_paths >= _SPLIT_PATHS:
+        n_chunks = max(n_chunks, min(fields._cpus(), len(x0s) * n_paths // _MIN_CHUNK_PATHS))
     chunk_bounds = np.linspace(0, len(x0s) * n_paths, n_chunks + 1).astype(int)
     points = np.array([np.atleast_1d(x0) for x0 in x0s])
     args = [
@@ -809,15 +881,18 @@ def simulate_ensemble(model: ControlledDiffusion, x0, dt: float, T: float, n_pat
     (a (lower, upper) box, else the model's), ``candidate=None`` (a
     candidate or a value field), ``gauge=None``, ``occupation_radii=None``,
     ``target_distance=None``, ``thin=0``, ``workers=1`` and
-    ``integrator="milstein"``.
+    ``integrator="milstein"``.  ``workers`` is the least number of chunks;
+    from ``_SPLIT_PATHS`` paths on there is one per usable core, and below
+    it a producer on a spare core draws for the calling process.
 
     ``integrator`` is "milstein" (the default) or "euler".  The Milstein step
     runs for Gaussian increments when the noise of every control the
     simulation can use is commutative; otherwise the Euler-Maruyama step
     runs.  The ensemble's ``integrator`` field records which one did.
     Paths leaving the domain box are flagged exited and frozen (statistics
-    truncated at exit).  ``thin`` > 0 stores every thin-th state for
-    plotting; running statistics always use every step.
+    truncated at exit); coordinates are compared with the box only when a
+    radius is past the box's inscribed radius.  ``thin`` > 0 stores every
+    thin-th state for plotting; running statistics always use every step.
     """
     return _simulate_batch(model, [x0], dt, T, n_paths, [seed], **kw)[0]
 

@@ -446,17 +446,15 @@ def discounted_value_and_prop_set(
 
     Running cost max(0, |x| - K), discount exp(-lam dt), expectation over the
     increment set.  The propagation set is {W <= theta}: nodes from which the
-    ball is (numerically) never left.  Requires lam > 0 and theta > 0.
+    ball is (numerically) never left.  Requires lam > 0, theta > 0 and a finite K
+    below the grid radius; NaN is rejected by the name of its input.
     """
-    if lam <= 0:
-        raise ValueError("discount rate lam must be positive")
-    if theta <= 0:
-        raise ValueError("zero-threshold theta must be positive")
+    _check_positive(lam=lam, theta=theta)
     if scheme is not None and dt is not None:
         raise ValueError("give dt or scheme, not both: the scheme carries its own dt")
     inner_radius = min(min(abs(l), abs(u)) for l, u in zip(grid.lower, grid.upper))
-    if K >= inner_radius:
-        raise ValueError(f"K={K} must be below the grid radius {inner_radius}")
+    if not -np.inf < K < inner_radius:  # also rejects NaN
+        raise ValueError(f"K={K} must be finite and below the grid radius {inner_radius}")
 
     nodes = grid.nodes()
     radii = np.linalg.norm(nodes, axis=-1)

@@ -378,6 +378,167 @@ def test_trackers_match_reference(monkeypatch, candidate, gauge_text):
     assert (calls["gauge"] > 0) == (gauge.expression is None)
 
 
+# ------------------------------------------------- box test from the radius
+
+def _still(n, lower, upper):
+    """A model whose state never moves in the box [lower, upper]: each start is checked
+    against the box, exactly as given, after every step."""
+    return _inline("\n".join(f"f{i} = 0\ns{i}_1 = 0" for i in range(1, n + 1)), n,
+                   candidate="V = sqrt(" + " + ".join(f"x{i}^2" for i in range(1, n + 1)) + ")",
+                   domain=(", ".join(map(repr, lower)), ", ".join(map(repr, upper))))
+
+
+_UP, _DOWN = np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0)  # one ulp beyond the faces
+_NAN, _INF = float("nan"), float("inf")
+_BOX_CASES = {  # name -> (model, start points, whether each start's paths exit)
+    "1d": (_still(1, [-1.0], [1.0]),
+           [[1.0], [_UP], [-1.0], [_DOWN], [_NAN], [_INF], [-_INF], [0.5]],
+           [False, True, False, True, True, True, True, False]),
+    "2d-faces-and-corners": (
+        _still(2, [-1.0, -1.0], [1.0, 1.0]),
+        [[1.0, 0.0], [_UP, 0.0], [0.0, -1.0], [0.0, _DOWN], [1.0, 1.0], [-1.0, 1.0],
+         [1.0, _UP], [_DOWN, -1.0], [_NAN, 0.0], [0.0, _INF], [-_INF, 0.0], [0.3, 0.2]],
+        [False, True, False, True, False, False, True, True, True, True, True, False]),
+    "2d-faces": (_still(2, [-1.0, -1.0], [1.0, 1.0]),
+                 [[1.0, 0.0], [_UP, 0.0], [0.0, -1.0], [0.0, _DOWN], [_NAN, 0.0], [0.3, 0.2]],
+                 [False, True, False, True, True, False]),
+    # the inscribed radius is 0.3: the face at 0.3 is taken by the radius, 0.7 by the flags
+    "2d-off-centre": (
+        _still(2, [-0.3, -0.7], [0.7, 0.3]),
+        [[-0.3, 0.0], [np.nextafter(-0.3, -1.0), 0.0], [0.7, 0.0], [0.0, -0.7],
+         [np.nextafter(0.7, 1.0), 0.0], [0.0, 0.3], [0.7, 0.3], [0.1, -0.1]],
+        [False, True, False, False, True, False, False, False]),
+    "3d": (_still(3, [-1.0] * 3, [1.0] * 3),
+           [[1.0, 0.0, 0.0], [0.0, 0.0, _UP], [1.0, 1.0, 1.0], [1.0, -1.0, _DOWN],
+            [_NAN, 0.0, 0.0], [0.0, _INF, 0.0], [0.2, 0.2, 0.2]],
+           [False, True, False, True, True, True, False]),
+    "3d-faces": (_still(3, [-1.0] * 3, [1.0] * 3),
+                 [[1.0, 0.0, 0.0], [0.0, 0.0, _UP], [0.0, -1.0, 0.0], [0.0, _INF, 0.0],
+                  [0.2, 0.2, 0.2]],
+                 [False, True, False, True, False]),
+    "origin-outside": (  # no ball around the origin fits: the flags decide every step
+        _still(2, [0.5, -1.0], [2.0, 1.0]),
+        [[0.5, 0.0], [np.nextafter(0.5, 0.0), 0.0], [2.0, 1.0], [2.0, _UP], [1.0, 0.0]],
+        [False, True, False, True, False]),
+}
+
+
+def _fast_and_flagged(monkeypatch, model, x0s, **kw):
+    """The batch with the radius box test and with the flags alone, and how many times
+    each ran ``_inside``."""
+    monkeypatch.setattr(fields, "_cpus", lambda: 1)  # one process: the spy sees each step
+    calls = []
+    inside = simulate._inside
+    monkeypatch.setattr(simulate, "_inside", lambda *a: calls.append(1) or inside(*a))
+    seeds = list(range(len(x0s)))
+    fast = simulate._simulate_batch(model, x0s, seeds=seeds, **kw)
+    n_fast = len(calls)
+    with monkeypatch.context() as mp:
+        mp.setattr(simulate, "_inscribed", lambda lower, upper: -np.inf)
+        flagged = simulate._simulate_batch(model, x0s, seeds=seeds, **kw)
+    for a, b in zip(fast, flagged, strict=True):
+        _assert_same_ensemble(a, b)
+    return fast, n_fast, len(calls) - n_fast
+
+
+@pytest.mark.parametrize("name", list(_BOX_CASES))
+def test_radius_box_test_matches_the_flags(monkeypatch, name):
+    pm, x0s, exits = _BOX_CASES[name]
+    x0s = [np.array(x0) for x0 in x0s]
+    fast, n_fast, n_flagged = _fast_and_flagged(monkeypatch, pm.model, x0s, dt=0.5, T=2.0,
+                                                n_paths=2, candidate=pm.candidate)
+    # per start: on a face or a corner stays, one ulp beyond, NaN or inf exits at once
+    assert [bool(ens.exited.all()) for ens in fast] == exits
+    assert all(ens.exited.all() or not ens.exited.any() for ens in fast)
+    assert all((ens.exit_times[ens.exited] == 0.5).all() for ens in fast)
+    lower, upper = np.array(pm.model.domain_lower), np.array(pm.model.domain_upper)
+    if name == "origin-outside":
+        assert simulate._inscribed(lower, upper) == -np.inf and n_fast == n_flagged
+    else:
+        # the first step flags its exits; the later ones only where a corner or a face
+        # past the inscribed radius stays
+        assert n_flagged == 4
+        assert n_fast == (1 if name in ("1d", "2d-faces", "3d-faces") else 4)
+
+
+@pytest.mark.parametrize("name", ["noisy-repeller", "uneven-workers", "noisy-and-calm-controls"])
+def test_radius_box_test_matches_the_flags_on_noisy_exits(monkeypatch, name, rotational,
+                                                          unstable1d, unstable2d, bang1d):
+    pm, kw = _case(name, rotational, unstable1d, unstable2d, bang1d)
+    x0 = kw.pop("x0")
+    kw.pop("seed")
+    # two starts in one batch, so the starts' paths exit at steps of their own
+    x0s = [np.array(x0), 0.5 * np.array(x0)]
+    fast, n_fast, n_flagged = _fast_and_flagged(monkeypatch, pm.model, x0s, **kw)
+    assert all(0 < ens.exited.sum() < kw["n_paths"] for ens in fast)
+    assert 0 < n_fast < n_flagged
+
+
+def test_inscribed_radius():
+    big = np.finfo(float).max
+    assert simulate._inscribed(np.array([-1.0, -0.25]), np.array([2.0, 3.0])) == 0.25
+    assert simulate._inscribed(np.array([-big]), np.array([big])) == big
+    for lower, upper in (([0.0], [1.0]), ([-1.0], [1e-151]), ([0.5], [1.0]),
+                         ([-1.0, _NAN], [1.0, 1.0])):
+        assert simulate._inscribed(np.array(lower), np.array(upper)) == -np.inf
+    assert simulate._inscribed(np.array([-1e-150]), np.array([1.0])) == 1e-150
+
+
+# ---------------------------------------------- candidates that read the radius
+
+_EXTREMES = np.array([0.0, -0.0, 5e-324, -2.5e-320, 1e-160, 1.4e-154, 1.5e-154, 1e-100,
+                      0.3, -0.7, 1.0, 1e150, 1.5e154, -1e200, 1e308, _NAN, _INF, -_INF])
+
+
+@pytest.mark.parametrize("model_name", ["rotational", "circle_target", "unstable2d"])
+def test_radius_sharing_candidate_is_bit_equal(request, model_name):
+    pm = request.getfixturevalue(model_name)
+    cand = pm.candidate
+    shared = simulate._share_radius(cand.expression, cand._xvars)
+    assert "sqrt" not in ex.to_source(shared) and "r" in ex.free_vars(shared)
+    # every pair of the extremes, subnormal and overflowing squares among them, and a
+    # spread of ordinary states
+    pairs = np.array(list(itertools.product(_EXTREMES, repeat=2))).T
+    x = np.concatenate([pairs, np.random.default_rng(3).normal(size=(2, 500))], axis=1)
+    with np.errstate(all="ignore"):
+        radius = fields._norm(x.T)
+        got = ex._compile_bare(shared, [*cand._xvars, "r"])(*x, radius) + 0.0
+        want = ex._compile_bare(cand.expression, cand._xvars)(*x) + 0.0
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("model_name", ["rotational", "circle_target", "unstable2d"])
+def test_radius_sharing_ensemble_is_bit_equal(monkeypatch, request, model_name):
+    pm = request.getfixturevalue(model_name)
+    x0 = {"circle_target": [1.2, 0.0]}.get(model_name, [0.5, 0.0])
+    kw = dict(x0=x0, dt=1e-3, T=0.6, n_paths=30, seed=17, candidate=pm.candidate,
+              gauge=pm.gauge)
+    shared = al.simulate_ensemble(pm.model, **kw)
+    monkeypatch.setattr(simulate, "_share_radius", lambda node, xvars: node)
+    _assert_same_ensemble(shared, al.simulate_ensemble(pm.model, **kw))
+
+
+@pytest.mark.parametrize("text, shared", [
+    ("sqrt(x1^2 + x2^2)", "r"), ("sqrt(x1*x1 + x2^2)", None),
+    ("(sqrt(x1^2 + x2^2) - 1)^2", "(r - 1)^2"),
+    ("sqrt(x2^2 + x1^2)", None), ("sqrt(x1^2 + x2^2 + x1^2)", None),
+    ("sqrt(x1^2)", None), ("sqrt(x1^2 + (x2^2 + 0))", None), ("sqrt(x1^2 + x2^3)", None),
+    ("sqrt(x1*x2 + x2^2)", None), ("sqrt(abs(x1)^2 + x2^2)", None),
+])
+def test_only_the_radius_tree_is_shared(text, shared):
+    tree = ex.parse_expr(text)
+    got = simulate._share_radius(tree, ["x1", "x2"])
+    assert got == (tree if shared is None else ex.parse_expr(shared))
+
+
+def test_radius_sharing_stops_at_eight_coordinates():
+    xvars = [f"x{i}" for i in range(1, 9)]
+    for n in (1, 7, 8):
+        tree = ex.parse_expr("sqrt(" + " + ".join(f"{v}^2" for v in xvars[:n]) + ")")
+        # from eight squares on, fields._norm takes numpy's norm, which sums pairwise
+        assert simulate._share_radius(tree, xvars[:n]) == (tree if n == 8 else ex.Var("r"))
+
+
 @pytest.mark.parametrize("name", ["brake", "two-controls", "signed-bernoulli"])
 def test_noise_free_batch_draws_nothing(monkeypatch, name, bang1d):
     kw = dict(x0=[0.8], dt=1e-3, T=0.512, n_paths=2000, seed=14,
@@ -566,33 +727,46 @@ def test_block_length_rule(monkeypatch, tmp_path, rotational):
         assert shapes() == [(100, 1, 4 * n_starts)]
 
 
-def test_increment_block_is_held_once(monkeypatch, rotational):
-    n_paths = 4000
-    block_bytes = simulate._BLOCK_STEPS * n_paths * 8
-    mapped = []
+def test_increment_block_is_held_once(monkeypatch, tmp_path, rotational):
+    log = tmp_path / "mapped"
     mapping = simulate.mmap.mmap
 
     def spy(fileno, length, **kw):
-        mapped.append(length)
+        with open(log, "a") as f:  # a forked chunk's mappings reach the test through the file
+            f.write(f"{os.getpid()} {length}\n")
         return mapping(fileno, length, **kw)
+
+    def mapped():
+        by_pid = {}
+        for line in log.read_text().splitlines():
+            pid, length = map(int, line.split())
+            by_pid.setdefault(pid, []).append(length)
+        log.unlink()
+        return by_pid
 
     # the block is a mapping of its own, which tracemalloc does not see
     monkeypatch.setattr(simulate.mmap, "mmap", spy)
-    # inline, and by a producer, whose two slots of 128 steps hold the bytes of one block
-    for cpus in (1, 2):
+    assert 2000 < simulate._SPLIT_PATHS <= 4000
+    # one core: one stepper draws inline; two cores and 4000 paths: two forked chunks
+    # each draw their own 2000 paths inline; two cores and 2000 paths: one stepper and a
+    # producer, whose two slots of 128 steps hold the bytes of one block
+    for cpus, n_paths, chunks in ((1, 4000, 1), (2, 4000, 2), (2, 2000, 1)):
+        block_bytes = simulate._BLOCK_STEPS * (n_paths // chunks) * 8
         monkeypatch.setattr(fields, "_cpus", lambda: cpus)
-        mapped.clear()
         tracemalloc.start()
         try:
             al.simulate_ensemble(rotational.model, [0.5, 0.0], dt=1e-3, T=1.024,
                                  n_paths=n_paths, seed=1)
-            peak = tracemalloc.get_traced_memory()[1] + sum(mapped)
+            by_pid = mapped()
+            peak = tracemalloc.get_traced_memory()[1] + sum(by_pid.get(os.getpid(), []))
         finally:
             tracemalloc.stop()
-        # one (steps, paths, noise) block and per-path state, not a per-path copy as well
-        assert mapped == [block_bytes]
+        # one (steps, paths, noise) block per stepping process and per-path state, not a
+        # per-path copy as well
+        assert len(by_pid) == chunks and os.getpid() in by_pid
+        assert all(lengths == [block_bytes] for lengths in by_pid.values())
         assert block_bytes <= peak < 1.5 * block_bytes
-        # 256-step blocks: 11.0 MiB, where 1024-step blocks took 35.8 MiB
+        # 256-step blocks: 11.0 MiB for 4000 paths, where 1024-step blocks took 35.8 MiB
         assert peak < 16 * 2**20
 
 
@@ -794,6 +968,44 @@ def test_small_batches_run_in_one_chunk(monkeypatch, rotational):
     simulate._simulate_batch(rotational.model, [[0.5, 0.0]] * 3, 1e-3, 2e-3, small - 1,
                              [1, 2, 3], workers=2)
     assert bounds == [(0, 3 * (small - 1))]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("starts", [1, 2])
+def test_large_batches_step_on_every_core(monkeypatch, forks, cpus, starts, rotational):
+    monkeypatch.setattr(fields, "_cpus", lambda: cpus)
+    chunks = []
+    run_chunks = simulate._run_chunks
+    monkeypatch.setattr(simulate, "_run_chunks",
+                        lambda args: chunks.append(len(args)) or run_chunks(args))
+    producers = []  # whether each chunk stepped in this process had a producer
+    increments = simulate._increments
+    monkeypatch.setattr(simulate, "_increments",
+                        lambda *args: producers.append(bool(args[1])) or increments(*args))
+    x0s = [[0.5, 0.0], [0.0, -0.3]][:starts]
+    kw = dict(dt=1e-3, T=3e-3, candidate=rotational.candidate, gauge=rotational.gauge)
+    split = simulate._SPLIT_PATHS
+    assert split % 2 == 0 and split // 2 >= 2 * simulate._MIN_CHUNK_PATHS
+    for total in (split - 2, split):  # just below and at the split, in whole ensembles
+        n_paths, made = total // starts, len(forks)
+        producers.clear()
+        got = [simulate._simulate_batch(rotational.model, x0s, n_paths=n_paths,
+                                        seeds=[7, 8][:starts], workers=w, **kw)
+               for w in (1, 2)]
+        with monkeypatch.context() as mp:  # one chunk, stepped in order in this process
+            mp.setattr(simulate, "_SPLIT_PATHS", 10 * split)
+            mp.setattr(fields, "_cpus", lambda: 1)
+            alone = simulate._simulate_batch(rotational.model, x0s, n_paths=n_paths,
+                                             seeds=[7, 8][:starts], workers=1, **kw)
+        for ensembles in got:
+            for a, b in zip(ensembles, alone, strict=True):
+                _assert_same_ensemble(a, b)
+        # below the split, workers=1 is one stepper (with a producer on a spare core);
+        # at the split, a chunk per usable core, each stepping and drawing its own paths
+        one = cpus if total >= split else 1
+        assert chunks[-3:] == [one, 2, 1]
+        assert any(producers) == (cpus == 2 and total < split)
+        assert len(forks) - made == (2 if cpus == 2 else 0)
 
 
 def test_chunks_run_in_order_on_the_calling_thread(monkeypatch, rotational):

@@ -1,4 +1,5 @@
 import faulthandler
+import re
 import sys
 import threading
 import tracemalloc
@@ -230,6 +231,25 @@ def test_discounted_parameter_validation(rotational):
     with pytest.raises(ValueError, match="not both"):
         al.discounted_value_and_prop_set(rotational.model, grid, K=1.0, lam=1.0,
                                          theta=0.1, scheme=scheme, dt=0.5)
+
+
+@pytest.mark.parametrize("name, value, error", [
+    ("lam", np.nan, "lam must be positive"), ("theta", np.nan, "theta must be positive"),
+    ("K", np.nan, "K=nan must be finite"), ("K", np.inf, "K=inf must be finite"),
+    ("K", -np.inf, "K=-inf must be finite"), ("lam", -np.inf, "lam must be positive"),
+    ("theta", -np.inf, "theta must be positive"), ("lam", np.inf, None),
+    ("theta", np.inf, None),
+])
+def test_discounted_non_finite_inputs(rotational, name, value, error):
+    # each bad input is named; an infinite rate or threshold puts every node in the set
+    grid = al.Grid((-1.0, -1.0), (1.0, 1.0), (21, 21))
+    kw = {"K": 0.5, "lam": 1.0, "theta": 0.1, name: value}
+    if error is not None:
+        with pytest.raises(ValueError, match=re.escape(error)):
+            al.discounted_value_and_prop_set(rotational.model, grid, **kw)
+        return
+    res, prop = al.discounted_value_and_prop_set(rotational.model, grid, **kw)
+    assert res.converged and prop.all()
 
 
 # ------------------------------------------------ brute-force operator reference
