@@ -24,8 +24,6 @@ from . import __version__
 from .fields import Grid, ScalarField, _csv, extract_level_set
 from .model import ModelError, ParsedModel, parse_model
 from .simulate import (
-    _MIN_CHUNK_PATHS,
-    _SPLIT_PATHS,
     _simulate_batch,
     _step_count,
     build_decay_gauge,
@@ -265,7 +263,6 @@ def cmd_simulate(args) -> int:
         parsed.model, x0, dt=args.dt, T=args.horizon, n_paths=args.paths,
         seed=args.seed, increment_mode=args.increments,
         candidate=parsed.candidate, gauge=parsed.gauge, thin=args.thin,
-        workers=args.workers,
     )
     (run_dir / "ensemble.csv").write_text(ens.to_csv())
     (run_dir / "ensemble.json").write_text(ens.manifest_json(parsed.text_hash()))
@@ -292,8 +289,7 @@ def cmd_gauge(args) -> int:
     model = parsed.model
     x0s = [np.concatenate([[r], np.zeros(model.dim_state - 1)]) for r in radii]
     ensembles = _simulate_batch(model, x0s, args.dt, args.horizon, args.paths,
-                                [args.seed + 1000 + i for i in range(len(x0s))],
-                                workers=args.workers)
+                                [args.seed + 1000 + i for i in range(len(x0s))])
     stab = estimate_stabilizability_gauge(ensembles)
     decay = estimate_decay_envelope(ensembles)
     out = {
@@ -387,8 +383,7 @@ def cmd_pipeline(args) -> int:
     sim_candidate = parsed.candidate or result.field
     ensembles = _simulate_batch(model, x0s, args.sim_dt, args.horizon, args.paths,
                                 [args.seed + i for i in range(len(x0s))], feedback=feedback,
-                                candidate=sim_candidate, gauge=parsed.gauge,
-                                workers=args.workers)
+                                candidate=sim_candidate, gauge=parsed.gauge)
     n_exited = sum(int(e.exited.sum()) for e in ensembles)
     stages["simulate"] = {"radii": radii, "exited": n_exited,
                           "integrator": ensembles[0].integrator}
@@ -424,8 +419,7 @@ def cmd_pipeline(args) -> int:
         occ_ens = [
             simulate_ensemble(model, x0s[-1], dt=args.sim_dt, T=args.gauge_horizon,
                               n_paths=args.paths, seed=args.seed + 500,
-                              feedback=feedback, occupation_radii=occ_radii,
-                              workers=args.workers)
+                              feedback=feedback, occupation_radii=occ_radii)
         ]
         occ = measure_occupation_times(occ_ens, occ_radii)
         try:
@@ -500,10 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
         arg(sp, "-T", "--horizon", type=float, default=horizon, check=_POSITIVE)
         arg(sp, "--paths", type=int, default=paths, check=_AT_LEAST_1)
         arg(sp, "--seed", type=int, default=0, check=_SEED)
-        arg(sp, "--workers", type=int, default=1, check=_AT_LEAST_1,
-            help=f"least number of chunks of at least {_MIN_CHUNK_PATHS} paths; a batch of "
-                 f"at least {_SPLIT_PATHS} paths gets one per usable core, a smaller one a "
-                 "draw producer on a spare core; no value changes a result")
 
     sp = command("check", cmd_check, "verify the model's candidate function")
     arg(sp, "--eps-tan", type=float, default=None, check=_NONNEGATIVE)

@@ -50,8 +50,8 @@ class Grid:
         object.__setattr__(self, "counts", cn)
         if self.rho is None:
             object.__setattr__(self, "rho", 2.0 * max(self.spacing))
-        elif self.rho < 0:
-            raise ValueError("rho must be nonnegative")
+        elif not 0 <= self.rho < np.inf:  # also rejects NaN
+            raise ValueError(f"rho must be nonnegative and finite, got {self.rho}")
 
     @property
     def dim(self) -> int:

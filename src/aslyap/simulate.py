@@ -23,25 +23,16 @@ maximum is NaN or past the largest origin-centred ball in the box
 whose tree reads it in place of every subtree that computes |x|
 (``_share_radius``).
 
-Which processes step and which draw follows the batch size.  A batch of
-at least ``_SPLIT_PATHS`` paths gets at least one chunk per usable core,
-and every stepping process draws its own increments.  In a smaller batch,
-a chunk stepped in the calling process gets a forked producer that draws
-ahead into shared memory when a usable core is left over (``_increments``).
-On `rotational` with candidate and gauge tracking (dt 1e-3, one worker,
-2-core Xeon) a 10 000-path ensemble of 2000 steps took a median of 0.74 s,
-27 million path-steps/s (5 runs).
+Which processes step and which draw follows the batch size, by the rule
+that ``_simulate_batch`` states.  On `rotational` with candidate and gauge
+tracking (dt 1e-3, workers=1, 2-core Xeon) a 10 000-path ensemble of 2000
+steps took a median of 0.74 s, 27 million path-steps/s (5 runs).
 
 Paths use counter-based per-path RNG streams keyed by (seed, path index), so
-ensembles are bit-identical for any worker count or chunk size, and whether
-they run alone or in a batch that steps the ensembles of several start
-points in one loop, each path keeping its own start point and stream.
-``workers`` only sets the least number of chunks the paths are split into.
-The chunks are stepped in forked processes, at most one per usable core,
-and their results are read back in chunk order, so the ensemble is the
-same bit for bit; without ``os.fork``, with one usable core or with other
-threads alive they are stepped one after another in the calling thread.  The envelope fits
-read ensembles and step nothing.  All pathwise verdicts are statistical
+ensembles are bit-identical for any chunk layout, and whether they run alone
+or in a batch that steps the ensembles of several start points in one loop,
+each path keeping its own start point and stream.  The envelope fits read
+ensembles and step nothing.  All pathwise verdicts are statistical
 lower bounds on essential suprema: a max over finitely many paths never
 proves an almost-sure bound, so results are reported as "consistent with"
 the property, never as proof.
@@ -695,20 +686,17 @@ def _kill(children):
 
 
 def _run_chunks(args) -> list[dict]:
-    """``[_simulate_chunk(*a, spare) for a in args]`` on up to ``fields._cpus()`` processes.
+    """``[_simulate_chunk(*a, spare) for a in args]`` in the processes that
+    ``_simulate_batch`` lays out.
 
-    With P = min(chunks, usable CPUs) >= 2, ``os.fork`` available and no
-    other thread alive, P - 1 forked children step chunks k, k + P, ... and
-    pickle their results down a pipe, while the calling process steps
+    With P stepping processes, forked child k steps chunks k, k + P, ... and
+    pickles their results down a pipe, while the calling process steps
     chunks 0, P, 2P, ...; children inherit the compiled kernels, which do
     not pickle.  The pipes are read on the calling thread in chunk order and
     every child is reaped, so the list is the serial one bit for bit.  A
     child's exception is raised again here; a child that dies without a
     result raises ``RuntimeError``.  If anything raises, the children still
-    running are killed and reaped.  Otherwise the chunks run in order on the
-    calling thread.  ``spare`` is true where forks are allowed and the
-    usable CPUs outnumber the processes stepping chunks: the calling
-    process's chunks then draw in a forked producer (``_increments``).
+    running are killed and reaped.
     """
     cpus = fields._cpus()
     procs = min(len(args), cpus)
@@ -752,21 +740,27 @@ def _simulate_batch(model, x0s, dt, T, n_paths, seeds, control=None, feedback=No
 
     Ensemble g equals ``simulate_ensemble(model, x0s[g], ..., seed=seeds[g])``
     bit for bit; ``simulate_ensemble`` documents the keywords it forwards here.
-    ``workers`` sets the least number of chunks (at most one per
-    ``_MIN_CHUNK_PATHS`` paths of one ensemble).  A batch of at least
-    ``_SPLIT_PATHS`` paths gets at least one chunk per usable core (at most
-    one per ``_MIN_CHUNK_PATHS`` of its paths), so every core steps and each
-    stepping process draws its own increments; a smaller one keeps
-    ``workers`` chunks, and the calling process's chunk gets a producer on a
-    spare core.  ``_run_chunks`` steps the chunks in forked processes, at
-    most one per usable core, or in order on the calling thread, with the
-    same bits.  Each step's box test reads the radius first: ``_inside``
-    runs only when a path is NaN or past the box's inscribed radius.
+    Each seed is an integer in [0, 2**64) and ``n_paths`` an integer >= 1.
+
+    The process layout changes no bit.  The paths are cut into ``workers``
+    chunks, at most one per ``_MIN_CHUNK_PATHS`` paths of one ensemble; a
+    batch of at least ``_SPLIT_PATHS`` paths gets at least one per usable
+    core, at most one per ``_MIN_CHUNK_PATHS`` of its paths.  With two or more
+    chunks and cores, ``os.fork`` and no other thread alive, min(chunks,
+    cores) processes step them, the calling one and forked children
+    (``_run_chunks``); otherwise the calling thread steps them in order.
+    Each stepping process draws its own increments, except where forks are
+    allowed and a usable core is left over: the calling process's chunks
+    then draw in a forked producer (``_increments``).  Each step's box test reads the radius first: ``_inside`` runs only when
+    a path is NaN or past the box's inscribed radius.
     """
+    whole = (int, np.integer)
     for name, value, need, ok in (
         ("dt", dt, "> 0", dt > 0), ("T", T, "> 0", T > 0),
-        ("n_paths", n_paths, ">= 1", n_paths >= 1),
+        ("n_paths", n_paths, "an integer >= 1", isinstance(n_paths, whole) and n_paths >= 1),
         ("workers", workers, ">= 1", workers >= 1), ("thin", thin, ">= 0", thin >= 0),
+        *(("seed", seed, "an integer in [0, 2**64)",
+           isinstance(seed, whole) and 0 <= int(seed) < 2**64) for seed in seeds),
     ):
         if not ok:
             raise ValueError(f"need {name} {need}, got {value!r}")
@@ -805,8 +799,7 @@ def _simulate_batch(model, x0s, dt, T, n_paths, seeds, control=None, feedback=No
         target_fn = _distance_evaluator(target_distance, model.dim_state)
     occ = np.asarray(occupation_radii, dtype=float) if occupation_radii is not None else None
 
-    # chunked by the size of one ensemble, as when each ensemble ran alone; a large
-    # batch gets a chunk per usable core, stepped there, in place of a producer
+    # workers chunks by the size of one ensemble, as when each ensemble ran alone
     n_chunks = max(1, min(int(workers), n_paths // _MIN_CHUNK_PATHS))
     if len(x0s) * n_paths >= _SPLIT_PATHS:
         n_chunks = max(n_chunks, min(fields._cpus(), len(x0s) * n_paths // _MIN_CHUNK_PATHS))
@@ -880,10 +873,8 @@ def simulate_ensemble(model: ControlledDiffusion, x0, dt: float, T: float, n_pat
     ``increment_mode="gaussian"`` or "signed-bernoulli", ``domain=None``
     (a (lower, upper) box, else the model's), ``candidate=None`` (a
     candidate or a value field), ``gauge=None``, ``occupation_radii=None``,
-    ``target_distance=None``, ``thin=0``, ``workers=1`` and
-    ``integrator="milstein"``.  ``workers`` is the least number of chunks;
-    from ``_SPLIT_PATHS`` paths on there is one per usable core, and below
-    it a producer on a spare core draws for the calling process.
+    ``target_distance=None``, ``thin=0``, ``workers=1`` (the least number of
+    chunks, see ``_simulate_batch``) and ``integrator="milstein"``.
 
     ``integrator`` is "milstein" (the default) or "euler".  The Milstein step
     runs for Gaussian increments when the noise of every control the
@@ -915,20 +906,30 @@ def _class_k_knots(radii: np.ndarray, values: np.ndarray):
     return np.concatenate([[0.0], radii]), knots_v
 
 
-def estimate_stabilizability_gauge(
-    ensembles: list[TrajectoryEnsemble],
-    small_radius_factor: float = 2.0,
-) -> StabilizabilityEstimate:
-    """Class-K envelope of the worst pathwise sup-radius over initial radii.
-
-    The envelope is the least monotone majorant of r -> max over paths of
-    sup_t |X_t|, over the ensembles sorted by initial radius.  The verdict is
-    "consistent with" the pathwise bound; any exited path makes it negative,
-    reported for the smallest radius with an exit.
-    """
+def _sorted_by_radius(ensembles):
+    """The ensembles sorted by initial radius, and the index of the first
+    started off the origin; ValueError if none is."""
     if len(ensembles) == 0:
         raise ValueError("no ensemble to fit")
     ensembles = sorted(ensembles, key=lambda ens: ens.initial_radius)
+    first = next((i for i, ens in enumerate(ensembles) if ens.initial_radius > 0.0), None)
+    if first is None:
+        raise ValueError(f"need an ensemble started off the origin to fit an envelope; "
+                         f"all {len(ensembles)} start at |x0|=0")
+    return ensembles, first
+
+
+def estimate_stabilizability_gauge(ensembles: list[TrajectoryEnsemble]) -> StabilizabilityEstimate:
+    """Class-K envelope of the worst pathwise sup-radius over initial radii.
+
+    The envelope is the least monotone majorant of r -> max over paths of
+    sup_t |X_t|, over the ensembles started off the origin, sorted by
+    initial radius; an ensemble started at the origin only needs its worst
+    sup to be 0.  The verdict is "consistent with" the pathwise bound; any
+    exited path makes it negative, reported for the smallest radius with an
+    exit.
+    """
+    ensembles, first = _sorted_by_radius(ensembles)
     radii = np.array([ens.initial_radius for ens in ensembles])
     for ens in ensembles:
         if ens.exited.any():
@@ -940,12 +941,16 @@ def estimate_stabilizability_gauge(
                        f"{ens.initial_radius:.4g}",
             )
     worst = np.array([ens.sup_radius.max() for ens in ensembles])
-    gauge = ComparisonGauge("K", *_class_k_knots(radii, worst))
-    if worst[0] <= small_radius_factor * radii[0] or radii[0] == 0.0:
+    gauge = ComparisonGauge("K", *_class_k_knots(radii[first:], worst[first:]))
+    if np.any(worst[:first] != 0.0):
+        consistent, reason = False, (f"sup-radius {worst[:first].max():.4g} from |x0|=0: "
+                                     "paths leave the equilibrium")
+    elif worst[first] <= 2.0 * radii[first]:
         consistent, reason = True, "all paths bounded; envelope monotone and small near 0"
     else:
-        consistent, reason = False, (f"sup-radius {worst[0]:.4g} from |x0|={radii[0]:.4g} "
-                                     "does not shrink with the initial radius")
+        consistent, reason = False, (f"sup-radius {worst[first]:.4g} from "
+                                     f"|x0|={radii[first]:.4g} does not shrink with the "
+                                     "initial radius")
     return StabilizabilityEstimate(gauge=gauge, radii=radii, worst_sup=worst,
                                    consistent=consistent, reason=reason)
 
@@ -959,48 +964,49 @@ class DecayEnvelopeEstimate:
     reason: str
 
 
-def estimate_decay_envelope(
-    ensembles: list[TrajectoryEnsemble],
-    kappa_min: float = 1e-4,
-    fit_floor: float = 1e-10,
-) -> DecayEnvelopeEstimate:
+def estimate_decay_envelope(ensembles: list[TrajectoryEnsemble]) -> DecayEnvelopeEstimate:
     """Fit the least separable envelope gamma(r) exp(-kappa t) over ensembles.
 
-    kappa is the most conservative fitted decay rate across initial radii;
+    kappa is the most conservative fitted decay rate across the initial
+    radii off the origin, and a kappa of at most 1e-4 counts as no decay;
     gamma is then the least radius gauge making the envelope dominate every
-    sampled max-radius curve.
+    sampled max-radius curve.  An ensemble started at the origin only needs
+    its worst sup to be 0.
     """
+    ensembles, first = _sorted_by_radius(ensembles)
+    origin, ensembles = ensembles[:first], ensembles[first:]
     rates = []
     for ens in ensembles:
         m = ens.timeline_max_radius
         t = ens.timeline_times
-        mask = m > max(fit_floor, 1e-6 * max(m[0], fit_floor))
+        mask = m > max(1e-10, 1e-6 * m[0])  # the curve above its round-off floor
         if mask.sum() < 2:
             rates.append(0.0)
             continue
         slope = np.polyfit(t[mask], np.log(m[mask]), 1)[0]
         rates.append(-slope)
     kappa = float(min(rates))
-    exited = any(ens.exited.any() for ens in ensembles)
+    exited = any(ens.exited.any() for ens in origin + ensembles)
+    left = [ens.sup_radius.max() for ens in origin if ens.sup_radius.max() != 0.0]
 
-    if exited or kappa <= kappa_min:
+    if exited or left or kappa <= 1e-4:
         final = np.array([np.linalg.norm(e.final_states, axis=-1).max() for e in ensembles])
         initial = np.array([e.initial_radius for e in ensembles])
         if exited:
             reason = "paths left the domain"
-        elif np.all(final <= 0.5 * np.maximum(initial, 1e-300)):
+        elif left:
+            reason = f"sup-radius {max(left):.4g} from |x0|=0: paths leave the equilibrium"
+        elif np.all(final <= 0.5 * initial):
             reason = ("no positive decay rate fit, but final radii shrank: "
                       "horizon likely too short")
         else:
             reason = "no decay observed (stable but not asymptotically)"
-        stable = not exited
         return DecayEnvelopeEstimate(gauge=None, kappa=kappa, asymptotic=False,
-                                     stable=stable, reason=reason)
+                                     stable=not (exited or left), reason=reason)
 
-    ordered = sorted(ensembles, key=lambda ens: ens.initial_radius)
-    radii = np.array([ens.initial_radius for ens in ordered])
+    radii = np.array([ens.initial_radius for ens in ensembles])
     gammas = np.array([np.max(ens.timeline_max_radius * np.exp(kappa * ens.timeline_times))
-                       for ens in ordered])
+                       for ens in ensembles])
     gauge = ComparisonGauge("KL", *_class_k_knots(radii, gammas), kappa=kappa)
     return DecayEnvelopeEstimate(gauge=gauge, kappa=kappa, asymptotic=True, stable=True,
                                  reason="positive decay rate fits all ensembles")
@@ -1052,17 +1058,12 @@ class DecayGaugeConstruction:
     gauge: GaugeFunction
 
 
-def default_weight_rule(i: int, occupation_time: float) -> float:
-    return min(2.0 ** (-i), 2.0 ** (-i) / max(occupation_time, 1.0))
-
-
-def build_decay_gauge(occupation, radii=None, weight_rule=None) -> DecayGaugeConstruction:
+def build_decay_gauge(occupation, radii=None) -> DecayGaugeConstruction:
     """Decreasing weights against occupation bounds, summable by construction.
 
-    The default rule l_i = min(2^-i, 2^-i / max(T_i, 1)) gives
-    sum_i l_i T_i <= sum_i 2^-i <= 2 for any finite nondecreasing T_i.  The
-    gauge ramps from 0 at the innermost radius and is constant beyond the
-    outermost one.
+    The weights l_i = 2^-i / max(T_i, 1) give sum_i l_i T_i <= sum_i 2^-i <= 2
+    for any finite nondecreasing T_i.  The gauge ramps from 0 at the
+    innermost radius and is constant beyond the outermost one.
     """
     if isinstance(occupation, OccupationEstimate):
         occupation.require_uncensored()
@@ -1077,13 +1078,14 @@ def build_decay_gauge(occupation, radii=None, weight_rule=None) -> DecayGaugeCon
         raise ValueError("occupation bounds must be nondecreasing")
     if np.any(np.diff(radii) >= 0) or np.any(radii <= 0):
         raise ValueError("radii must be positive and strictly decreasing")
-    rule = weight_rule or default_weight_rule
     n = len(radii)
-    weights = np.array([rule(i, t[i]) for i in range(n)])
+    scale = np.maximum(t, 1.0)
+    weights = 2.0 ** -np.arange(n) / scale
     if np.any(weights <= 0) or np.any(np.diff(weights) >= 0):
-        raise ValueError("weight rule must produce positive decreasing weights")
+        raise ValueError(f"weights 2^-i / max(T_i, 1) must be positive and decreasing, but "
+                         f"{n} radii against bounds up to {t[-1]:.4g} underflow")
     budget = float(np.sum(weights * t))
-    inner_weight = rule(n, t[-1])  # one index past the innermost radius
+    inner_weight = 2.0 ** -n / scale[-1]  # one index past the innermost radius
     # gauge value at radius r_i is the next (smaller) weight l_{i+1}
     knots_r = np.concatenate([[0.0], radii[::-1]])
     knots_v = np.concatenate([[0.0], [inner_weight], weights[::-1][:-1]])
@@ -1147,8 +1149,13 @@ def empirical_viability(ensemble: TrajectoryEnsemble, mu: float,
     For an almost-surely viable sublevel set the target is zero; small
     nonzero fractions are attributable to the time discretization (larger
     under the Euler step than under the Milstein step) and are reported with
-    their excess distribution.
+    their excess distribution.  ``mu`` must be positive and finite, ``tol``
+    nonnegative and finite.
     """
+    if not 0 < mu < np.inf:  # also rejects NaN, which no path would exceed
+        raise ValueError(f"need mu positive and finite, got {mu!r}")
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"need tol nonnegative and finite, got {tol!r}")
     if ensemble.sup_candidate is None:
         raise ValueError("ensemble lacks candidate tracking; pass candidate= to "
                          "simulate_ensemble")

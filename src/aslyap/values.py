@@ -440,7 +440,6 @@ def discounted_value_and_prop_set(
     lam: float,
     theta: float,
     scheme: RobustScheme | None = None,
-    dt: float | None = None,
 ) -> tuple[ValueResult, np.ndarray]:
     """Expected discounted cost of leaving the K-ball, and its zero set.
 
@@ -450,8 +449,6 @@ def discounted_value_and_prop_set(
     below the grid radius; NaN is rejected by the name of its input.
     """
     _check_positive(lam=lam, theta=theta)
-    if scheme is not None and dt is not None:
-        raise ValueError("give dt or scheme, not both: the scheme carries its own dt")
     inner_radius = min(min(abs(l), abs(u)) for l, u in zip(grid.lower, grid.upper))
     if not -np.inf < K < inner_radius:  # also rejects NaN
         raise ValueError(f"K={K} must be finite and below the grid radius {inner_radius}")
@@ -461,7 +458,7 @@ def discounted_value_and_prop_set(
     run_cost = np.maximum(0.0, radii - K)
     w_cap = float(run_cost.max()) / lam
     if scheme is None:
-        scheme = default_scheme(model, grid, cap=max(w_cap, theta), dt=dt)
+        scheme = default_scheme(model, grid, cap=max(w_cap, theta))
     disc = np.exp(-lam * scheme.dt)
     run_cost *= scheme.dt
     result = _iterate(model, grid, scheme, "discounted-value", w_cap,

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -110,14 +111,6 @@ def test_unknown_flag_is_config_error(tmp_path):
     assert main(["check", "--model", ROT, "--bogus", "1"]) == 2
 
 
-@pytest.mark.parametrize("argv", [["check"], ["value", "sup"],
-                                  ["viability", "--mu", "0.5"]])
-def test_workers_only_on_ensemble_commands(tmp_path, argv):
-    # only simulate, gauge and pipeline run ensembles, so only they take --workers
-    assert main([*argv, "--model", ROT, "--grid", "21", "--workers", "2",
-                 "--out", _runs(tmp_path)]) == 2
-
-
 @pytest.mark.parametrize("argv", [
     ["simulate", "--x0", "0.5,0", "-T", "0.01", "--paths", "2"],
     ["gauge", "--radii", "0.2", "-T", "0.01", "--paths", "2"],
@@ -129,7 +122,7 @@ def test_negative_seed_is_config_error(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("argv, flag", [
-    (["simulate", "--x0", "0.5,0", "--workers", "0"], "--workers"),
+    (["simulate", "--x0", "0.5,0", "--seed", str(2**64)], "--seed"),
     (["simulate", "--x0", "0.5,0", "--thin", "-1"], "--thin"),
     (["simulate", "--x0", "0.5,0", "--paths", "0"], "--paths"),
     (["simulate", "--x0", "0.5,0", "--dt", "0"], "--dt"),
@@ -137,7 +130,7 @@ def test_negative_seed_is_config_error(tmp_path, capsys, argv):
     (["simulate", "--x0", "0.5,0", "-T", "inf"], "-T"),
     (["gauge", "--radii", "0.2", "--dt", "-0.001"], "--dt"),
     (["gauge", "--radii", "0.2", "--paths", "0"], "--paths"),
-    (["gauge", "--radii", "0.2", "--workers", "0"], "--workers"),
+    (["gauge", "--radii", "0.2", "-T", "nan"], "-T"),
     (["pipeline", "--sim-dt", "nan"], "--sim-dt"),
     (["pipeline", "-T", "0"], "-T"),
     (["pipeline", "--paths", "0"], "--paths"),
@@ -249,6 +242,16 @@ def test_every_checked_flag_rejects_a_bad_value(tmp_path, capsys, command, flag)
         assert main([*argv, "-1"]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {flag} must be ")
     assert not (tmp_path / "runs").exists()  # rejected before any run directory
+
+
+def test_readme_lists_the_rule_of_every_checked_flag():
+    # README's list of flag rules names exactly the flags that some subcommand checks
+    text = (MODELS.parent / "README.md").read_text()
+    rules = text.split("\nEvery numeric flag has one rule", 1)[1].split("\n\n")[1]
+    assert all(line.startswith(("- ", "  ")) for line in rules.splitlines())
+    named = set(re.findall(r"`(-{1,2}[A-Za-z][\w-]*)`", rules))
+    checked = {flag for sp in _subcommands().values() for flag, _, _ in sp.get_default("checks")}
+    assert named == checked
 
 
 def test_negative_integral_gauge_is_config_error(tmp_path, capsys):
@@ -367,24 +370,42 @@ def test_gauge_command(tmp_path):
     assert gauges["integrator"] == "milstein"
 
 
-def test_dead_ensemble_process_is_an_internal_error(tmp_path, monkeypatch, capsys):
+def _two_forked_chunks(monkeypatch):
+    """Step every batch in two chunks, the second in a forked child; the pids forked."""
     monkeypatch.setattr(simulate, "_MIN_CHUNK_PATHS", 1)
-    monkeypatch.setattr(fields, "_cpus", lambda: 2)
+    monkeypatch.setattr(simulate, "_SPLIT_PATHS", 1)
+    monkeypatch.setattr(fields, "_cpus", lambda: 2)  # no core left for a producer
+    made, fork = [], os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            made.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return made
+
+
+def test_dead_ensemble_process_is_an_internal_error(tmp_path, monkeypatch, capsys):
+    forks = _two_forked_chunks(monkeypatch)
     chunk = simulate._simulate_chunk
     # the second chunk, stepped by the forked child, kills its process
     monkeypatch.setattr(simulate, "_simulate_chunk",
                         lambda *a: os._exit(9) if a[4] else chunk(*a))
     assert main(["simulate", "--model", ROT, "--x0", "0.5,0", "--paths", "2", "-T", "0.01",
-                 "--workers", "2", "--out", _runs(tmp_path)]) == 3
+                 "--out", _runs(tmp_path)]) == 3
+    assert len(forks) == 1
     assert ("internal error: RuntimeError: the process stepping ensemble chunk(s) 1 died "
             "without a result (wait status 2304)") in capsys.readouterr().err
 
 
 def test_gauge_decay_batch_equals_separate_ensembles(tmp_path, monkeypatch):
-    monkeypatch.setattr(simulate, "_MIN_CHUNK_PATHS", 1)  # chunks cut ensembles
+    forks = _two_forked_chunks(monkeypatch)
     argv = ["gauge", "--model", ROT, "--radii", "0.1,0.2,0.3,0.4", "--paths", "30",
-            "-T", "1", "--seed", "3", "--workers", "2"]
+            "-T", "1", "--seed", "3"]
     assert main([*argv, "--out", str(tmp_path / "batch")]) == 0
+    assert len(forks) == 1
     used = []
 
     def separate(model, x0s, dt, T, n_paths, seeds, **kw):
@@ -401,15 +422,16 @@ def test_gauge_decay_batch_equals_separate_ensembles(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("candidate", [True, False])
 def test_pipeline_batch_equals_separate_ensembles(tmp_path, monkeypatch, candidate):
-    monkeypatch.setattr(simulate, "_MIN_CHUNK_PATHS", 1)  # chunks cut ensembles
+    forks = _two_forked_chunks(monkeypatch)  # the chunk bound cuts the second ensemble
     model = tmp_path / "rot.model"
     # without a [candidate], the paths track the value field
     model.write_text(ROT_TEXT if candidate else
                      ROT_TEXT.replace("[candidate]\nV = sqrt(x1^2 + x2^2)\nl = 0.5*r\n", ""))
     assert candidate or "[candidate]" not in model.read_text()
     argv = ["pipeline", "--model", str(model), "--grid", "21", "--paths", "20", "-T", "1",
-            "--sim-dt", "2e-3", "--seed", "8", "--workers", "2"]
+            "--sim-dt", "2e-3", "--seed", "8"]
     assert main([*argv, "--out", str(tmp_path / "batch")]) == 0
+    assert len(forks) == 1
     used = []
 
     def separate(model, x0s, dt, T, n_paths, seeds, **kw):

@@ -21,6 +21,13 @@ def test_grid_validation():
     assert al.Grid((-1.0,), (1.0,), (21,), rho=0.0).rho == 0.0
 
 
+@pytest.mark.parametrize("rho", [-0.1, np.nan, np.inf, -np.inf])
+def test_grid_rejects_rho_outside_nonnegative_finite(rho):
+    # a NaN rho would exclude no node from the checks and pin none in the solves
+    with pytest.raises(ValueError, match="rho must be nonnegative and finite"):
+        al.Grid((-1.0, -1.0), (1.0, 1.0), (5, 5), rho=rho)
+
+
 def test_gradient_of_square_at_half():
     g = al.Grid((-1.0,), (1.0,), (41,))
     fld = _field_from("x1^2", g)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import aslyap as al
 from aslyap import expr as ex
 from aslyap import fields, simulate
-from aslyap.simulate import _path_generator, build_decay_gauge, default_weight_rule
+from aslyap.simulate import _path_generator, build_decay_gauge
 
 
 def _no_children_left():
@@ -920,7 +920,9 @@ def test_increment_mode_validation(rotational):
 
 @pytest.mark.parametrize("bad", [dict(dt=0.0), dict(T=-1.0), dict(n_paths=0),
                                  dict(workers=0), dict(thin=-1),
-                                 dict(T=4e-4), dict(T=5e-4)])  # round(T / dt) is 0
+                                 dict(T=4e-4), dict(T=5e-4),  # round(T / dt) is 0
+                                 dict(n_paths=2.5), dict(n_paths=1.0), dict(seed=-1),
+                                 dict(seed=2**64), dict(seed=1.5)])
 def test_ensemble_arguments_validated(rotational, bad):
     kw = {**dict(x0=[0.1, 0], dt=1e-3, T=0.1, n_paths=1, seed=0), **bad}
     name = next(iter(bad))
@@ -1381,6 +1383,36 @@ def test_stabilizability_zero_initial_radius(linear1d):
     assert ens.sup_radius.max() == 0.0
 
 
+def _origin_and_off(model):
+    return simulate._simulate_batch(model, [[0.0, 0.0], [0.5, 0.0]], 1e-3, 4.0, 50, [3, 4])
+
+
+def test_envelopes_fit_the_radii_off_the_origin(rotational):
+    origin, off = ens = _origin_and_off(rotational.model)
+    assert origin.sup_radius.max() == 0.0  # the noise and drift vanish at the equilibrium
+    stab = al.estimate_stabilizability_gauge(ens)
+    alone = al.estimate_stabilizability_gauge([off])
+    assert stab.consistent and stab.reason == alone.reason
+    assert stab.radii.tolist() == [0.0, 0.5] and stab.worst_sup[0] == 0.0
+    assert stab.gauge.knots_r.tolist() == alone.gauge.knots_r.tolist() == [0.0, 0.5]
+    assert stab.gauge.knots_v.tobytes() == alone.gauge.knots_v.tobytes()
+    decay = al.estimate_decay_envelope(ens)
+    assert decay.asymptotic and decay.kappa == al.estimate_decay_envelope([off]).kappa
+    assert decay.kappa == pytest.approx(0.5, abs=0.1)
+
+
+def test_envelopes_reject_paths_that_leave_the_origin(rotational):
+    origin, off = _origin_and_off(rotational.model)
+    moved = dataclasses.replace(origin, sup_radius=np.full(origin.n_paths, 1e-3))
+    stab = al.estimate_stabilizability_gauge([moved, off])
+    assert not stab.consistent and "from |x0|=0" in stab.reason
+    decay = al.estimate_decay_envelope([moved, off])
+    assert not decay.stable and not decay.asymptotic and "from |x0|=0" in decay.reason
+    for fit in (al.estimate_stabilizability_gauge, al.estimate_decay_envelope):
+        with pytest.raises(ValueError, match=r"all 1 start at \|x0\|=0"):
+            fit([origin])
+
+
 # --------------------------------------------------------------- decay fits
 
 def test_decay_envelope_rotational(rotational):
@@ -1478,10 +1510,18 @@ def test_build_decay_gauge_zero_occupation_times():
 @settings(max_examples=200, deadline=None)
 def test_budget_rule_capped_by_two(raw):
     t = np.maximum.accumulate(np.asarray(raw))  # arbitrary nondecreasing times
-    weights = np.array([default_weight_rule(i, ti) for i, ti in enumerate(t)])
-    assert float(np.sum(weights * t)) <= 2.0
-    assert (weights > 0).all()
-    assert (np.diff(weights) < 0).all()
+    dg = build_decay_gauge(t, 0.5 * 2.0 ** (-np.arange(len(t))))
+    assert dg.budget == float(np.sum(dg.weights * t)) <= 2.0
+    assert (dg.weights > 0).all()
+    assert (np.diff(dg.weights) < 0).all()
+
+
+def test_build_decay_gauge_rejects_underflowing_weights():
+    # 2^-i is 0 from i = 1075 on, so 1100 levels cannot keep their weights positive
+    radii = 0.5 * 0.99 ** np.arange(1100)
+    assert build_decay_gauge(np.zeros(1075), radii[:1075]).weights[-1] > 0
+    with pytest.raises(ValueError, match="must be positive and decreasing, but 1100 radii"):
+        build_decay_gauge(np.zeros(1100), radii)
 
 
 @given(raw=st.lists(st.floats(min_value=0, max_value=100), min_size=2, max_size=10))
@@ -1603,3 +1643,16 @@ def test_empirical_viability_needs_valid_start(rotational):
                                n_paths=2, seed=1, candidate=rotational.candidate)
     with pytest.raises(ValueError, match="above the level"):
         al.empirical_viability(ens, mu=0.3)
+
+
+@pytest.mark.parametrize("bad", [dict(mu=np.nan), dict(mu=np.inf), dict(mu=0.0),
+                                 dict(mu=-0.5), dict(tol=np.nan), dict(tol=np.inf),
+                                 dict(tol=-0.1)])
+def test_empirical_viability_rejects_bad_levels(unstable1d, bad):
+    # every path escapes the level 0.5; a NaN level or tolerance would let all of them pass
+    ens = al.simulate_ensemble(unstable1d.model, [0.5], dt=1e-3, T=2.0, n_paths=5,
+                               seed=16, candidate=unstable1d.candidate)
+    assert al.empirical_viability(ens, mu=0.5).escape_fraction == 1.0
+    name = next(iter(bad))
+    with pytest.raises(ValueError, match=f"need {name} "):
+        al.empirical_viability(ens, **{"mu": 0.5, **bad})

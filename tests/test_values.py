@@ -226,11 +226,6 @@ def test_discounted_parameter_validation(rotational):
     with pytest.raises(ValueError, match="grid radius"):
         al.discounted_value_and_prop_set(rotational.model, grid, K=1.5, lam=1.0,
                                          theta=0.1)
-    # a dt beside a scheme would be dropped without a word
-    scheme = al.default_scheme(rotational.model, grid, cap=1.0)
-    with pytest.raises(ValueError, match="not both"):
-        al.discounted_value_and_prop_set(rotational.model, grid, K=1.0, lam=1.0,
-                                         theta=0.1, scheme=scheme, dt=0.5)
 
 
 @pytest.mark.parametrize("name, value, error", [
