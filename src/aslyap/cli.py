@@ -61,6 +61,8 @@ _FINITE = ("finite", np.isfinite)
 # a path's Philox key, (seed << 64) + path, must stay below 2**128, also for the
 # seeds the commands derive from --seed by adding small offsets
 _SEED = ("nonnegative and below 2**63", lambda v: 0 <= v < 2**63)
+# the pipeline's start radii, as fractions of the grid's inner radius
+_PIPELINE_STARTS = (0.25, 0.4, 0.55)
 
 
 def _load_model(path: str) -> ParsedModel:
@@ -340,7 +342,7 @@ def cmd_viability(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    _check_steps("--sim-dt", args.sim_dt, ("-T", args.horizon), starts=3)
+    _check_steps("--sim-dt", args.sim_dt, ("-T", args.horizon), starts=len(_PIPELINE_STARTS))
     _check_steps("--sim-dt", args.sim_dt, ("--gauge-horizon", args.gauge_horizon))
     parsed = _load_model(args.model)
     model = parsed.model
@@ -377,7 +379,7 @@ def cmd_pipeline(args) -> int:
     print("stage feedback: ok")
 
     # 3. ensembles over initial radii, stepped in one batch, one seed per radius
-    radii = [f * inner_radius for f in (0.25, 0.4, 0.55)]
+    radii = [f * inner_radius for f in _PIPELINE_STARTS]
     x0s = [np.concatenate([[r], np.zeros(model.dim_state - 1)]) for r in radii]
     # without a [candidate], the paths track the value field, read at the cap off the grid
     sim_candidate = parsed.candidate or result.field

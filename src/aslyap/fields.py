@@ -25,6 +25,9 @@ __all__ = [
     "extract_level_set",
 ]
 
+# how far past a face ``Grid.contains`` still counts a point as inside
+_CONTAINS_SLACK = 1e-12
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -38,6 +41,8 @@ class Grid:
     def __post_init__(self):
         lo = tuple(float(v) for v in self.lower)
         up = tuple(float(v) for v in self.upper)
+        if not all(isinstance(c, (int, np.integer)) for c in self.counts):
+            raise ValueError(f"grid counts must be integers, got {tuple(self.counts)}")
         cn = tuple(int(v) for v in self.counts)
         if not (len(lo) == len(up) == len(cn)):
             raise ValueError("lower/upper/counts must have equal length")
@@ -84,10 +89,11 @@ class Grid:
             mask[tuple(sl)] = True
         return mask.ravel()
 
-    def contains(self, points: np.ndarray, slack: float = 1e-12) -> np.ndarray:
+    def contains(self, points: np.ndarray) -> np.ndarray:
+        """Flags of the finite points within the box, widened by ``_CONTAINS_SLACK``."""
         points = np.asarray(points, dtype=float)
-        lo = np.asarray(self.lower) - slack
-        up = np.asarray(self.upper) + slack
+        lo = np.asarray(self.lower) - _CONTAINS_SLACK
+        up = np.asarray(self.upper) + _CONTAINS_SLACK
         finite = np.all(np.isfinite(points), axis=-1)
         return finite & np.all((points >= lo) & (points <= up), axis=-1)
 

@@ -1,8 +1,8 @@
 """Rate gauges and comparison-function envelopes.
 
 GaugeFunction is the running-cost / decrease-rate carrier: radial, zero at
-zero, usually nondecreasing.  ComparisonGauge carries fitted class-K /
-class-K-infinity envelopes and separable class-KL envelopes
+zero, usually nondecreasing.  ComparisonGauge carries fitted class-K
+envelopes and separable class-KL envelopes
 ``beta(r, t) = gamma(r) * exp(-kappa t)``.
 """
 
@@ -22,14 +22,15 @@ class GaugeFunction:
     """Scalar gauge of a nonnegative radius (or distance) argument.
 
     Either piecewise linear through ``(knots_r, knots_v)`` (constant beyond
-    the last knot) or an expression in the variable ``r``.
+    the last knot) or an expression in the variable ``r``.  ``lipschitz`` is
+    the steepest knot slope, 0 for an expression.
     """
 
     knots_r: np.ndarray | None = None
     knots_v: np.ndarray | None = None
     expression: ex.Node | None = None
     monotone: bool = True
-    lipschitz: float = field(default=0.0)
+    lipschitz: float = field(default=0.0, init=False)
 
     def __eq__(self, other):
         if not isinstance(other, GaugeFunction):
@@ -63,7 +64,7 @@ class GaugeFunction:
             object.__setattr__(self, "knots_r", r)
             object.__setattr__(self, "knots_v", v)
             slopes = np.abs(np.diff(v) / np.diff(r))
-            object.__setattr__(self, "lipschitz", max(self.lipschitz, float(slopes.max())))
+            object.__setattr__(self, "lipschitz", float(slopes.max()))
 
     @classmethod
     def from_expression(cls, text_or_node, monotone: bool = True) -> "GaugeFunction":
@@ -126,10 +127,10 @@ def monotone_envelope(radii, values, strict: bool = True) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ComparisonGauge:
-    """Fitted comparison function: class 'K', 'Kinf', or 'KL'.
+    """Fitted comparison function: class 'K' or 'KL'.
 
-    Class K / Kinf store strictly increasing knots with gamma(0) = 0 and
-    extrapolate linearly with the last slope.  Class KL stores a class-K
+    Class K stores strictly increasing knots with gamma(0) = 0 and
+    extrapolates linearly with the last slope.  Class KL stores a class-K
     radius gauge plus a decay exponent kappa.
     """
 
@@ -139,7 +140,7 @@ class ComparisonGauge:
     kappa: float | None = None
 
     def __post_init__(self):
-        if self.class_tag not in ("K", "Kinf", "KL"):
+        if self.class_tag not in ("K", "KL"):
             raise ValueError(f"unknown gauge class {self.class_tag!r}")
         if self.knots_r is not None:
             r = np.asarray(self.knots_r, float)
@@ -156,7 +157,7 @@ class ComparisonGauge:
     def gamma(self, r):
         r = np.asarray(r, float)
         out = np.interp(r, self.knots_r, self.knots_v)
-        # linear extrapolation keeps Kinf unbounded
+        # linear extrapolation keeps gamma unbounded
         last_slope = (self.knots_v[-1] - self.knots_v[-2]) / (self.knots_r[-1] - self.knots_r[-2])
         out = np.where(r > self.knots_r[-1],
                        self.knots_v[-1] + last_slope * (r - self.knots_r[-1]), out)

@@ -57,7 +57,7 @@ from . import expr as ex
 from . import fields
 from .fields import _coord_header, _csv
 from .gauges import ComparisonGauge, GaugeFunction, monotone_envelope
-from .model import CandidateFunction, ControlledDiffusion, _distance_evaluator
+from .model import CandidateFunction, ControlledDiffusion
 
 __all__ = [
     "TrajectoryEnsemble",
@@ -117,8 +117,8 @@ class TrajectoryEnsemble:
     """Batch of simulated paths with online running statistics.
 
     ``integrator`` names the step that ran: "milstein" or "euler".  Optional
-    trackers (candidate, gauge, occupation radii, target distance)
-    are bound at simulation time; checks that need them verify the binding.
+    trackers (candidate, gauge, occupation radii) are bound at simulation
+    time; checks that need them verify the binding.
     """
 
     x0: np.ndarray
@@ -138,7 +138,6 @@ class TrajectoryEnsemble:
     sup_candidate: np.ndarray | None = None
     supermax_excess: np.ndarray | None = None
     supermax_excess_time: np.ndarray | None = None
-    sup_target_distance: np.ndarray | None = None
     occupation_radii: np.ndarray | None = None
     occupation: np.ndarray | None = None
     outside_at_horizon: np.ndarray | None = None
@@ -182,19 +181,6 @@ class TrajectoryEnsemble:
 
     def manifest_json(self, model_hash: str = "") -> str:
         return json.dumps(self.manifest(model_hash), indent=2)
-
-
-def _resolve_control(model: ControlledDiffusion, control) -> int:
-    if control is None:
-        return 0
-    if isinstance(control, (int, np.integer)):
-        if not 0 <= control < model.n_controls:
-            raise ValueError(f"control index {control} out of range")
-        return int(control)
-    for idx, c in enumerate(model.controls):
-        if c.label == control:
-            return idx
-    raise ValueError(f"unknown control label {control!r}")
 
 
 def _milstein_brackets(sigma, xvars):
@@ -458,8 +444,8 @@ def _group_starts(groups):
 
 
 def _simulate_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
-                    increment_mode, lower, upper, control_index, feedback, steps, draws, cand,
-                    gauge, occ_radii, target_fn, thin, spare):
+                    increment_mode, control_index, feedback, steps, draws, cand, gauge,
+                    occ_radii, thin, spare):
     """Simulate batch paths path_lo..path_hi-1 and return their full-size statistics.
 
     Batch path p is path j = p % n_paths of ensemble g = p // n_paths: it
@@ -493,8 +479,8 @@ def _simulate_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
     group = np.arange(path_lo, path_hi) // n_paths
     # clamped to the finite range, one comparison per side also rejects inf and NaN
     big = np.finfo(float).max
-    lower = np.broadcast_to(np.maximum(lower, -big), (dim,))
-    upper = np.broadcast_to(np.minimum(upper, big), (dim,))
+    lower = np.broadcast_to(np.maximum(model.domain_lower, -big), (dim,))
+    upper = np.broadcast_to(np.minimum(model.domain_upper, big), (dim,))
     ball = _inscribed(lower, upper)
 
     x = np.ascontiguousarray(x0s[group].T)
@@ -522,8 +508,6 @@ def _simulate_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
     if occ_radii is not None:
         occ_col = occ_radii[:, None]
         live.occupation = np.zeros((len(occ_radii), n))
-    if target_fn is not None:
-        live.sup_d = np.abs(np.asarray(target_fn(x.T), dtype=float))
     final = {key: np.empty_like(arr) for key, arr in vars(live).items()}
     index = np.arange(n)
     alive = np.ones(n, dtype=bool)
@@ -603,9 +587,6 @@ def _simulate_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
                         excess = vx + live.acc_l - v0
                         live.supermax_t[excess > live.supermax] = (k + 1) * dt
                         np.maximum(live.supermax, excess, out=live.supermax)
-                    if target_fn is not None:
-                        dx = np.abs(np.asarray(target_fn(live.x.T), dtype=float))
-                        np.maximum(live.sup_d, dx, out=live.sup_d)
                     if thin and (k + 1) % thin == 0:
                         stored[sample_row, index] = live.x.T
                         sample_row += 1
@@ -732,15 +713,16 @@ def _step_count(T, dt, starts=1) -> int:
     return round(steps)
 
 
-def _simulate_batch(model, x0s, dt, T, n_paths, seeds, control=None, feedback=None,
-                    increment_mode="gaussian", domain=None, candidate=None, gauge=None,
-                    occupation_radii=None, target_distance=None, thin=0, workers=1,
+def _simulate_batch(model, x0s, dt, T, n_paths, seeds, feedback=None,
+                    increment_mode="gaussian", candidate=None, gauge=None,
+                    occupation_radii=None, thin=0, workers=1,
                     integrator="milstein") -> list[TrajectoryEnsemble]:
     """One step loop for the ensembles from each of ``x0s``; one ensemble per start.
 
     Ensemble g equals ``simulate_ensemble(model, x0s[g], ..., seed=seeds[g])``
     bit for bit; ``simulate_ensemble`` documents the keywords it forwards here.
-    Each seed is an integer in [0, 2**64) and ``n_paths`` an integer >= 1.
+    Each seed is an integer in [0, 2**64), ``n_paths`` and ``workers``
+    integers >= 1 and ``thin`` an integer >= 0.
 
     The process layout changes no bit.  The paths are cut into ``workers``
     chunks, at most one per ``_MIN_CHUNK_PATHS`` paths of one ensemble; a
@@ -751,14 +733,16 @@ def _simulate_batch(model, x0s, dt, T, n_paths, seeds, control=None, feedback=No
     (``_run_chunks``); otherwise the calling thread steps them in order.
     Each stepping process draws its own increments, except where forks are
     allowed and a usable core is left over: the calling process's chunks
-    then draw in a forked producer (``_increments``).  Each step's box test reads the radius first: ``_inside`` runs only when
-    a path is NaN or past the box's inscribed radius.
+    then draw in a forked producer (``_increments``).  Each step's box test
+    reads the radius first: ``_inside`` runs only when a path is NaN or past
+    the box's inscribed radius.
     """
     whole = (int, np.integer)
     for name, value, need, ok in (
         ("dt", dt, "> 0", dt > 0), ("T", T, "> 0", T > 0),
         ("n_paths", n_paths, "an integer >= 1", isinstance(n_paths, whole) and n_paths >= 1),
-        ("workers", workers, ">= 1", workers >= 1), ("thin", thin, ">= 0", thin >= 0),
+        ("workers", workers, "an integer >= 1", isinstance(workers, whole) and workers >= 1),
+        ("thin", thin, "an integer >= 0", isinstance(thin, whole) and thin >= 0),
         *(("seed", seed, "an integer in [0, 2**64)",
            isinstance(seed, whole) and 0 <= int(seed) < 2**64) for seed in seeds),
     ):
@@ -777,38 +761,27 @@ def _simulate_batch(model, x0s, dt, T, n_paths, seeds, control=None, feedback=No
         raise ValueError(f"need one seed per start point, got {len(seeds)} seeds for "
                          f"{len(x0s)} x0")
     n_steps = _step_count(T, dt, len(x0s))
-    control_index = _resolve_control(model, control)
     if model.n_controls == 1 or feedback is None:
-        used_controls = [control_index]
+        used_controls = [0]
     else:
         used_controls = [int(ci) for ci in np.unique(feedback.control_indices)]
+    control_index = used_controls[0]
     if len(used_controls) == 1:  # a feedback map with one control needs no lookup
-        control_index, feedback = used_controls[0], None
+        feedback = None
     if increment_mode != "gaussian":
         integrator = "euler"
     steps, integrator, draws = _compile_steps(model, used_controls, integrator)
-    if domain is None:
-        lower = np.asarray(model.domain_lower)
-        upper = np.asarray(model.domain_upper)
-    else:
-        lower = np.asarray(domain[0], dtype=float)
-        upper = np.asarray(domain[1], dtype=float)
-
-    target_fn = None
-    if target_distance is not None:
-        target_fn = _distance_evaluator(target_distance, model.dim_state)
     occ = np.asarray(occupation_radii, dtype=float) if occupation_radii is not None else None
 
     # workers chunks by the size of one ensemble, as when each ensemble ran alone
-    n_chunks = max(1, min(int(workers), n_paths // _MIN_CHUNK_PATHS))
+    n_chunks = max(1, min(workers, n_paths // _MIN_CHUNK_PATHS))
     if len(x0s) * n_paths >= _SPLIT_PATHS:
         n_chunks = max(n_chunks, min(fields._cpus(), len(x0s) * n_paths // _MIN_CHUNK_PATHS))
     chunk_bounds = np.linspace(0, len(x0s) * n_paths, n_chunks + 1).astype(int)
     points = np.array([np.atleast_1d(x0) for x0 in x0s])
     args = [
         (model, points, dt, n_steps, int(lo), int(hi), seeds, n_paths, increment_mode,
-         lower, upper, control_index, feedback, steps, draws, candidate, gauge, occ, target_fn,
-         thin)
+         control_index, feedback, steps, draws, candidate, gauge, occ, thin)
         for lo, hi in zip(chunk_bounds[:-1], chunk_bounds[1:])
     ]
     results = _run_chunks(args)
@@ -848,7 +821,6 @@ def _simulate_batch(model, x0s, dt, T, n_paths, seeds, control=None, feedback=No
             sup_candidate=stat.get("sup_v"),
             supermax_excess=stat.get("supermax"),
             supermax_excess_time=stat.get("supermax_t"),
-            sup_target_distance=stat.get("sup_d"),
             occupation_radii=occ,
             occupation=stat.get("occupation"),
             outside_at_horizon=(
@@ -869,21 +841,22 @@ def simulate_ensemble(model: ControlledDiffusion, x0, dt: float, T: float, n_pat
     """Simulate n_paths trajectories from x0.
 
     The keywords, passed on to ``_simulate_batch``, and their defaults:
-    ``control=None`` (index or label), ``feedback=None`` (a ``FeedbackMap``),
-    ``increment_mode="gaussian"`` or "signed-bernoulli", ``domain=None``
-    (a (lower, upper) box, else the model's), ``candidate=None`` (a
-    candidate or a value field), ``gauge=None``, ``occupation_radii=None``,
-    ``target_distance=None``, ``thin=0``, ``workers=1`` (the least number of
-    chunks, see ``_simulate_batch``) and ``integrator="milstein"``.
+    ``feedback=None`` (a ``FeedbackMap``; without one the model's first
+    control serves every path), ``increment_mode="gaussian"`` or
+    "signed-bernoulli", ``candidate=None`` (a candidate or a value field),
+    ``gauge=None``, ``occupation_radii=None``, ``thin=0``, ``workers=1``
+    (the least number of chunks, see ``_simulate_batch``) and
+    ``integrator="milstein"``.
 
     ``integrator`` is "milstein" (the default) or "euler".  The Milstein step
     runs for Gaussian increments when the noise of every control the
     simulation can use is commutative; otherwise the Euler-Maruyama step
     runs.  The ensemble's ``integrator`` field records which one did.
-    Paths leaving the domain box are flagged exited and frozen (statistics
-    truncated at exit); coordinates are compared with the box only when a
-    radius is past the box's inscribed radius.  ``thin`` > 0 stores every
-    thin-th state for plotting; running statistics always use every step.
+    Paths leaving the model's domain box are flagged exited and frozen
+    (statistics truncated at exit); coordinates are compared with the box
+    only when a radius is past the box's inscribed radius.  ``thin`` > 0, a
+    whole number, stores every thin-th state for plotting; running
+    statistics always use every step.
     """
     return _simulate_batch(model, [x0], dt, T, n_paths, [seed], **kw)[0]
 
@@ -1058,20 +1031,17 @@ class DecayGaugeConstruction:
     gauge: GaugeFunction
 
 
-def build_decay_gauge(occupation, radii=None) -> DecayGaugeConstruction:
-    """Decreasing weights against occupation bounds, summable by construction.
+def build_decay_gauge(occupation: OccupationEstimate) -> DecayGaugeConstruction:
+    """Decreasing weights against uncensored occupation bounds, summable by
+    construction.
 
     The weights l_i = 2^-i / max(T_i, 1) give sum_i l_i T_i <= sum_i 2^-i <= 2
     for any finite nondecreasing T_i.  The gauge ramps from 0 at the
     innermost radius and is constant beyond the outermost one.
     """
-    if isinstance(occupation, OccupationEstimate):
-        occupation.require_uncensored()
-        t = occupation.times
-        radii = occupation.radii
-    else:
-        t = np.asarray(occupation, dtype=float)
-        radii = np.asarray(radii, dtype=float)
+    occupation.require_uncensored()
+    t = np.asarray(occupation.times, dtype=float)
+    radii = np.asarray(occupation.radii, dtype=float)
     if np.any(~np.isfinite(t)):
         raise ValueError("occupation bounds must be finite")
     if np.any(np.diff(t) < 0):

@@ -410,23 +410,20 @@ def worst_case_integral_value(
     grid: Grid,
     l: GaugeFunction,
     scheme: RobustScheme,
-    pin_radius: float | None = None,
     snapshot_every: int = 0,
 ) -> ValueResult:
     """Fixed point of V <- min(cap, l dt + min_a max_w V(next)), pinned at 0
     on the ball |x| <= rho around the controlled equilibrium.
 
     The value is the robust total cost of the decrease gauge along the path;
-    iterates start at zero and increase pointwise.  ``pin_radius`` overrides
-    the grid's origin-exclusion radius for the pinned ball.
+    iterates start at zero and increase pointwise.  The pinned ball's radius
+    is the grid's ``rho``.
     """
     nodes = grid.nodes()
     run_cost = np.asarray(l.of_points(nodes), dtype=float) * scheme.dt
     if np.any(run_cost < 0):
         raise ValueError("gauge must be nonnegative")
-    pin = np.linalg.norm(nodes, axis=-1) <= (
-        grid.rho if pin_radius is None else pin_radius
-    )
+    pin = np.linalg.norm(nodes, axis=-1) <= grid.rho
     cap = scheme.cap
     return _iterate(model, grid, scheme, "integral-value", cap,
                     lambda swept, ids: np.minimum(cap, run_cost[ids] + swept),

@@ -340,7 +340,8 @@ def _decrease_pass(kind, model, source, grid, distance, l, eps_tan, tol,
     sandwich gamma2(d) <= V <= gamma1(d), up to the tolerance.  With
     ``edges`` a field's grid-edge nodes are inconclusive.  Returns the
     report, the candidate values at its nodes and the number of nodes
-    outside the sandwich.
+    outside the sandwich; with ``gammas`` also the distances of the report's
+    nodes.
     """
     h_max = max(grid.spacing)
     derivatives, edge_mask = _derivative_source(source, grid)
@@ -365,23 +366,25 @@ def _decrease_pass(kind, model, source, grid, distance, l, eps_tan, tol,
         statuses = np.full(len(x), STATUS_OK, dtype=np.int64)
         statuses[~tangential] = STATUS_NO_TANGENTIAL
         verdicts = finite & tangential & (margins >= -tolerances)
-        n_outside = 0
+        n_outside, distances = 0, ()
         if edges and edge_mask is not None:
             # one-sided stencils at the grid edge: verdicts there are informational
             statuses[edge_mask[rows][keep] & tangential] = STATUS_EDGE
         if gammas is not None:
+            distances = (d,)
             slack = tolerances + 1e-12 * (1.0 + np.abs(vals))
             sandwich = (gammas[1](d) <= vals + slack) & (vals <= gammas[0](d) + slack)
             statuses[~sandwich] = STATUS_SANDWICH
             verdicts &= sandwich
             n_outside = int(np.count_nonzero(~sandwich))
         statuses[~finite] = STATUS_NONFINITE
-        return x, margins, verdicts, witness, resid, statuses, tolerances, vals, n_outside
+        return (x, margins, verdicts, witness, resid, statuses, tolerances, vals, n_outside,
+                *distances)
 
-    *columns, vals, n_outside = _in_blocks(grid.n_nodes, block)
-    report = VerificationReport(kind, *columns,
+    columns = _in_blocks(grid.n_nodes, block)
+    report = VerificationReport(kind, *columns[:7],
                                 params={"eps_tan": eps_tan, "rho": grid.rho, "tol": tol})
-    return report, vals, n_outside
+    return report, *columns[7:]
 
 
 def check_supersolution(
@@ -611,17 +614,29 @@ def check_set_lyapunov(
     margin to dominate l(d) at nodes with distance d > rho from the target.
     ``target_distance`` is an expression, a candidate or a callable of the
     points; a callable must be pointwise and thread-safe (it is called on
-    row blocks, possibly from several threads at once).
+    row blocks, possibly from several threads at once).  Each gauge must be
+    flagged monotone, vanish at 0 and not decrease over the checked
+    distances, up to a relative 1e-12 for rounding; else ValueError names it.
     """
-    for g in (gamma1, gamma2):
+    names = ("gamma1", "gamma2")
+    for name, g in zip(names, (gamma1, gamma2)):
         if not g.monotone:
-            raise ValueError("sandwich gauges must be monotone")
+            raise ValueError(f"sandwich gauge {name} must be monotone")
         if float(g(0.0)) != 0.0:
-            raise ValueError("sandwich gauges must vanish at 0")
+            raise ValueError(f"sandwich gauge {name} must vanish at 0")
     l = l or GaugeFunction.zero()
     dist = _distance_evaluator(target_distance, model.dim_state)
-    report, vals, n_outside = _decrease_pass("set-lyapunov", model, candidate, grid, dist, l,
-                                             eps_tan, tol, gammas=(gamma1, gamma2))
+    report, vals, n_outside, d = _decrease_pass(
+        "set-lyapunov", model, candidate, grid, dist, l, eps_tan, tol, gammas=(gamma1, gamma2))
+    d.sort()
+    for name, g in zip(names, (gamma1, gamma2)):
+        gd = g(d)
+        drops = np.flatnonzero(np.diff(gd) < -1e-12 * (1.0 + np.abs(gd[1:])))
+        if len(drops):
+            i = drops[0]
+            raise ValueError(f"sandwich gauge {name} decreases over the checked distances: "
+                             f"{name}({d[i]:.6g}) = {gd[i]:.6g} > {name}({d[i + 1]:.6g}) = "
+                             f"{gd[i + 1]:.6g}")
     report.params.update({
         "n_sandwich_fail": n_outside,
         # properness is only diagnosed, never failed on

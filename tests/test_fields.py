@@ -19,6 +19,18 @@ def test_grid_validation():
     g = al.Grid((-1.0,), (1.0,), (21,))
     assert g.rho == pytest.approx(0.2)  # default 2 * max spacing
     assert al.Grid((-1.0,), (1.0,), (21,), rho=0.0).rho == 0.0
+    assert al.Grid((-1.0,), (1.0,), (np.int64(21),)).counts == (21,)
+    for counts in ((21.7, 5.2), (21.0, 5), ("21", 5)):
+        with pytest.raises(ValueError, match="grid counts must be integers"):
+            al.Grid((-1.0, -1.0), (1.0, 1.0), counts)
+
+
+def test_grid_contains_takes_points_only():
+    g = al.Grid((-1.0,), (1.0,), (21,))
+    assert g.contains(np.array([[1.0 + 1e-13], [1.0 + 1e-11], [np.nan]])).tolist() == [
+        True, False, False]
+    with pytest.raises(TypeError, match="slack"):
+        g.contains(np.zeros((1, 1)), slack=0.1)
 
 
 @pytest.mark.parametrize("rho", [-0.1, np.nan, np.inf, -np.inf])

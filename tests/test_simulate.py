@@ -1,7 +1,9 @@
 import ast
 import dataclasses
+import inspect
 import itertools
 import os
+import re
 import signal
 import threading
 import time
@@ -107,8 +109,8 @@ def _assert_same_arrays(new, ref):
 
 
 def _reference_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
-                     increment_mode, lower, upper, control_index, feedback, steps, draws, cand,
-                     gauge, occ_radii, target_fn, thin, spare):
+                     increment_mode, control_index, feedback, steps, draws, cand, gauge,
+                     occ_radii, thin, spare):
     """The masked loop for one ensemble: every path is stepped every step, exited or not;
     it draws inline whether or not a core is ``spare``."""
     (x0,), (seed,) = x0s, seeds
@@ -134,8 +136,6 @@ def _reference_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
         supermax = np.zeros(n) if cand is not None else None
         supermax_t = np.zeros(n) if cand is not None else None
         occupation = np.zeros((len(occ_radii), n)) if occ_radii is not None else None
-        sup_d = (np.abs(np.asarray(target_fn(x), dtype=float)) if target_fn is not None
-                 else None)
         if thin:
             n_samples = n_steps // thin + 1
             stored = np.empty((n_samples, n, dim))
@@ -168,7 +168,7 @@ def _reference_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
                     xn[mask] = _reference_step(steps[ci], x[mask], w[mask], dt)
 
             inside = np.all(np.isfinite(xn), axis=-1)
-            inside &= np.all((xn >= lower) & (xn <= upper), axis=-1)
+            inside &= np.all((xn >= model.domain_lower) & (xn <= model.domain_upper), axis=-1)
             newly_exited = alive & ~inside
             exit_times[newly_exited] = (k + 1) * dt
             x = np.where((alive & inside)[:, None], xn, x)
@@ -184,9 +184,6 @@ def _reference_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
                 better = alive & (excess > supermax)
                 supermax_t[better] = (k + 1) * dt
                 np.maximum(supermax, np.where(alive, excess, -np.inf), out=supermax)
-            if sup_d is not None:
-                dx = np.abs(np.asarray(target_fn(x), dtype=float))
-                np.maximum(sup_d, np.where(alive, dx, -np.inf), out=sup_d)
             if thin and (k + 1) % thin == 0:
                 stored[sample_row] = x
                 sample_row += 1
@@ -194,8 +191,7 @@ def _reference_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
     out = {
         "x": x, "alive": alive, "exit_times": exit_times, "sup_radius": sup_radius,
         "timeline": timeline, "sup_v": sup_v, "acc_l": acc_l, "supermax": supermax,
-        "supermax_t": supermax_t, "occupation": occupation, "sup_d": sup_d,
-        "radius": radius,
+        "supermax_t": supermax_t, "occupation": occupation, "radius": radius,
     }
     out["timeline"] = timeline[None]  # one row per ensemble
     if thin:
@@ -206,7 +202,7 @@ def _reference_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
 _ENSEMBLE_ARRAYS = ("sup_radius", "final_states", "exited", "exit_times",
                     "timeline_max_radius", "integral_gauge", "sup_candidate",
                     "supermax_excess", "supermax_excess_time", "paths", "occupation",
-                    "sup_target_distance", "outside_at_horizon")
+                    "outside_at_horizon")
 
 _NOISY_REPELLER = (  # paths leave the box one by one, some never
     "[dimensions]\nstate = 2\nnoise = 1\n[controls]\nhold = 0.0\n"
@@ -272,19 +268,18 @@ def _case(name, rotational, unstable1d, unstable2d, bang1d):
         pm = al.parse_model(_WIDE_9D)
         kw = dict(x0=[0.25] * 9, dt=1e-3, T=2.0, n_paths=30, seed=12, thin=40,
                   occupation_radii=[0.8, 0.5])
-    elif name == "occupation-target-thin":
+    elif name == "occupation-thin":
         pm = rotational
         kw = dict(x0=[0.5, 0.0], dt=1e-3, T=2.5, n_paths=40, seed=7, thin=9,
-                  occupation_radii=[0.4, 0.2, 0.1], target_distance="abs(x1)")
+                  occupation_radii=[0.4, 0.2, 0.1])
     elif name == "signed-bernoulli":
         pm = al.parse_model(_NOISY_REPELLER)
         kw = dict(x0=[0.2, 0.1], dt=1e-3, T=3.0, n_paths=30, seed=8,
                   increment_mode="signed-bernoulli")
     elif name == "infinite-domain":
-        pm = al.parse_model(_BLOW_UP)
-        inf = np.inf
-        kw = dict(x0=[0.0, 0.0], dt=1e-2, T=3.0, n_paths=40, seed=9, thin=4,
-                  domain=([-inf, -inf], [inf, inf]), target_distance="abs(x2)")
+        pm = al.parse_model(_BLOW_UP.replace("lower = -1, -1\nupper = 1, 1",
+                                             "lower = -inf, -inf\nupper = inf, inf"))
+        kw = dict(x0=[0.0, 0.0], dt=1e-2, T=3.0, n_paths=40, seed=9, thin=4)
     else:  # uneven-workers
         pm = al.parse_model(_REPELLER_3D)
         kw = dict(x0=[0.2, 0.1, 0.3], dt=1e-3, T=2.0, n_paths=50, seed=10, thin=25,
@@ -294,7 +289,7 @@ def _case(name, rotational, unstable1d, unstable2d, bang1d):
 
 @pytest.mark.parametrize("name", [
     "unstable1d", "unstable2d", "noisy-repeller", "bang1d-two-controls",
-    "noisy-and-calm-controls", "occupation-target-thin", "signed-bernoulli",
+    "noisy-and-calm-controls", "occupation-thin", "signed-bernoulli",
     "infinite-domain", "uneven-workers", "nine-coordinates",
 ])
 def test_step_loop_matches_reference(monkeypatch, name, rotational, unstable1d,
@@ -627,11 +622,10 @@ def _batch_case(name, rotational, unstable1d, bang1d):
         pm = bang1d
         x0s = [[0.8], [-0.5], [0.2]]
         kw = dict(dt=1e-3, T=2.0, n_paths=9, feedback=_two_control_feedback())
-    elif name == "occupation-target-thin":
+    elif name == "occupation-thin":
         pm = rotational
         x0s = [[0.5, 0.0], [0.0, 0.3], [0.2, -0.2]]
-        kw = dict(dt=1e-3, T=2.5, n_paths=20, thin=9, occupation_radii=[0.4, 0.2, 0.1],
-                  target_distance="abs(x1)")
+        kw = dict(dt=1e-3, T=2.5, n_paths=20, thin=9, occupation_radii=[0.4, 0.2, 0.1])
     elif name == "signed-bernoulli":
         pm = al.parse_model(_NOISY_REPELLER)
         x0s = [[0.2, 0.1], [0.05, -0.3], [0.6, 0.0]]
@@ -666,7 +660,7 @@ _BLOCK_LENGTHS = (1, 7, 256, 1024)
 
 
 @pytest.mark.parametrize("name", ["staggered-exits", "bang1d-two-controls",
-                                  "occupation-target-thin", "signed-bernoulli", "workers",
+                                  "occupation-thin", "signed-bernoulli", "workers",
                                   "noisy-and-calm-controls", "forked-workers"])
 def test_batch_matches_separate_ensembles(monkeypatch, forks, name, rotational, unstable1d,
                                           bang1d):
@@ -922,12 +916,43 @@ def test_increment_mode_validation(rotational):
                                  dict(workers=0), dict(thin=-1),
                                  dict(T=4e-4), dict(T=5e-4),  # round(T / dt) is 0
                                  dict(n_paths=2.5), dict(n_paths=1.0), dict(seed=-1),
-                                 dict(seed=2**64), dict(seed=1.5)])
+                                 dict(seed=2**64), dict(seed=1.5),
+                                 dict(workers=2.5), dict(workers=2.0), dict(thin=2.5)])
 def test_ensemble_arguments_validated(rotational, bad):
     kw = {**dict(x0=[0.1, 0], dt=1e-3, T=0.1, n_paths=1, seed=0), **bad}
     name = next(iter(bad))
     with pytest.raises(ValueError, match=f"need {name} "):
         al.simulate_ensemble(rotational.model, **kw)
+
+
+def test_documented_keywords_equal_the_batch_signature():
+    # every ``name=default`` in the docstring is one keyword of _simulate_batch, and back
+    documented = {name: ast.literal_eval(default) for name, default in
+                  re.findall(r"``(\w+)=([^`]+)``", al.simulate_ensemble.__doc__)}
+    params = inspect.signature(simulate._simulate_batch).parameters.values()
+    assert documented == {p.name: p.default for p in params if p.default is not p.empty}
+
+
+@pytest.mark.parametrize("removed", [dict(control=0), dict(domain=([-1, -1], [1, 1])),
+                                     dict(target_distance="abs(x1)")])
+def test_removed_keywords_are_rejected(rotational, removed):
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{next(iter(removed))}'"):
+        al.simulate_ensemble(rotational.model, [0.1, 0], dt=1e-3, T=0.1, n_paths=1, seed=0,
+                             **removed)
+
+
+def test_decay_gauge_takes_occupation_bounds_only():
+    with pytest.raises(TypeError):
+        build_decay_gauge(np.zeros(2), np.array([0.5, 0.25]))
+
+
+def test_gauge_slope_and_class_are_not_inputs():
+    g = al.GaugeFunction.from_knots([0.0, 0.5, 1.0], [0.0, 0.5, 2.0])
+    assert g.lipschitz == 3.0  # the steepest knot slope
+    with pytest.raises(TypeError, match="lipschitz"):
+        al.GaugeFunction(knots_r=g.knots_r, knots_v=g.knots_v, lipschitz=5.0)
+    with pytest.raises(ValueError, match="unknown gauge class 'Kinf'"):
+        al.ComparisonGauge("Kinf", np.array([0.0, 1.0]), np.array([0.0, 1.0]))
 
 
 @pytest.mark.parametrize("dt", [1e-200, 1e-320])  # 1e200 steps, and T / dt = inf
@@ -1488,8 +1513,14 @@ def test_occupation_requires_tracking(rotational):
 
 # ------------------------------------------------------------- decay gauges
 
+def _bounds(t, radii):
+    """Uncensored occupation bounds ``t`` at ``radii``."""
+    return simulate.OccupationEstimate(np.asarray(radii, dtype=float),
+                                       np.asarray(t, dtype=float), np.zeros(len(t), dtype=bool))
+
+
 def test_build_decay_gauge_single_level():
-    dg = build_decay_gauge(np.array([0.0]), np.array([0.5]))
+    dg = build_decay_gauge(_bounds([0.0], [0.5]))
     assert dg.budget == 0.0
     # ramp from 0 to the inner weight, constant beyond
     assert dg.gauge(0.0) == 0.0
@@ -1499,7 +1530,7 @@ def test_build_decay_gauge_single_level():
 def test_build_decay_gauge_zero_occupation_times():
     t = np.zeros(4)
     radii = 0.5 * 2.0 ** (-np.arange(4))
-    dg = build_decay_gauge(t, radii)
+    dg = build_decay_gauge(_bounds(t, radii))
     assert dg.budget == 0.0
     assert (dg.weights > 0).all() and (np.diff(dg.weights) < 0).all()
 
@@ -1510,7 +1541,7 @@ def test_build_decay_gauge_zero_occupation_times():
 @settings(max_examples=200, deadline=None)
 def test_budget_rule_capped_by_two(raw):
     t = np.maximum.accumulate(np.asarray(raw))  # arbitrary nondecreasing times
-    dg = build_decay_gauge(t, 0.5 * 2.0 ** (-np.arange(len(t))))
+    dg = build_decay_gauge(_bounds(t, 0.5 * 2.0 ** (-np.arange(len(t)))))
     assert dg.budget == float(np.sum(dg.weights * t)) <= 2.0
     assert (dg.weights > 0).all()
     assert (np.diff(dg.weights) < 0).all()
@@ -1519,9 +1550,9 @@ def test_budget_rule_capped_by_two(raw):
 def test_build_decay_gauge_rejects_underflowing_weights():
     # 2^-i is 0 from i = 1075 on, so 1100 levels cannot keep their weights positive
     radii = 0.5 * 0.99 ** np.arange(1100)
-    assert build_decay_gauge(np.zeros(1075), radii[:1075]).weights[-1] > 0
+    assert build_decay_gauge(_bounds(np.zeros(1075), radii[:1075])).weights[-1] > 0
     with pytest.raises(ValueError, match="must be positive and decreasing, but 1100 radii"):
-        build_decay_gauge(np.zeros(1100), radii)
+        build_decay_gauge(_bounds(np.zeros(1100), radii))
 
 
 @given(raw=st.lists(st.floats(min_value=0, max_value=100), min_size=2, max_size=10))
@@ -1529,7 +1560,7 @@ def test_build_decay_gauge_rejects_underflowing_weights():
 def test_build_decay_gauge_invariants(raw):
     t = np.maximum.accumulate(np.asarray(raw))
     radii = 0.5 * 2.0 ** (-np.arange(len(t)))
-    dg = build_decay_gauge(t, radii)
+    dg = build_decay_gauge(_bounds(t, radii))
     g = dg.gauge
     assert g(0.0) == 0.0
     rr = np.linspace(0, 1, 64)

@@ -169,14 +169,21 @@ def test_integral_value_zero_gauge_is_zero(linear1d):
 
 
 def test_integral_value_rotational(rotational):
-    grid = al.Grid((-1.0, -1.0), (1.0, 1.0), (61, 61))
-    h = max(grid.spacing)
+    h = 2.0 / 60  # the spacing of 61 nodes on [-1, 1]
+    grid = al.Grid((-1.0, -1.0), (1.0, 1.0), (61, 61), rho=4 * h)
     scheme = al.default_scheme(rotational.model, grid, cap=2.0, dt=h)
-    res = al.worst_case_integral_value(rotational.model, grid, rotational.gauge,
-                                       scheme, pin_radius=4 * h)
+    res = al.worst_case_integral_value(rotational.model, grid, rotational.gauge, scheme)
     r = np.linalg.norm(grid.nodes(), axis=1)
     mask = r <= 0.8
     assert np.abs(res.field.flat - r)[mask].max() <= 5 * (scheme.dt + h)
+
+
+def test_integral_value_pins_the_grid_ball_only(linear1d):
+    grid = al.Grid((-1.0,), (1.0,), (21,))
+    scheme = al.default_scheme(linear1d.model, grid, cap=1.0)
+    with pytest.raises(TypeError, match="pin_radius"):
+        al.worst_case_integral_value(linear1d.model, grid, linear1d.gauge, scheme,
+                                     pin_radius=0.5)
 
 
 def test_integral_value_monotone_iterates(rotational):

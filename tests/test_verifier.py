@@ -329,6 +329,19 @@ def test_set_lyapunov_requires_monotone_gauges(rotational):
                               "sqrt(x1^2 + x2^2)", bad, bad, grid)
 
 
+@pytest.mark.parametrize("name", ["gamma1", "gamma2"])
+def test_set_lyapunov_rejects_gauges_that_decrease(rotational, name):
+    # flagged monotone, as every expression gauge is, but sin(10 r) falls past r = 0.157
+    grid = al.Grid((-1.0, -1.0), (1.0, 1.0), (21, 21))
+    ident = al.GaugeFunction.from_expression("r")
+    wavy = al.GaugeFunction.from_expression("sin(10*r)")
+    gammas = (wavy, ident) if name == "gamma1" else (ident, wavy)
+    with pytest.raises(ValueError, match=f"^sandwich gauge {name} decreases over the checked "
+                                         f"distances: {name}\\("):
+        al.check_set_lyapunov(rotational.model, rotational.candidate,
+                              "sqrt(x1^2 + x2^2)", *gammas, grid)
+
+
 # ------------------------------------------------------------------ margins
 
 def _negated(model: ControlledDiffusion) -> ControlledDiffusion:
