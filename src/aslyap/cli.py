@@ -239,8 +239,9 @@ def cmd_value(args) -> int:
             _csv("index,in_prop_set", [np.arange(len(prop_mask)), prop_mask]))
         print(f"propagation set: {int(prop_mask.sum())} of {len(prop_mask)} nodes")
 
+    # the cap the solve saturates at: a discounted solve's is its own, not the scheme's
     _write_field(run_dir, "field", result, {"kind": args.kind, "dt": scheme.dt,
-                                            "cap": scheme.cap})
+                                            "cap": result.field.fill})
     print(f"{args.kind} value: {result.field.iterations} sweeps, "
           f"residual {result.field.residual:.2e}, converged={result.converged}")
     print(f"field in {run_dir}")

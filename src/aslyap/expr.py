@@ -5,6 +5,10 @@ function vocabulary (``sin cos exp log sqrt abs min max``), decimal literals
 and named variables.  Trees are immutable; differentiation, simplification
 and compilation all return new objects.
 
+``_compile_rows`` is the one code generator and ``_run`` runs its kernels
+over arrays of points; the tree walk ``evaluate`` folds constants and is the
+reference that the kernels are tested against.
+
 ``ifle(a, b, t, e)`` is an internal extension (t if a <= b else e) used by
 the differentiation of ``min``/``max``; the parser accepts it so derivative
 trees stay round-trippable.
@@ -12,6 +16,8 @@ trees stay round-trippable.
 
 from __future__ import annotations
 
+import functools
+import math
 import re
 from dataclasses import dataclass
 
@@ -30,7 +36,6 @@ __all__ = [
     "diff",
     "simplify",
     "to_source",
-    "compile_fn",
 ]
 
 
@@ -470,7 +475,8 @@ def _children(node: Node) -> tuple:
 def _render(node: Node, child) -> str:
     """numpy source of ``node``'s own operation; ``child`` renders its operands."""
     if isinstance(node, Num):
-        return repr(node.value)
+        # with the sign bit set, -2.0 ** x would read as -(2.0 ** x)
+        return f"({node.value!r})" if math.copysign(1.0, node.value) < 0 else repr(node.value)
     if isinstance(node, Var):
         return node.name
     if isinstance(node, Neg):
@@ -487,16 +493,16 @@ def _render(node: Node, child) -> str:
 _OUT_UFUNCS = {"+": "np.add", "-": "np.subtract", "*": "np.multiply", "/": "np.true_divide"}
 
 
-def _np_sources(trees: list[Node], arg_names: list[str], out: str | None = None) -> list[str]:
-    """numpy source of each tree, evaluating each repeated subtree once.
+def _np_sources(trees: list[Node], arg_names: list[str]) -> list[str]:
+    """numpy statements that write tree i into ``_out[i]``, evaluating each
+    repeated subtree once.
 
     Subtrees are the same when their source is (so ``-0.0`` and ``0.0``
     differ).  The first evaluation of a repeated subtree binds it to a name
     with ``:=`` and later ones read that name; Python evaluates operands left
     to right, so the first evaluation is the leftmost occurrence, in the
-    first tree that has one.  With ``out``, tree i becomes a statement that
-    writes into ``out[i]``, with a top-level + - * / computed there in place;
-    otherwise each tree is an expression.
+    first tree that has one.  A top-level + - * / is computed in place in
+    its row.
     """
     unknown = set().union(*map(free_vars, trees)) - set(arg_names)
     if unknown:
@@ -536,11 +542,9 @@ def _np_sources(trees: list[Node], arg_names: list[str], out: str | None = None)
             s = f"({names[k]} := {s})"
         return s
 
-    if out is None:
-        return [source(tree) for tree in trees]
     lines = []
     for i, tree in enumerate(trees):
-        target = f"{out}[{i}]"
+        target = f"_out[{i}]"
         if isinstance(tree, Bin) and tree.op in _OUT_UFUNCS and uses[key(tree)] == 1:
             lines.append(f"{_OUT_UFUNCS[tree.op]}({source(tree.left)}, "
                          f"{source(tree.right)}, out={target})")
@@ -549,36 +553,48 @@ def _np_sources(trees: list[Node], arg_names: list[str], out: str | None = None)
     return lines
 
 
-def _compile_bare(node: Node, arg_names: list[str]):
-    """``compile_fn`` without the error-state scope; the caller sets ``np.errstate``."""
-    src = f"lambda {', '.join(arg_names)}: {_np_sources([node], arg_names)[0]}"
-    return eval(src, {"np": np})  # noqa: S307 - source generated above
-
-
 def _compile_rows(trees: list[Node], arg_names: list[str]):
     """One function of ``(*arg_names, out)`` that writes tree i into ``out[i]``.
 
     Each repeated subtree is evaluated once, across all trees; a constant or
-    bare-variable tree broadcasts over its row.  Like ``_compile_bare`` it
-    sets no error state, and ``out`` must not share memory with an argument.
+    bare-variable tree broadcasts over its row.  Unknown identifiers are
+    rejected here rather than at call time.  The kernel sets no error state
+    (``_run`` and the step loop do), and ``out`` must not share memory with
+    an argument.
     """
-    body = "\n".join(f"    {line}" for line in _np_sources(trees, arg_names, out="_out"))
+    body = "\n".join(f"    {line}" for line in _np_sources(trees, arg_names))
     src = f"def _rows({', '.join([*arg_names, '_out'])}):\n{body}\n    return _out\n"
     scope = {"np": np}
     exec(src, scope)  # noqa: S102 - source generated above
     return scope["_rows"]
 
 
-def compile_fn(node: Node, arg_names: list[str]):
-    """Compile a tree into a numpy-vectorized callable of ``arg_names``.
+# Points per kernel call: each call's temporaries then stay at most 64 KiB an
+# array, under glibc's mmap threshold, so a whole-grid call reuses heap pages
+# instead of faulting in fresh mappings.
+_EVAL_POINTS = 8192
 
-    Unknown identifiers are rejected here rather than at call time.
+
+def _run(kernel, points: np.ndarray, tail: tuple[int, ...] = ()) -> np.ndarray:
+    """The rows a ``_compile_rows`` kernel writes at each point of the float
+    array ``points``, shaped (..., args), as an array of shape
+    ``points.shape[:-1] + tail``.
+
+    The kernel runs over sub-blocks of at most ``_EVAL_POINTS`` points,
+    writing into the one output; every kernel is elementwise, so the
+    sub-blocks change no bit.  Non-finite values are legitimate here;
+    callers mask or flag them.
     """
-    fn = _compile_bare(node, arg_names)
+    out = np.empty(points.shape[:-1] + tail)
+    flat, rows = points.reshape(-1, points.shape[-1]), out.reshape(-1, math.prod(tail))
+    with np.errstate(all="ignore"):
+        for lo in range(0, len(flat), _EVAL_POINTS):
+            block = slice(lo, lo + _EVAL_POINTS)
+            kernel(*flat[block].T, rows[block].T)
+    return out
 
-    def quiet(*args):
-        # non-finite values are legitimate here; callers mask or flag them
-        with np.errstate(all="ignore"):
-            return fn(*args)
 
-    return quiet
+def _norm_tree(xvars: list[str]) -> Node:
+    """sqrt(x1^2 + ... + xn^2), summed left to right."""
+    squares = [Bin("^", Var(v), Num(2.0)) for v in xvars]
+    return Call("sqrt", (functools.reduce(lambda a, b: Bin("+", a, b), squares),))

@@ -49,12 +49,13 @@ class GaugeFunction:
         if (self.expression is None) == (self.knots_r is None):
             raise ValueError("gauge needs exactly one of knots or expression")
         if self.expression is not None:
-            object.__setattr__(self, "_fn", ex.compile_fn(self.expression, ["r"]))
+            object.__setattr__(self, "_kernel", ex._compile_rows([self.expression], ["r"]))
         if self.knots_r is not None:
             r = np.asarray(self.knots_r, dtype=float)
             v = np.asarray(self.knots_v, dtype=float)
             if r.ndim != 1 or r.shape != v.shape or len(r) < 2:
                 raise ValueError("knots must be two equal-length 1-d arrays")
+            _check_finite(r, v)
             if r[0] != 0.0 or v[0] != 0.0:
                 raise ValueError("gauge must have value 0 at 0")
             if np.any(np.diff(r) <= 0):
@@ -85,12 +86,8 @@ class GaugeFunction:
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
         if self.expression is not None:
-            out = self._fn(r)
-            if isinstance(out, np.ndarray) and out.shape == r.shape:
-                # a new array even for the gauge "r", with -0.0 turned to 0.0 as below
-                return out + 0.0
-            # constant gauges broadcast to the shape of r
-            return np.asarray(out, dtype=float) + np.zeros_like(r)
+            # a new array even for the gauge "r", with -0.0 turned to 0.0
+            return ex._run(self._kernel, r[..., None]) + 0.0
         # constant extension beyond the last knot
         return np.interp(r, self.knots_r, self.knots_v)
 
@@ -103,6 +100,12 @@ class GaugeFunction:
         if self.knots_v is not None:
             return bool(np.all(self.knots_v == 0.0))
         return self.expression == ex.Num(0.0)
+
+
+def _check_finite(r: np.ndarray, v: np.ndarray):
+    if not (np.isfinite(r).all() and np.isfinite(v).all()):
+        raise ValueError(f"gauge knots must be finite, got radii {r.tolist()} and values "
+                         f"{v.tolist()}")
 
 
 def monotone_envelope(radii, values, strict: bool = True) -> np.ndarray:
@@ -145,6 +148,7 @@ class ComparisonGauge:
         if self.knots_r is not None:
             r = np.asarray(self.knots_r, float)
             v = np.asarray(self.knots_v, float)
+            _check_finite(r, v)
             if r[0] != 0.0 or v[0] != 0.0:
                 raise ValueError("comparison gauge must vanish at 0")
             if np.any(np.diff(r) <= 0) or np.any(np.diff(v) <= 0):

@@ -17,7 +17,6 @@ All evaluators are pure and vectorized over leading axes.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,31 +60,6 @@ def _points(x, dim: int) -> np.ndarray:
     if x.shape[-1:] != (dim,):
         raise ModelError(f"state must have {dim} components")
     return x
-
-
-# Points per kernel call: each call's temporaries then stay at most 64 KiB an
-# array, under glibc's mmap threshold, so a whole-grid call reuses heap pages
-# instead of faulting in fresh mappings.
-_EVAL_POINTS = 8192
-
-
-def _evaluate(kernel, x, dim: int, tail: tuple[int, ...]) -> np.ndarray:
-    """The rows an ``ex._compile_rows`` kernel of x1..x<dim> writes at each
-    point of ``x``, shaped ``x.shape[:-1] + tail``.
-
-    The kernel runs over sub-blocks of at most ``_EVAL_POINTS`` points,
-    writing into the one output; every kernel is elementwise, so the
-    sub-blocks change no bit.  Non-finite values are legitimate here;
-    callers mask or flag them.
-    """
-    x = _points(x, dim)
-    out = np.empty(x.shape[:-1] + tail)
-    points, rows = x.reshape(-1, dim), out.reshape(-1, math.prod(tail))
-    with np.errstate(all="ignore"):
-        for lo in range(0, len(points), _EVAL_POINTS):
-            block = slice(lo, lo + _EVAL_POINTS)
-            kernel(*points[block].T, rows[block].T)
-    return out
 
 
 @dataclass(eq=True)
@@ -137,11 +111,11 @@ class ControlledDiffusion:
 
     def drift(self, x, control_index: int) -> np.ndarray:
         n = self.dim_state
-        return _evaluate(self._kernels[control_index][0], x, n, (n,))
+        return ex._run(self._kernels[control_index][0], _points(x, n), (n,))
 
     def sigma(self, x, control_index: int) -> np.ndarray:
         n = self.dim_state
-        return _evaluate(self._kernels[control_index][1], x, n, (n, self.dim_noise))
+        return ex._run(self._kernels[control_index][1], _points(x, n), (n, self.dim_noise))
 
     def a(self, x, control_index: int) -> np.ndarray:
         return eval_a(self, x, control_index)
@@ -194,14 +168,14 @@ class CandidateFunction:
                                              xvars)
 
     def value(self, x) -> np.ndarray:
-        return _evaluate(self._value_kernel, x, self.dim, ())
+        return ex._run(self._value_kernel, _points(x, self.dim))
 
     def gradient(self, x) -> np.ndarray:
-        return _evaluate(self._grad_kernel, x, self.dim, (self.dim,))
+        return ex._run(self._grad_kernel, _points(x, self.dim), (self.dim,))
 
     def hessian(self, x) -> np.ndarray:
         n = self.dim
-        hess = _evaluate(self._hess_kernel, x, n, (n, n))
+        hess = ex._run(self._hess_kernel, _points(x, n), (n, n))
         return 0.5 * (hess + np.swapaxes(hess, -1, -2))
 
     def compose(self, phi: ex.Node | str) -> "CandidateFunction":

@@ -41,7 +41,6 @@ the property, never as proof.
 from __future__ import annotations
 
 import contextlib
-import functools
 import itertools
 import json
 import mmap
@@ -278,14 +277,13 @@ def _inscribed(lower, upper):
 
 
 def _share_radius(tree, xvars):
-    """``tree`` with every subtree sqrt(x1^2 + ... + xn^2), summed left to right, read
-    from the variable ``r``.  Below eight coordinates that is ``fields._norm`` bit for
-    bit, since numpy takes ``x ** 2.0`` as ``np.square``, which is ``x * x``; from
+    """``tree`` with every subtree ``ex._norm_tree(xvars)`` read from the variable
+    ``r``.  Below eight coordinates that tree is ``fields._norm`` bit for bit,
+    since numpy takes ``x ** 2.0`` as ``np.square``, which is ``x * x``; from
     eight on ``_norm`` sums pairwise, and the tree is returned as it is."""
     if len(xvars) >= 8:
         return tree
-    squares = [ex.Bin("^", ex.Var(v), ex.Num(2.0)) for v in xvars]
-    norm = ex.Call("sqrt", (functools.reduce(lambda a, b: ex.Bin("+", a, b), squares),))
+    norm = ex._norm_tree(xvars)
 
     def share(node):
         if node == norm:
@@ -489,16 +487,16 @@ def _simulate_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
     present, starts = _group_starts(group)
     timeline[present, 0] = np.maximum.reduceat(radius, starts)
     live = SimpleNamespace(x=x, radius=radius, sup_radius=radius.copy())
-    # trees run bare in the step's error-state scope; a constant's scalar broadcasts
+    # one-row kernels, run in the step's error-state scope
     if isinstance(cand, CandidateFunction):  # the tree reads the radius the loop holds
-        bare_v = ex._compile_bare(_share_radius(cand.expression, cand._xvars),
-                                  [*cand._xvars, "r"])
-        value_of = lambda x, r: bare_v(*x, r)  # noqa: E731
+        v_row = ex._compile_rows([_share_radius(cand.expression, cand._xvars)],
+                                 [*cand._xvars, "r"])
+        value_of = lambda x, r: v_row(*x, r, np.empty((1, len(r))))[0]  # noqa: E731
     elif cand is not None:
         value_of = lambda x, r: cand.value(x.T)  # noqa: E731
     if gauge is not None and gauge.expression is not None:
-        bare_l = ex._compile_bare(gauge.expression, ["r"])
-        gauge = lambda r: bare_l(r) + 0.0  # noqa: E731
+        l_row = ex._compile_rows([gauge.expression], ["r"])
+        gauge = lambda r: l_row(r, np.empty((1, len(r))))[0]  # noqa: E731
     if cand is not None:
         v0s = np.array([cand.value(x0) for x0 in x0s])
         v0 = v0s[group]

@@ -519,8 +519,7 @@ def check_change_of_unknown(
     nodes = grid.nodes()
     radii = np.linalg.norm(nodes, axis=-1)
     vvals = candidate.value(nodes[radii > grid.rho])
-    dvals = ex.evaluate(dphi, {"t": vvals})
-    dvals = np.asarray(dvals, dtype=float) + np.zeros_like(vvals)
+    dvals = ex._run(ex._compile_rows([dphi], ["t"]), vvals[:, None])
     if np.any(dvals[np.isfinite(dvals)] <= 0):
         raise ValueError("phi must be strictly increasing on the candidate's range")
 

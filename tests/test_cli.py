@@ -302,6 +302,15 @@ def test_value_field_keeps_its_fill_on_a_round_trip(tmp_path):
     assert np.isnan(al.ScalarField.from_binary(from_csv.to_binary()).value(off_grid)).all()
 
 
+@pytest.mark.parametrize("kind", ["sup", "integral", "discounted"])
+def test_value_sidecar_cap_is_the_fill(tmp_path, kind):
+    # the cap a discounted solve saturates at is its own, not its scheme's
+    assert main(["value", kind, "--model", ROT, "--grid", "21", "--out", _runs(tmp_path)]) == 0
+    run = next((tmp_path / "runs").iterdir())
+    sidecar = json.loads((run / "field.json").read_text())
+    assert sidecar["cap"] == sidecar["fill"]
+
+
 def test_value_discounted_rejects_bad_lambda(tmp_path):
     assert main(["value", "discounted", "--model", ROT, "--lambda", "-1",
                  "--out", _runs(tmp_path)]) == 2

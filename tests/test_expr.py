@@ -1,4 +1,6 @@
+import ast
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,19 +42,12 @@ def test_syntax_error_positions():
         ex.parse_expr("min(x1)")  # wrong arity
 
 
-def test_unknown_identifier_rejected_at_compile():
-    node = ex.parse_expr("x1 + bogus")
-    with pytest.raises(ex.ExprError, match="bogus"):
-        ex.compile_fn(node, ["x1"])
-
-
 def test_compiled_matches_tree_eval():
     node = ex.parse_expr("abs(x1)*sqrt(x2) + min(x1, x2) - log(x2)")
-    fn = ex.compile_fn(node, ["x1", "x2"])
+    kernel = ex._compile_rows([node], ["x1", "x2"])
     rng = np.random.Generator(np.random.Philox(key=1))
-    x1 = rng.uniform(-2, 2, 64)
-    x2 = rng.uniform(0.1, 3, 64)
-    assert np.array_equal(fn(x1, x2), ex.evaluate(node, {"x1": x1, "x2": x2}))
+    x = rng.uniform((-2, 0.1), (2, 3), (64, 2))
+    assert np.array_equal(ex._run(kernel, x), ex.evaluate(node, {"x1": x[:, 0], "x2": x[:, 1]}))
 
 
 @pytest.mark.parametrize(
@@ -169,10 +164,17 @@ def _kernel_rows(trees, args, *values):
     return out
 
 
+def _walk(tree, args, *values):
+    """The tree walk at ``values``, broadcast to the points as a kernel row is."""
+    with np.errstate(all="ignore"):
+        got = ex.evaluate(tree, dict(zip(args, values)))
+    return np.ascontiguousarray(np.broadcast_to(got, _SPECIAL.shape), dtype=float)
+
+
 @given(shared=_trees(2),
        rows=st.lists(st.tuples(st.sampled_from("+-*/^"), _trees(2)), min_size=1, max_size=5))
 @settings(max_examples=200, deadline=None)
-def test_row_kernel_matches_compile_fn(shared, rows):
+def test_row_kernel_matches_tree_walk(shared, rows):
     # a subtree shared by several rows, each under its own top-level operation,
     # next to rows that repeat a subtree of another row or are bare leaves
     # (each operand pair holds an array: Python floats raise on 0/0 where numpy gives NaN)
@@ -181,8 +183,7 @@ def test_row_kernel_matches_compile_fn(shared, rows):
     x1, x2 = _SPECIAL, np.roll(_SPECIAL[::-1], 3)  # every pairing of signs, inf and NaN
     out = _kernel_rows(trees, ["x1", "x2"], x1, x2)
     for tree, row in zip(trees, out):
-        want = np.broadcast_to(ex.compile_fn(tree, ["x1", "x2"])(x1, x2), x1.shape)
-        assert row.tobytes() == np.ascontiguousarray(want).tobytes(), ex.to_source(tree)
+        assert row.tobytes() == _walk(tree, ["x1", "x2"], x1, x2).tobytes(), ex.to_source(tree)
 
 
 def test_row_kernel_evaluates_repeated_subtrees_once():
@@ -195,17 +196,17 @@ def test_row_kernel_evaluates_repeated_subtrees_once():
         ex.Bin("*", neg, dt),
     ]
     args = ["x1", "x2", "w1", "dt"]
-    src = "\n".join(ex._np_sources(trees, args, out="_out"))
+    src = "\n".join(ex._np_sources(trees, args))
     assert src.count("(0.5 * ((w1 * w1) - dt))") == 1
     assert src.count("(-x2)") == 1
     values = (_SPECIAL, _SPECIAL[::-1], np.roll(_SPECIAL, 2), 1e-3)
     out = _kernel_rows(trees, args, *values)
     for tree, row in zip(trees, out):
-        assert row.tobytes() == ex.compile_fn(tree, args)(*values).tobytes()
+        assert row.tobytes() == _walk(tree, args, *values).tobytes()
     # the names bound for repeats never shadow an argument
     v = ex.Var("_t0")
     square = ex.Bin("*", ex.Bin("+", v, v), ex.Bin("+", v, v))
-    assert ex.compile_fn(square, ["_t0"])(np.array([1.5])).tolist() == [9.0]
+    assert ex._run(ex._compile_rows([square], ["_t0"]), np.array([[1.5]])).tolist() == [9.0]
 
 
 def test_row_kernel_broadcasts_constant_and_bare_rows():
@@ -218,5 +219,18 @@ def test_row_kernel_broadcasts_constant_and_bare_rows():
 
 
 def test_row_kernel_rejects_unknown_identifiers():
-    with pytest.raises(ex.ExprError, match="bogus"):
-        ex._compile_rows([ex.Var("x1"), ex.parse_expr("x1 + bogus")], ["x1"])
+    for trees in ([ex.parse_expr("x1 + bogus")], [ex.Var("x1"), ex.parse_expr("x1 + bogus")]):
+        with pytest.raises(ex.ExprError, match="bogus"):
+            ex._compile_rows(trees, ["x1"])
+
+
+def test_only_expr_generates_code():
+    # one generator: no other module of the package runs source it builds itself
+    callers = set()
+    for path in Path(ex.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in ("eval", "exec", "_np_sources"):
+                    callers.add(path.name)
+    assert callers == {"expr.py"}

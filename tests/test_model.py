@@ -4,7 +4,8 @@ import sympy as sp
 
 import aslyap as al
 from aslyap import expr as ex
-from aslyap.model import _EVAL_POINTS, ModelError
+from aslyap.expr import _EVAL_POINTS
+from aslyap.model import ModelError
 from aslyap.verifier import _central_hessian
 
 from conftest import MODELS, load
@@ -144,12 +145,12 @@ def test_per_control_override():
 
 
 def _entrywise(trees, x, tail=()):
-    """One compiled function per entry, each broadcast to the points, stacked."""
+    """The tree walk of each entry, broadcast to the points, stacked."""
     x = np.asarray(x, dtype=float)
-    args = [f"x{i+1}" for i in range(x.shape[-1])]
-    cols = [x[..., i] for i in range(x.shape[-1])]
-    entries = [np.broadcast_to(np.asarray(ex.compile_fn(t, args)(*cols), dtype=float),
-                               x.shape[:-1]) for t in trees]
+    env = {f"x{i+1}": x[..., i] for i in range(x.shape[-1])}
+    with np.errstate(all="ignore"):
+        entries = [np.broadcast_to(np.asarray(ex.evaluate(t, env), dtype=float), x.shape[:-1])
+                   for t in trees]
     return np.stack(entries, axis=-1).reshape(x.shape[:-1] + tail)
 
 
@@ -192,6 +193,20 @@ def test_array_kernels_match_entrywise_functions_bit_for_bit(name):
         _same_array(cand.gradient(x), _entrywise(grads, x, (n,)))
         hess = _entrywise(hess_trees, x, (n, n))
         _same_array(cand.hessian(x), 0.5 * (hess + np.swapaxes(hess, -1, -2)))
+
+
+@pytest.mark.parametrize("base", ["-2", "-0.5", "-0"])
+def test_negative_constant_base_matches_the_tree_walk(base):
+    # a constant with its sign bit set is parenthesised: (-2)^x1 is 4 at x1 = 2, not -4
+    power = f"({base})^x1"
+    pm = _inline(f"f1 = {power}", candidate=f"V = {power}\nl = ({base})^r")
+    x = np.array([2.0, 3.0, 0.5, -1.0, 0.0])
+    with np.errstate(all="ignore"):
+        want = ex.evaluate(ex.parse_expr(power), {"x1": x})
+    assert want[0] == float(base) ** 2
+    _same_array(pm.model.drift(x[:, None], 0)[:, 0], want)
+    _same_array(pm.candidate.value(x[:, None]), want)
+    _same_array(pm.gauge(x), want + 0.0)  # a gauge turns -0.0 into 0.0
 
 
 def test_evaluators_reject_points_of_the_wrong_dimension(rotational):

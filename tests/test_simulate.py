@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import functools
 import inspect
 import itertools
 import os
@@ -82,12 +83,16 @@ def _reference_step(rows, x, w, dt):
 
 
 def _reference_steps(model, control_indices, integrator):
-    """Stands in for ``simulate._compile_steps``: one bare lambda per row of the
+    """Stands in for ``simulate._compile_steps``: the tree walk of each row of the
     same trees instead of one kernel per control; the masked loop always draws."""
     trees, integrator = simulate._step_trees(model, control_indices, integrator)
     args = ([f"x{i+1}" for i in range(model.dim_state)]
             + [f"w{j+1}" for j in range(model.dim_noise)] + ["dt"])
-    rows = {ci: [ex._compile_bare(t, args) for t in ts] for ci, ts in trees.items()}
+
+    def walk(tree):
+        return lambda *values: ex.evaluate(tree, dict(zip(args, values)))
+
+    rows = {ci: [walk(t) for t in ts] for ci, ts in trees.items()}
     return rows, integrator, True
 
 
@@ -495,10 +500,12 @@ def test_radius_sharing_candidate_is_bit_equal(request, model_name):
     # spread of ordinary states
     pairs = np.array(list(itertools.product(_EXTREMES, repeat=2))).T
     x = np.concatenate([pairs, np.random.default_rng(3).normal(size=(2, 500))], axis=1)
+    # the step loop's one-row kernel of the shared tree against the walk of the candidate
+    kernel = ex._compile_rows([shared], [*cand._xvars, "r"])
     with np.errstate(all="ignore"):
         radius = fields._norm(x.T)
-        got = ex._compile_bare(shared, [*cand._xvars, "r"])(*x, radius) + 0.0
-        want = ex._compile_bare(cand.expression, cand._xvars)(*x) + 0.0
+        got = kernel(*x, radius, np.empty((1, x.shape[1])))[0]
+        want = ex.evaluate(cand.expression, dict(zip(cand._xvars, x)))
     assert got.tobytes() == want.tobytes()
 
 
@@ -953,6 +960,19 @@ def test_gauge_slope_and_class_are_not_inputs():
         al.GaugeFunction(knots_r=g.knots_r, knots_v=g.knots_v, lipschitz=5.0)
     with pytest.raises(ValueError, match="unknown gauge class 'Kinf'"):
         al.ComparisonGauge("Kinf", np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+
+
+@pytest.mark.parametrize("make, radii, values", [
+    (al.GaugeFunction.from_knots, [0, 1, 2], [0, np.nan, 1]),
+    (al.GaugeFunction.from_knots, [0, 1, np.inf], [0, 1, 2]),
+    (al.GaugeFunction.from_knots, [0, 1, 2], [0, 1, np.inf]),
+    (functools.partial(al.ComparisonGauge, "K"), [0, 1, 2], [0, np.nan, 1]),
+], ids=["nan-value", "inf-radius", "inf-value", "comparison-nan-value"])
+def test_gauge_knots_must_be_finite(make, radii, values):
+    message = (f"gauge knots must be finite, got radii {np.asarray(radii, float).tolist()} "
+               f"and values {np.asarray(values, float).tolist()}")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make(radii, values)
 
 
 @pytest.mark.parametrize("dt", [1e-200, 1e-320])  # 1e200 steps, and T / dt = inf
