@@ -218,10 +218,15 @@ def test_row_kernel_broadcasts_constant_and_bare_rows():
     assert out[2].tolist() == [0.25] * len(x1) and out[3].tolist() == [0.75] * len(x1)
 
 
+def test_unknown_identifier_rejected_at_compile():
+    node = ex.parse_expr("x1 + bogus")
+    with pytest.raises(ex.ExprError, match="bogus"):
+        ex._compile_rows([node], ["x1"])
+
+
 def test_row_kernel_rejects_unknown_identifiers():
-    for trees in ([ex.parse_expr("x1 + bogus")], [ex.Var("x1"), ex.parse_expr("x1 + bogus")]):
-        with pytest.raises(ex.ExprError, match="bogus"):
-            ex._compile_rows(trees, ["x1"])
+    with pytest.raises(ex.ExprError, match="bogus"):
+        ex._compile_rows([ex.Var("x1"), ex.parse_expr("x1 + bogus")], ["x1"])
 
 
 def test_only_expr_generates_code():
