@@ -179,6 +179,8 @@ class _Parser:
     def primary(self) -> Node:
         kind, val, pos = self.advance()
         if kind == "num":
+            if not math.isfinite(float(val)):
+                raise ExprError(f"number {val} overflows a float", pos)
             return Num(float(val))
         if kind == "ident":
             k2, v2, _ = self.peek()

@@ -249,7 +249,7 @@ def _cpus() -> int:
 
 
 class _RowBlocks:
-    """Contiguous row blocks of one solve or check, mapped over the usable CPUs.
+    """Contiguous row blocks of one value solve, mapped over the usable CPUs.
 
     Uses one thread per ``_MIN_ROWS_PER_THREAD`` rows, at most one per CPU
     the process may use, and equal blocks of at most ``block_rows`` rows, as

@@ -49,6 +49,9 @@ class GaugeFunction:
         if (self.expression is None) == (self.knots_r is None):
             raise ValueError("gauge needs exactly one of knots or expression")
         if self.expression is not None:
+            fault = ex._constant_fault(self.expression)
+            if fault:
+                raise ValueError(f"gauge expression: {fault}")
             object.__setattr__(self, "_kernel", ex._compile_rows([self.expression], ["r"]))
         if self.knots_r is not None:
             r = np.asarray(self.knots_r, dtype=float)

@@ -91,6 +91,7 @@ class ControlledDiffusion:
             drift, sigma = self._control_trees(ci)
             self._kernels.append((ex._compile_rows(list(drift), xvars),
                                   ex._compile_rows([t for row in sigma for t in row], xvars)))
+        self._margin_kernels = {}  # per control, built on first use by verifier._margin_kernel
 
     def _control_trees(self, control_index: int):
         """Drift rows and sigma rows of one control point as simplified trees in x."""
@@ -132,11 +133,7 @@ class ControlledDiffusion:
 
 def eval_a(model: ControlledDiffusion, x, control_index: int) -> np.ndarray:
     """Half outer product sigma sigma^T / 2, explicitly symmetrized."""
-    return _half_outer(model.sigma(x, control_index))
-
-
-def _half_outer(s: np.ndarray) -> np.ndarray:
-    """a = s s^T / 2 of each matrix in a stack of sigmas, explicitly symmetrized."""
+    s = model.sigma(x, control_index)
     a = 0.5 * np.einsum("...im,...jm->...ij", s, s)
     return 0.5 * (a + np.swapaxes(a, -1, -2))
 

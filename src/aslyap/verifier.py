@@ -16,32 +16,31 @@ candidate's values serve only to cross-check its Hessian, which flags a
 nonsmooth candidate.
 
 Grid checks (supersolution from a candidate or a field, set-Lyapunov,
-radial, and through them change of unknown) are one pass over contiguous
-row blocks of at most ``_BLOCK_ROWS`` nodes.  Each block evaluates its own
-candidate value, gradient and Hessian, finite mask, margin, witness,
-residual and tolerance, with one model evaluation per control; a field's
-grid differences are taken once on the whole grid and sliced.  Blocks are
-mapped with ``fields._RowBlocks``: one thread per 8192 nodes, at most one
-per CPU the process may use, started for that check only, so checks below
-16 384 nodes start no thread.  Every node takes the same operations in the
-same order however the nodes are split, so reports are bit-identical for
-any CPU count.  Callables passed in, such as a ``target_distance``
-function, are called on blocks, possibly from several threads at once:
-they must be pointwise and thread-safe.
+radial, and through them change of unknown) are one pass, on the calling
+thread, over contiguous row blocks of at most ``_BLOCK_ROWS`` nodes.  Each
+block evaluates its own candidate value, gradient and Hessian, finite mask,
+margin, witness, residual and tolerance, with one generated kernel call per
+control for its drift, diffusion, margin and data norms
+(``_margin_kernel``); a field's grid differences are taken once on the whole
+grid and sliced.  Every node takes the same operations in the same order
+however the nodes are split, so reports are bit-identical for any block
+size.  Callables passed in, such as a ``target_distance`` function, are
+called on blocks: they must be pointwise.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import expr as ex
-from .fields import (Grid, LevelSet, ScalarField, _coord_header, _csv, _norm, _RowBlocks,
-                     gradient_field, hessian_field)
+from .fields import (Grid, LevelSet, ScalarField, _coord_header, _csv, _norm, gradient_field,
+                     hessian_field)
 from .gauges import GaugeFunction
-from .model import CandidateFunction, ControlledDiffusion, _distance_evaluator, _half_outer
+from .model import CandidateFunction, ControlledDiffusion, _distance_evaluator
 
 __all__ = [
     "STATUS_OK",
@@ -75,11 +74,10 @@ _STATUS_NAMES = {
     STATUS_SANDWICH: "sandwich-violation",
 }
 
-# Grid checks run in row blocks of at most this many nodes, over the threads
-# of ``fields._RowBlocks``.  On a 2-core Xeon the value solves' 32 768-row
-# blocks raised the 401^2 benchmark checks' peak RSS from 105 to 113 MB;
-# 8192-row blocks kept it at 105.5-106 MB, and lower once every check ran
-# in blocks.
+# Grid checks run in row blocks of at most this many nodes.  On a 2-core
+# Xeon the value solves' 32 768-row blocks raised the 401^2 benchmark checks'
+# peak RSS from 105 to 113 MB; 8192-row blocks kept it at 105.5-106 MB, and
+# lower once every check ran in blocks.
 _BLOCK_ROWS = 8192
 
 
@@ -186,12 +184,82 @@ def tangential_controls(model: ControlledDiffusion, x, p, eps_tan: float = 1e-6)
     return out
 
 
+_add, _mul = functools.partial(ex.Bin, "+"), functools.partial(ex.Bin, "*")
+
+
+def _from_zero(terms):
+    """0 + (t0 + t1 + ...), added left to right."""
+    return _add(ex.Num(0.0), functools.reduce(_add, terms))
+
+
+def _lanes(terms):
+    """The sum numpy's einsum takes over the terms of a contiguous axis,
+    0 + (lane0 + lane1): the even and the odd terms each form a lane, added
+    from the last term down within each full block of eight and from the
+    first term on after them."""
+    lanes = [None, None]
+    full = len(terms) - len(terms) % 8
+    for k in [*(k + j for k in range(0, full, 8) for j in range(7, -1, -1)),
+              *range(full, len(terms))]:
+        lanes[k % 2] = terms[k] if lanes[k % 2] is None else _add(terms[k], lanes[k % 2])
+    return _from_zero([lane for lane in lanes if lane is not None])
+
+
+def _norm_tree(entries):
+    """``fields._norm`` of the entries, in C order: numpy's pairwise sum of the
+    squares, which is left to right below eight of them."""
+
+    def pairwise(terms):
+        n = len(terms)
+        if n > 128:
+            half = n // 2 - n // 2 % 8
+            return _add(pairwise(terms[:half]), pairwise(terms[half:]))
+        if n >= 8:  # eight running sums, added as a tree, then the rest
+            sums = [functools.reduce(_add, terms[k:n - n % 8:8]) for k in range(8)]
+            while len(sums) > 1:
+                sums = list(map(_add, sums[::2], sums[1::2]))
+            terms = sums + terms[n - n % 8:]
+        return functools.reduce(_add, terms)
+
+    return ex.Call("sqrt", (pairwise([_mul(e, e) for e in entries]),))
+
+
+def _margin_kernel(model, control_index):
+    """The kernel of (x1..xn, p1..pn, Y1_1..Yn_n) that writes one control's
+    margin -(p . f) - trace[a Y] and |sigma^T p|, |sigma|_F, |f| and |a|_F,
+    built on first use and held on the model.  Each row is bit-equal, up to
+    the sign of a NaN, to the einsum and ``fields._norm`` calls it replaced:
+    einsum adds a contiguous axis in lanes, a strided one (a row of the
+    trace, or sigma^T p with two or more noise columns) from 0 left to right.
+    """
+    kernels = model._margin_kernels
+    if control_index not in kernels:
+        n, m = model.dim_state, model.dim_noise
+        f, s = model._control_trees(control_index)
+        p = [ex.Var(f"p{i+1}") for i in range(n)]
+        Y = [[ex.Var(f"Y{i+1}_{j+1}") for j in range(n)] for i in range(n)]
+        column = _lanes if m == 1 else _from_zero
+        stp = [column([_mul(s[i][k], p[i]) for i in range(n)]) for k in range(m)]
+        # a_ij and a_ji are one tree, evaluated once: the products commute, so
+        # eval_a's symmetrization moves no bit
+        a = [[_mul(ex.Num(0.5), _lanes([_mul(s[min(i, j)][k], s[max(i, j)][k]) for k in range(m)]))
+              for j in range(n)] for i in range(n)]
+        trace = _from_zero([functools.reduce(_add, [_mul(a[i][j], Y[j][i]) for j in range(n)])
+                            for i in range(n)])
+        margin = ex.Bin("-", ex.Neg(_lanes([_mul(p[i], f[i]) for i in range(n)])), trace)
+        kernels[control_index] = ex._compile_rows(
+            [margin, *map(_norm_tree, (stp, sum(s, ()), f, sum(a, [])))],
+            [*(f"x{i+1}" for i in range(n)), *(v.name for v in p + sum(Y, []))])
+    return kernels[control_index]
+
+
 def _margin_arrays(model, nodes, grads, hessians, eps_tan, gate_norm=None, data_norms=None):
     """Per-node best tangential margin, witness, tangency residual and data scale.
 
     The margin of control alpha is -p . f - trace[a Y] with p = ``grads`` and
-    Y = ``hessians``; it counts only where |sigma^T p| <= eps_tan * gate_norm *
-    max(1, |sigma|_F), with ``gate_norm`` defaulting to |p|.
+    Y = ``hessians``, from the control's ``_margin_kernel``; it counts only
+    where |sigma^T p| <= eps_tan * gate_norm * max(1, |sigma|_F), with
+    ``gate_norm`` defaulting to |p|.
 
     Returns (best_margin with -inf where no tangential control, witness index
     or -1, residual of the witness or the minimum residual seen, scale).  With
@@ -199,7 +267,7 @@ def _margin_arrays(model, nodes, grads, hessians, eps_tan, gate_norm=None, data_
     max(1, 1 + |f| + |a|_F + |p| + |Y|_F over controls), from the same f and
     a as the margins; otherwise it is None.
     """
-    n = nodes.shape[0]
+    n, dim = nodes.shape
     best = np.full(n, -np.inf)
     witness = np.full(n, -1, dtype=np.int64)
     wit_resid = np.full(n, np.inf)
@@ -207,15 +275,13 @@ def _margin_arrays(model, nodes, grads, hessians, eps_tan, gate_norm=None, data_
     scale = None if data_norms is None else np.ones(n)
     if gate_norm is None:
         gate_norm = _norm(grads)
+    args = [*nodes.T, *grads.T, *hessians.reshape(n, dim * dim).T]
+    rows = np.empty((5, n))  # each control's rows, read before the next overwrites them
     for idx in range(model.n_controls):
-        f = model.drift(nodes, idx)
-        s = model.sigma(nodes, idx)
-        a = _half_outer(s)
-        resid = _norm(np.einsum("nim,ni->nm", s, grads))
-        snorm = _norm(s, 2)
+        with np.errstate(all="ignore"):
+            m, resid, snorm, fnorm, anorm = _margin_kernel(model, idx)(*args, rows)
         gate = eps_tan * gate_norm * np.maximum(1.0, snorm)
         tangential = resid <= gate
-        m = -np.einsum("ni,ni->n", grads, f) - np.einsum("nij,nji->n", a, hessians)
         min_resid = np.minimum(min_resid, resid)
         better = tangential & (m > best)
         best = np.where(better, m, best)
@@ -223,7 +289,7 @@ def _margin_arrays(model, nodes, grads, hessians, eps_tan, gate_norm=None, data_
         wit_resid = np.where(better, resid, wit_resid)
         if scale is not None:
             pnorm, ynorm = data_norms
-            scale = np.maximum(scale, 1.0 + _norm(f) + _norm(a, 2) + pnorm + ynorm)
+            scale = np.maximum(scale, 1.0 + fnorm + anorm + pnorm + ynorm)
     resid_out = np.where(witness >= 0, wit_resid, min_resid)
     return best, witness, resid_out, scale
 
@@ -237,11 +303,10 @@ def _finite_derivatives(vals, grads, hessians):
     """Mask of nodes with finite value, gradient and Hessian, plus the
     gradients and Hessians zeroed where the mask fails (the inputs themselves
     when it holds everywhere)."""
-    finite = (
-        np.isfinite(vals)
-        & np.all(np.isfinite(grads), axis=-1)
-        & np.all(np.isfinite(hessians), axis=(-2, -1))
-    )
+    n, dim = grads.shape
+    finite = np.isfinite(vals)
+    for column in (*grads.T, *hessians.reshape(n, dim * dim).T):
+        finite &= np.isfinite(column)
     if finite.all():
         return finite, grads, hessians
     safe_grads = np.where(finite[:, None], grads, 0.0)
@@ -322,10 +387,10 @@ def _detect_nonsmooth(candidate: CandidateFunction, nodes: np.ndarray) -> bool:
 
 
 def _in_blocks(n_rows: int, block) -> list:
-    """The columns of ``block(rows)`` over the row blocks of ``n_rows`` rows:
-    array columns concatenated in row order, count columns summed."""
-    with _RowBlocks(n_rows, _BLOCK_ROWS) as blocks:
-        parts = blocks.map(block)
+    """The columns of ``block(rows)`` over the row blocks of ``n_rows`` rows, run
+    in order on the calling thread: array columns concatenated in row order,
+    count columns summed."""
+    parts = [block(slice(lo, lo + _BLOCK_ROWS)) for lo in range(0, n_rows, _BLOCK_ROWS)]
     return [np.concatenate(col) if isinstance(col[0], np.ndarray) else sum(col)
             for col in zip(*parts)]
 
@@ -436,18 +501,8 @@ def radial_sufficient_check(
         statuses = np.where(witness >= 0, STATUS_OK, STATUS_NO_TANGENTIAL)
         return best, verdicts, witness, resid, statuses, tolerances
 
-    best, verdicts, witness, resid, statuses, tolerances = _in_blocks(grid.n_nodes, block)
-    return VerificationReport(
-        kind="radial-sufficient",
-        coords=nodes,
-        margins=best,
-        verdicts=verdicts,
-        witnesses=witness,
-        tangency_residuals=resid,
-        statuses=statuses,
-        tolerances=tolerances,
-        params={"eps_tan": eps_tan, "tol": tol},
-    )
+    return VerificationReport("radial-sufficient", nodes, *_in_blocks(grid.n_nodes, block),
+                              params={"eps_tan": eps_tan, "tol": tol})
 
 
 @dataclass(frozen=True)
@@ -582,18 +637,10 @@ def check_viability_boundary(
     statuses[witness < 0] = STATUS_NO_TANGENTIAL
     statuses[~finite] = STATUS_NONFINITE
     statuses[levelset.edge_flags] = STATUS_EDGE
-    return VerificationReport(
-        kind="viability-boundary",
-        coords=nodes,
-        margins=best,
-        verdicts=verdicts,
-        witnesses=witness,
-        tangency_residuals=resid_out,
-        statuses=statuses,
-        tolerances=tol_nodes,
-        params={"eps_tan": eps_tan, "level": levelset.level, "tol": tol,
-                "touches_boundary": levelset.touches_boundary},
-    )
+    return VerificationReport("viability-boundary", nodes, best, verdicts, witness, resid_out,
+                              statuses, tol_nodes,
+                              params={"eps_tan": eps_tan, "level": levelset.level, "tol": tol,
+                                      "touches_boundary": levelset.touches_boundary})
 
 
 def check_set_lyapunov(
@@ -612,10 +659,10 @@ def check_set_lyapunov(
     Requires gamma2(d) <= V <= gamma1(d) at every node and the tangential
     margin to dominate l(d) at nodes with distance d > rho from the target.
     ``target_distance`` is an expression, a candidate or a callable of the
-    points; a callable must be pointwise and thread-safe (it is called on
-    row blocks, possibly from several threads at once).  Each gauge must be
-    flagged monotone, vanish at 0 and not decrease over the checked
-    distances, up to a relative 1e-12 for rounding; else ValueError names it.
+    points; a callable must be pointwise (it is called on row blocks).  Each
+    gauge must be flagged monotone, vanish at 0 and not decrease over the
+    checked distances, up to a relative 1e-12 for rounding; else ValueError
+    names it.
     """
     names = ("gamma1", "gamma2")
     for name, g in zip(names, (gamma1, gamma2)):

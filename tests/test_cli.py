@@ -79,6 +79,7 @@ def test_check_missing_candidate_is_config_error(tmp_path):
     ("0^(-1)*x1", "constant 0^(-1) cannot be evaluated"),
     ("10^400*x1", "constant 10^400 cannot be evaluated"),
     ("(-1)^0.5*x1", "constant (-1)^0.5 is not a real number"),
+    ("1e400*x1", "syntax error: number 1e400 overflows a float"),
 ])
 def test_constant_without_float_value_is_model_error(tmp_path, capsys, term, reason):
     # constants are evaluated in Python floats, where these raise or turn complex

@@ -40,6 +40,18 @@ def test_trailing_operator_is_a_positioned_error():
     assert "line" in str(err.value)
 
 
+@pytest.mark.parametrize("literal", ["1e400", "1.8e308", "123" + "0" * 400],
+                         ids=["1e400", "1.8e308", "403-digits"])
+def test_overflowing_literal_is_a_positioned_model_error(literal):
+    # float() reads these as inf, which no kernel can render
+    with pytest.raises(ModelError, match=f"line 7: syntax error: number {literal} overflows a "
+                                         r"float \(at position 0\)"):
+        _inline(f"f1 = {literal}*x1")
+    with pytest.raises(ex.ExprError, match="overflows a float"):
+        al.CandidateFunction(f"-{literal}*x1", 1)
+    assert _inline("f1 = 1e-400*x1").model.drift([1.0], 0) == [0.0]  # underflow is a float
+
+
 def test_dimension_mismatches():
     with pytest.raises(ModelError, match="drift rows missing"):
         _inline("f1 = -x1", n=2)

@@ -975,6 +975,18 @@ def test_gauge_knots_must_be_finite(make, radii, values):
         make(radii, values)
 
 
+@pytest.mark.parametrize("text, fault", [
+    ("(-1)^0.5 + r", "constant (-1)^0.5 is not a real number"),
+    ("r*(1/0)", "constant 1/0 cannot be evaluated: float division by zero"),
+    ("r + 10^400", "constant 10^400 cannot be evaluated"),
+])
+def test_gauge_expression_constants_must_be_real(text, fault):
+    # the model reader's check: a kernel would raise on every call instead
+    with pytest.raises(ValueError, match=re.escape(f"gauge expression: {fault}")):
+        al.GaugeFunction.from_expression(text)
+    assert al.GaugeFunction.from_expression("(-1)^2*r")(0.5) == 0.5
+
+
 @pytest.mark.parametrize("dt", [1e-200, 1e-320])  # 1e200 steps, and T / dt = inf
 def test_step_count_must_fit_an_array_axis(rotational, dt):
     with pytest.raises(ValueError, match=f"need T / dt to round to at least 1 and fewer than "

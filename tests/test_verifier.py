@@ -1,6 +1,6 @@
-import faulthandler
-import sys
+import ast
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +21,8 @@ from aslyap.verifier import (
     STATUS_SANDWICH,
     VerificationReport,
 )
+
+from conftest import MODELS, load
 
 
 def _inline(dynamics, n=1, m=1, controls="hold = 0.0", candidate="", domain=None):
@@ -553,16 +555,77 @@ def test_radial_margin_matches_pointwise_reference(counts, lower, upper):
             assert _agree(m, _pointwise_best_margin(model, x, x, np.eye(2), eps_tan))
 
 
+def _einsum_rows(model, idx, x, p, Y):
+    """The margin and data terms of one control as the verifier computed them
+    with einsum before its margin kernels."""
+    f, s, a = model.drift(x, idx), model.sigma(x, idx), al.eval_a(model, x, idx)
+    return (-np.einsum("ni,ni->n", p, f) - np.einsum("nij,nji->n", a, Y),
+            fields._norm(np.einsum("nim,ni->nm", s, p)), fields._norm(s, 2),
+            fields._norm(f), fields._norm(a, 2))
+
+
+def _kernel_rows(model, idx, x, p, Y):
+    n, dim = x.shape
+    out = np.empty((5, n))
+    with np.errstate(all="ignore"):
+        return verifier._margin_kernel(model, idx)(*x.T, *p.T, *Y.reshape(n, dim * dim).T, out)
+
+
+def _signed(n, dim, rng):
+    """Wide magnitudes, so that every change of summation order shows in the
+    bits, with zeros of both signs and small integers that cancel exactly."""
+    v = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-6, 7, (n, dim))
+    pick = rng.random((n, dim))
+    v[pick < 0.15] = 0.0
+    v[(pick >= 0.15) & (pick < 0.3)] = -0.0
+    small = (pick >= 0.3) & (pick < 0.4)
+    v[small] = rng.integers(-2, 3, small.sum())
+    return v
+
+
+_WIDE = {  # 3-D and 9-D: sums of eight and more terms, two noise columns
+    "inline3d": _inline("f1 = -x1 + x2*x3\nf2 = -x2\nf3 = -x3 + x1^2\ns1_1 = -x2\ns2_1 = x1\n"
+                        "s2_2 = x3\ns3_2 = -x2 + 0.5", n=3, m=2).model,
+    "inline9d_m1": _inline("\n".join([*(f"f{i} = -x{i} + x{i % 9 + 1}" for i in range(1, 10)),
+                                       *(f"s{i}_1 = x{10 - i}" for i in range(1, 10))]),
+                           n=9, m=1).model,
+    "inline9d_m2": _inline("\n".join([*(f"f{i} = x{i}^2 - x{i % 9 + 1}" for i in range(1, 10)),
+                                       *(f"s{i}_1 = x{i} - 1" for i in range(1, 10)),
+                                       *(f"s{i}_2 = x{i % 9 + 1}*x{i}" for i in range(1, 10))]),
+                           n=9, m=2).model,
+}
+
+
+@pytest.mark.parametrize("name", [p.stem for p in sorted(MODELS.glob("*.model"))] + list(_WIDE))
+def test_margin_kernel_is_bit_equal_to_einsum(name):
+    model = _WIDE[name] if name in _WIDE else load(f"{name}.model").model
+    n, dim = 3000, model.dim_state
+    rng = np.random.default_rng(sum(map(ord, name)))
+    x, p = _signed(n, dim, rng), _signed(n, dim, rng)
+    Y = _signed(n, dim * dim, rng).reshape(n, dim, dim)
+    x[:2 ** dim] = 0.0  # the origin, with every sign pattern of its zeros
+    x[:2 ** dim][(np.arange(2 ** dim)[:, None] >> np.arange(dim)) & 1 == 1] = -0.0
+    cases = {"random": (x, p, Y), "negated": (x, -p, -Y),  # viability's (-p, -Y)
+             "radial": (x, x, np.broadcast_to(np.eye(dim), (n, dim, dim)))}
+    for idx in range(model.n_controls):
+        for case, (xs, ps, Ys) in cases.items():
+            got, want = _kernel_rows(model, idx, xs, ps, Ys), _einsum_rows(model, idx, xs, ps, Ys)
+            for row, (g, w) in enumerate(zip(got, want)):
+                assert g.view(np.int64).tolist() == w.view(np.int64).tolist(), (idx, case, row)
+
+
+def test_margin_kernels_are_built_once_per_control(rotational, bang1d):
+    for model in (rotational.model, bang1d.model):
+        kernels = [verifier._margin_kernel(model, i) for i in range(model.n_controls)]
+        assert [verifier._margin_kernel(model, i) for i in range(model.n_controls)] == kernels
+        assert len(set(map(id, kernels))) == model.n_controls
+        assert model._margin_kernels == dict(enumerate(kernels))
+
+
 # ------------------------------------------------------------ row blocks
 
 class _Boom(RuntimeError):
     pass
-
-
-def _split(monkeypatch, block_rows, cpus):
-    monkeypatch.setattr(verifier, "_BLOCK_ROWS", block_rows)
-    monkeypatch.setattr(fields, "_MIN_ROWS_PER_THREAD", 1)
-    monkeypatch.setattr(fields, "_cpus", lambda: cpus)
 
 
 _REPORT_FIELDS = ("coords", "margins", "verdicts", "witnesses", "tangency_residuals",
@@ -603,55 +666,57 @@ def _grid_checks(rotational, circle_target, linear1d):
                  change.disagreeing_nodes.tobytes())
 
 
-def test_threaded_check_blocks_are_bit_identical_to_one_block(
-        monkeypatch, pools, rotational, circle_target, linear1d):
-    _split(monkeypatch, block_rows=10**9, cpus=1)
+def test_check_blocks_are_bit_identical_to_one_block(
+        monkeypatch, rotational, circle_target, linear1d):
+    monkeypatch.setattr(verifier, "_BLOCK_ROWS", 10**9)
     one_block = _grid_checks(rotational, circle_target, linear1d)
-    assert pools == []
-    _split(monkeypatch, block_rows=30, cpus=3)  # 2-D: 33 blocks, one of a single node
-    before = threading.active_count()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # more thread switches than cores can hide
-    try:
-        threaded = _grid_checks(rotational, circle_target, linear1d)
-    finally:
-        sys.setswitchinterval(interval)
-    assert threading.active_count() == before
-    assert pools == [(3,)] * 9  # one pool of three threads per grid check
-    for got, want in zip(threaded[0], one_block[0]):
+    monkeypatch.setattr(verifier, "_BLOCK_ROWS", 30)  # 2-D: 33 blocks, one of a single node
+    blocks = _grid_checks(rotational, circle_target, linear1d)
+    for got, want in zip(blocks[0], one_block[0]):
         for name, g, w in zip(_REPORT_FIELDS + ("summary",), got, want):
             assert g == w, name
-    assert threaded[1] == one_block[1]
+    assert blocks[1] == one_block[1]
 
 
-def test_small_checks_start_no_thread(pools, rotational, circle_target):
-    grid = al.Grid((-1.0, -1.0), (1.0, 1.0), (127, 127))
-    assert grid.n_nodes < 2 * fields._MIN_ROWS_PER_THREAD
+def test_grid_checks_start_no_thread(monkeypatch, rotational):
+    # even where a value solve would start one thread per CPU
+    monkeypatch.setattr(fields, "_cpus", lambda: 2)
+    started = []
+    start = threading.Thread.start
+
+    def spy(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    grid = al.Grid((-1.0, -1.0), (1.0, 1.0), (129, 129))
+    assert grid.n_nodes > 2 * fields._MIN_ROWS_PER_THREAD
     model, cand = rotational.model, rotational.candidate
+    field = al.ScalarField(grid=grid, values=cand.value(grid.nodes()))
     al.check_supersolution(model, cand, grid)
-    al.check_supersolution(model, al.ScalarField(grid=grid, values=cand.value(grid.nodes())),
-                           grid)
+    al.check_supersolution(model, field, grid)
     al.check_change_of_unknown(model, cand, "t^2", grid)
     al.radial_sufficient_check(model, grid)
     ident = al.GaugeFunction.from_expression("r")
     al.check_set_lyapunov(model, cand, "sqrt(x1^2 + x2^2)", ident, ident, grid)
-    assert pools == []
+    al.check_viability_boundary(model, fields.extract_level_set(field, 0.5))
+    assert started == []
 
 
 @pytest.mark.parametrize("check", ["supersolution", "radial", "set-lyapunov"])
 def test_check_block_failure_propagates_without_a_hang(monkeypatch, rotational, check):
-    # one block raises on a pool thread; the calling thread only waits
-    _split(monkeypatch, block_rows=30, cpus=3)
-    original = ControlledDiffusion.drift
-    raised_on = []
+    # the third block raises; no later block runs and no report is built
+    monkeypatch.setattr(verifier, "_BLOCK_ROWS", 30)
+    original = verifier._margin_kernel
+    calls = []
 
-    def failing(self, *args, **kwargs):
-        if not raised_on:
-            raised_on.append(threading.current_thread())
+    def failing(model, control_index):
+        calls.append(control_index)
+        if len(calls) == 3:
             raise _Boom("one block failed")
-        return original(self, *args, **kwargs)
+        return original(model, control_index)
 
-    monkeypatch.setattr(ControlledDiffusion, "drift", failing)
+    monkeypatch.setattr(verifier, "_margin_kernel", failing)
     grid = al.Grid((-1.0, -1.0), (1.0, 1.0), (31, 31))
     model, cand = rotational.model, rotational.candidate
     ident = al.GaugeFunction.from_expression("r")
@@ -661,12 +726,20 @@ def test_check_block_failure_propagates_without_a_hang(monkeypatch, rotational, 
         "set-lyapunov": lambda: al.check_set_lyapunov(model, cand, "sqrt(x1^2 + x2^2)",
                                                       ident, ident, grid),
     }[check]
-    before = threading.active_count()
-    faulthandler.dump_traceback_later(120, exit=True)  # a hang fails the run
-    try:
-        with pytest.raises(_Boom):
-            run()
-    finally:
-        faulthandler.cancel_dump_traceback_later()
-    assert raised_on and raised_on[0] is not threading.main_thread()
-    assert threading.active_count() == before
+    with pytest.raises(_Boom):
+        run()
+    assert len(calls) == 3
+
+
+def test_verifier_starts_no_pool():
+    # one pass on the calling thread: the row blocks of value solves pay for
+    # their threads, a check's did not
+    tree = ast.parse(Path(verifier.__file__).read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.name for alias in node.names} | {getattr(node, "module", None)}
+    forbidden = {"_RowBlocks", "threading", "Thread", "concurrent", "concurrent.futures",
+                 "ThreadPoolExecutor", "ProcessPoolExecutor", "multiprocessing", "Pool"}
+    assert names & forbidden == set()
