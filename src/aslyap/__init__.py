@@ -16,8 +16,6 @@ from .model import (
     ControlledDiffusion,
     ModelError,
     ParsedModel,
-    check_controlled_equilibrium,
-    check_lipschitz_sample,
     eval_a,
     parse_model,
     serialize_model,
@@ -52,7 +50,6 @@ from .verifier import (
     check_supersolution,
     check_viability_boundary,
     radial_sufficient_check,
-    tangential_controls,
 )
 
 __version__ = "0.1.0"
@@ -75,10 +72,7 @@ __all__ = [
     "parse_model",
     "serialize_model",
     "eval_a",
-    "check_controlled_equilibrium",
-    "check_lipschitz_sample",
     "VerificationReport",
-    "tangential_controls",
     "check_supersolution",
     "radial_sufficient_check",
     "check_geometric_invariance",

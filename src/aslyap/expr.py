@@ -596,7 +596,7 @@ def _run(kernel, points: np.ndarray, tail: tuple[int, ...] = ()) -> np.ndarray:
     return out
 
 
-def _norm_tree(xvars: list[str]) -> Node:
-    """sqrt(x1^2 + ... + xn^2), summed left to right."""
-    squares = [Bin("^", Var(v), Num(2.0)) for v in xvars]
+def _norm_tree(entries: list[Node]) -> Node:
+    """sqrt(e1^2 + ... + en^2) of the entry trees, summed left to right."""
+    squares = [Bin("^", e, Num(2.0)) for e in entries]
     return Call("sqrt", (functools.reduce(lambda a, b: Bin("+", a, b), squares),))

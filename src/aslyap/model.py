@@ -33,9 +33,6 @@ __all__ = [
     "parse_model",
     "serialize_model",
     "eval_a",
-    "EquilibriumCheck",
-    "check_controlled_equilibrium",
-    "check_lipschitz_sample",
 ]
 
 
@@ -75,7 +72,6 @@ class ControlledDiffusion:
     sigma_overrides: dict = field(default_factory=dict)   # (label, row, col) -> Node
     domain_lower: tuple[float, ...] = ()
     domain_upper: tuple[float, ...] = ()
-    lipschitz_estimate: float | None = field(default=None, compare=False)  # sampled, not compared
 
     def __post_init__(self):
         if self.dim_state < 1 or self.dim_noise < 1:
@@ -117,9 +113,6 @@ class ControlledDiffusion:
     def sigma(self, x, control_index: int) -> np.ndarray:
         n = self.dim_state
         return ex._run(self._kernels[control_index][1], _points(x, n), (n, self.dim_noise))
-
-    def a(self, x, control_index: int) -> np.ndarray:
-        return eval_a(self, x, control_index)
 
     @property
     def n_controls(self) -> int:
@@ -401,52 +394,3 @@ def serialize_model(parsed: ParsedModel) -> str:
     lines.append(f"lower = {', '.join(repr(v) for v in model.domain_lower)}")
     lines.append(f"upper = {', '.join(repr(v) for v in model.domain_upper)}")
     return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
-class EquilibriumCheck:
-    witness_index: int | None
-    residual: float
-
-    @property
-    def found(self) -> bool:
-        return self.witness_index is not None
-
-
-def check_controlled_equilibrium(model: ControlledDiffusion, x0, tol: float) -> EquilibriumCheck:
-    """First control making both drift and diffusion vanish at x0, within tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    x0 = np.asarray(x0, dtype=float)
-    best = np.inf
-    for idx in range(model.n_controls):
-        fnorm = float(np.linalg.norm(model.drift(x0, idx)))
-        snorm = float(np.linalg.norm(model.sigma(x0, idx)))
-        if fnorm <= tol and snorm <= tol:
-            return EquilibriumCheck(witness_index=idx, residual=max(fnorm, snorm))
-        best = min(best, fnorm + snorm)
-    return EquilibriumCheck(witness_index=None, residual=best)
-
-
-def check_lipschitz_sample(model: ControlledDiffusion, n_pairs: int, seed: int) -> float:
-    """Empirical Lipschitz constant of (f, sigma) over sampled domain pairs.
-
-    Diagnostic only: a max over samples is a lower bound on the true constant.
-    """
-    if not model.domain_lower:
-        raise ModelError("model has no domain box; cannot sample")
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    lo = np.asarray(model.domain_lower)
-    up = np.asarray(model.domain_upper)
-    xs = rng.uniform(lo, up, size=(n_pairs, model.dim_state))
-    ys = rng.uniform(lo, up, size=(n_pairs, model.dim_state))
-    gap = np.linalg.norm(xs - ys, axis=-1)
-    keep = gap > 0
-    xs, ys, gap = xs[keep], ys[keep], gap[keep]
-    best = 0.0
-    for idx in range(model.n_controls):
-        df = np.linalg.norm(model.drift(xs, idx) - model.drift(ys, idx), axis=-1)
-        ds = np.linalg.norm(model.sigma(xs, idx) - model.sigma(ys, idx), axis=(-2, -1))
-        best = max(best, float(((df + ds) / gap).max()))
-    model.lipschitz_estimate = best
-    return best

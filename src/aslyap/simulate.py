@@ -277,13 +277,14 @@ def _inscribed(lower, upper):
 
 
 def _share_radius(tree, xvars):
-    """``tree`` with every subtree ``ex._norm_tree(xvars)`` read from the variable
-    ``r``.  Below eight coordinates that tree is ``fields._norm`` bit for bit,
-    since numpy takes ``x ** 2.0`` as ``np.square``, which is ``x * x``; from
-    eight on ``_norm`` sums pairwise, and the tree is returned as it is."""
+    """``tree`` with every subtree ``ex._norm_tree`` of the ``xvars`` read from
+    the variable ``r``.  Below eight coordinates that tree is ``fields._norm``
+    bit for bit, since numpy takes ``x ** 2.0`` as ``np.square``, which is
+    ``x * x``; from eight on ``_norm`` sums pairwise, and the tree is returned
+    as it is."""
     if len(xvars) >= 8:
         return tree
-    norm = ex._norm_tree(xvars)
+    norm = ex._norm_tree(list(map(ex.Var, xvars)))
 
     def share(node):
         if node == norm:

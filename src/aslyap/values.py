@@ -516,7 +516,7 @@ def extended_system(
     if l.expression is None:
         raise ValueError("extended system needs an expression gauge")
     n = model.dim_state
-    radius_tree = ex._norm_tree([f"x{i+1}" for i in range(n)])
+    radius_tree = ex._norm_tree([ex.Var(f"x{i+1}") for i in range(n)])
     y_drift = ex.simplify(ex.substitute(l.expression, {"r": radius_tree}))
 
     zero_row = tuple(ex.Num(0.0) for _ in range(model.dim_noise))

@@ -49,7 +49,6 @@ __all__ = [
     "STATUS_EDGE",
     "STATUS_SANDWICH",
     "VerificationReport",
-    "tangential_controls",
     "check_supersolution",
     "radial_sufficient_check",
     "GeometricInvarianceResult",
@@ -163,27 +162,6 @@ class VerificationReport:
         ])
 
 
-def tangential_controls(model: ControlledDiffusion, x, p, eps_tan: float = 1e-6) -> list[int]:
-    """Controls whose diffusion is orthogonal to p at x, within a relative gate.
-
-    The gate is eps_tan * |p| * max(1, ||sigma||_F) so that zero diffusion
-    always qualifies and large diffusions are not excused by scale.
-    """
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    pnorm = float(np.linalg.norm(p))
-    if pnorm == 0.0:
-        raise ValueError("tangential test needs a nonzero direction p")
-    out = []
-    for idx in range(model.n_controls):
-        s = model.sigma(x, idx)
-        resid = float(np.linalg.norm(s.T @ p))
-        gate = eps_tan * pnorm * max(1.0, float(np.linalg.norm(s)))
-        if resid <= gate:
-            out.append(idx)
-    return out
-
-
 _add, _mul = functools.partial(ex.Bin, "+"), functools.partial(ex.Bin, "*")
 
 
@@ -192,64 +170,37 @@ def _from_zero(terms):
     return _add(ex.Num(0.0), functools.reduce(_add, terms))
 
 
-def _lanes(terms):
-    """The sum numpy's einsum takes over the terms of a contiguous axis,
-    0 + (lane0 + lane1): the even and the odd terms each form a lane, added
-    from the last term down within each full block of eight and from the
-    first term on after them."""
-    lanes = [None, None]
-    full = len(terms) - len(terms) % 8
-    for k in [*(k + j for k in range(0, full, 8) for j in range(7, -1, -1)),
-              *range(full, len(terms))]:
-        lanes[k % 2] = terms[k] if lanes[k % 2] is None else _add(terms[k], lanes[k % 2])
-    return _from_zero([lane for lane in lanes if lane is not None])
-
-
-def _norm_tree(entries):
-    """``fields._norm`` of the entries, in C order: numpy's pairwise sum of the
-    squares, which is left to right below eight of them."""
-
-    def pairwise(terms):
-        n = len(terms)
-        if n > 128:
-            half = n // 2 - n // 2 % 8
-            return _add(pairwise(terms[:half]), pairwise(terms[half:]))
-        if n >= 8:  # eight running sums, added as a tree, then the rest
-            sums = [functools.reduce(_add, terms[k:n - n % 8:8]) for k in range(8)]
-            while len(sums) > 1:
-                sums = list(map(_add, sums[::2], sums[1::2]))
-            terms = sums + terms[n - n % 8:]
-        return functools.reduce(_add, terms)
-
-    return ex.Call("sqrt", (pairwise([_mul(e, e) for e in entries]),))
+def _margin_trees(model, control_index):
+    """One control's margin -(p . f) - trace[a Y] and |sigma^T p|, |sigma|_F,
+    |f| and |a|_F as trees in x1..xn, p1..pn and Y1_1..Yn_n.  Each axis is
+    summed left to right; the leading 0 + of ``_from_zero`` gives +0 for a
+    sum of zeros of either sign."""
+    n, m = model.dim_state, model.dim_noise
+    f, s = model._control_trees(control_index)
+    p = [ex.Var(f"p{i+1}") for i in range(n)]
+    Y = [[ex.Var(f"Y{i+1}_{j+1}") for j in range(n)] for i in range(n)]
+    stp = [_from_zero([_mul(s[i][k], p[i]) for i in range(n)]) for k in range(m)]
+    # a_ij and a_ji are one tree, evaluated once
+    a = [[_mul(ex.Num(0.5), _from_zero([_mul(s[min(i, j)][k], s[max(i, j)][k]) for k in range(m)]))
+          for j in range(n)] for i in range(n)]
+    trace = _from_zero([functools.reduce(_add, [_mul(a[i][j], Y[j][i]) for j in range(n)])
+                        for i in range(n)])
+    margin = ex.Bin("-", ex.Neg(_from_zero([_mul(p[i], f[i]) for i in range(n)])), trace)
+    return [margin, *map(ex._norm_tree, (stp, sum(s, ()), f, sum(a, [])))]
 
 
 def _margin_kernel(model, control_index):
-    """The kernel of (x1..xn, p1..pn, Y1_1..Yn_n) that writes one control's
-    margin -(p . f) - trace[a Y] and |sigma^T p|, |sigma|_F, |f| and |a|_F,
-    built on first use and held on the model.  Each row is bit-equal, up to
-    the sign of a NaN, to the einsum and ``fields._norm`` calls it replaced:
-    einsum adds a contiguous axis in lanes, a strided one (a row of the
-    trace, or sigma^T p with two or more noise columns) from 0 left to right.
-    """
+    """``_margin_trees`` compiled over (x1..xn, p1..pn, Y1_1..Yn_n), built on
+    first use and held on the model.  With at most two state and two noise
+    dimensions each row is bit-equal, up to the sign of a NaN, to the einsum
+    and ``fields._norm`` calls it replaced."""
     kernels = model._margin_kernels
     if control_index not in kernels:
-        n, m = model.dim_state, model.dim_noise
-        f, s = model._control_trees(control_index)
-        p = [ex.Var(f"p{i+1}") for i in range(n)]
-        Y = [[ex.Var(f"Y{i+1}_{j+1}") for j in range(n)] for i in range(n)]
-        column = _lanes if m == 1 else _from_zero
-        stp = [column([_mul(s[i][k], p[i]) for i in range(n)]) for k in range(m)]
-        # a_ij and a_ji are one tree, evaluated once: the products commute, so
-        # eval_a's symmetrization moves no bit
-        a = [[_mul(ex.Num(0.5), _lanes([_mul(s[min(i, j)][k], s[max(i, j)][k]) for k in range(m)]))
-              for j in range(n)] for i in range(n)]
-        trace = _from_zero([functools.reduce(_add, [_mul(a[i][j], Y[j][i]) for j in range(n)])
-                            for i in range(n)])
-        margin = ex.Bin("-", ex.Neg(_lanes([_mul(p[i], f[i]) for i in range(n)])), trace)
+        n = model.dim_state
         kernels[control_index] = ex._compile_rows(
-            [margin, *map(_norm_tree, (stp, sum(s, ()), f, sum(a, [])))],
-            [*(f"x{i+1}" for i in range(n)), *(v.name for v in p + sum(Y, []))])
+            _margin_trees(model, control_index),
+            [*(f"{v}{i+1}" for v in "xp" for i in range(n)),
+             *(f"Y{i+1}_{j+1}" for i in range(n) for j in range(n))])
     return kernels[control_index]
 
 

@@ -99,31 +99,6 @@ def test_eval_a_is_psd_on_samples(rotational, circle_target):
         assert eigs.min() >= -1e-12
 
 
-def test_controlled_equilibrium_examples(rotational):
-    pm = _inline("f1 = -x1")
-    assert al.check_controlled_equilibrium(pm.model, [0.0], tol=1e-9).found
-    shifted = _inline("f1 = x1 + 1")
-    res = al.check_controlled_equilibrium(shifted.model, [0.0], tol=1e-9)
-    assert not res.found
-    assert res.residual == pytest.approx(1.0)
-    assert al.check_controlled_equilibrium(rotational.model, [0.0, 0.0], tol=1e-12).found
-
-
-def test_lipschitz_samples():
-    one = _inline("f1 = -x1")
-    two = _inline("f1 = -2*x1")
-    c1 = al.check_lipschitz_sample(one.model, 2000, seed=5)
-    c2 = al.check_lipschitz_sample(two.model, 2000, seed=5)
-    assert c1 == pytest.approx(1.0, rel=1e-9)
-    assert c2 == pytest.approx(2.0, rel=1e-9)
-
-
-def test_lipschitz_rotational_finite(rotational):
-    c = al.check_lipschitz_sample(rotational.model, 500, seed=5)
-    assert np.isfinite(c) and 0 < c < 10
-    assert rotational.model.lipschitz_estimate == c
-
-
 def test_round_trip_all_bundled_models():
     for path in sorted(MODELS.glob("*.model")):
         pm = load(path.name)
@@ -131,10 +106,6 @@ def test_round_trip_all_bundled_models():
         pm2 = al.parse_model(text)
         assert pm2 == pm, path.name
         assert al.serialize_model(pm2) == text, path.name
-        # the sampled Lipschitz estimate is a diagnostic, not part of the model
-        al.check_lipschitz_sample(pm.model, 10, seed=1)
-        assert pm.model.lipschitz_estimate is not None
-        assert al.parse_model(text) == pm, path.name
 
 
 def test_evaluators_are_deterministic(rotational):

@@ -37,26 +37,32 @@ def _inline(dynamics, n=1, m=1, controls="hold = 0.0", candidate="", domain=None
 
 # ---------------------------------------------------------------- tangential
 
+_PLANE = al.Grid((-1.0, -1.0), (1.0, 1.0), (11, 11))
+
+
+def _witnesses(model, candidate, grid=_PLANE):
+    """The tangency-gated witness of every checked node; -1 where no control is
+    tangential."""
+    rep = al.check_supersolution(model, al.CandidateFunction(candidate, model.dim_state), grid)
+    assert ((rep.witnesses < 0) == (rep.statuses == STATUS_NO_TANGENTIAL)).all()
+    return rep.witnesses
+
+
 def test_tangential_rotational_all_pass(rotational):
-    # (-x2, x1) . (x1, x2) = 0 identically
-    x = np.array([0.3, 0.7])
-    assert al.tangential_controls(rotational.model, x, x) == [0]
+    # (-x2, x1) . grad |x|^2 = 0 identically
+    assert (_witnesses(rotational.model, "x1^2 + x2^2") == 0).all()
 
 
 def test_tangential_orthogonality_selects():
+    # noise along x1: tangential to p = (0, 1), never to p = (1, 0)
     pm = _inline("f1 = -x1\nf2 = -x2\ns1_1 = 1", n=2, m=1)
-    assert al.tangential_controls(pm.model, [0.5, 0.5], [0.0, 1.0]) == [0]
-    assert al.tangential_controls(pm.model, [0.5, 0.5], [1.0, 0.0]) == []
+    assert (_witnesses(pm.model, "x2") == 0).all()
+    assert (_witnesses(pm.model, "x1") == -1).all()
 
 
 def test_tangential_zero_diffusion_always_passes():
     pm = _inline("f1 = x1")
-    assert al.tangential_controls(pm.model, [0.5], [1.0]) == [0]
-
-
-def test_tangential_needs_nonzero_direction(rotational):
-    with pytest.raises(ValueError):
-        al.tangential_controls(rotational.model, [0.1, 0.1], [0.0, 0.0])
+    assert (_witnesses(pm.model, "x1^2", al.Grid((-1.0,), (1.0,), (11,))) == 0).all()
 
 
 # ------------------------------------------------------------- supersolution
@@ -443,11 +449,14 @@ _TWO_CONTROLS = _inline(
 
 
 def _pointwise_best_margin(model, x, p, Y, eps_tan):
-    """max of -p.f - tr(aY) over tangential_controls, one point at a time."""
+    """max of -p.f - tr(aY) over the controls with |sigma^T p| <= eps_tan |p|
+    max(1, |sigma|_F), one point at a time."""
     best = -np.inf
-    for idx in al.tangential_controls(model, x, p, eps_tan):
-        m = float(-p @ model.drift(x, idx) - np.trace(model.a(x, idx) @ Y))
-        best = max(best, m)
+    for idx in range(model.n_controls):
+        s = model.sigma(x, idx)
+        if np.linalg.norm(s.T @ p) <= eps_tan * np.linalg.norm(p) * max(1.0, np.linalg.norm(s)):
+            a = al.eval_a(model, x, idx)
+            best = max(best, float(-p @ model.drift(x, idx) - np.trace(a @ Y)))
     return best
 
 
@@ -503,8 +512,8 @@ def test_margin_wrappers_match_pointwise_reference(data, lam, mu):
 
 def _pointwise_tolerance(model, x, p, Y, h):
     """10 h^2 max(1, 1 + |f| + |a|_F + |p| + |Y|_F over controls), at one point."""
-    scale = max(1.0, *(1.0 + np.linalg.norm(model.drift(x, i)) + np.linalg.norm(model.a(x, i))
-                       + np.linalg.norm(p) + np.linalg.norm(Y)
+    scale = max(1.0, *(1.0 + np.linalg.norm(model.drift(x, i))
+                       + np.linalg.norm(al.eval_a(model, x, i)) + np.linalg.norm(p) + np.linalg.norm(Y)
                        for i in range(model.n_controls)))
     return 10.0 * h**2 * scale
 
@@ -594,24 +603,78 @@ _WIDE = {  # 3-D and 9-D: sums of eight and more terms, two noise columns
                                        *(f"s{i}_2 = x{i % 9 + 1}*x{i}" for i in range(1, 10))]),
                            n=9, m=2).model,
 }
+_INLINE = {**_WIDE, "inline2d_m2": _inline(  # the largest shape einsum adds as the kernel does
+    "f1 = -x1 + x2^2\nf2 = x1*x2\ns1_1 = -x2\ns2_1 = x1\ns1_2 = x1 - 1\ns2_2 = 0.5*x2",
+    n=2, m=2).model}
+_BUNDLED = [p.stem for p in sorted(MODELS.glob("*.model"))]
 
 
-@pytest.mark.parametrize("name", [p.stem for p in sorted(MODELS.glob("*.model"))] + list(_WIDE))
-def test_margin_kernel_is_bit_equal_to_einsum(name):
-    model = _WIDE[name] if name in _WIDE else load(f"{name}.model").model
+def _kernel_cases(name):
+    """(model, control, case, x, p, Y) for every control of a bundled or
+    ``_INLINE`` model on random data, with the origin's every sign pattern of
+    zeros, viability's (-p, -Y) and the radial check's broadcast identity Y."""
+    model = _INLINE[name] if name in _INLINE else load(f"{name}.model").model
     n, dim = 3000, model.dim_state
     rng = np.random.default_rng(sum(map(ord, name)))
     x, p = _signed(n, dim, rng), _signed(n, dim, rng)
     Y = _signed(n, dim * dim, rng).reshape(n, dim, dim)
-    x[:2 ** dim] = 0.0  # the origin, with every sign pattern of its zeros
+    x[:2 ** dim] = 0.0
     x[:2 ** dim][(np.arange(2 ** dim)[:, None] >> np.arange(dim)) & 1 == 1] = -0.0
-    cases = {"random": (x, p, Y), "negated": (x, -p, -Y),  # viability's (-p, -Y)
+    cases = {"random": (x, p, Y), "negated": (x, -p, -Y),
              "radial": (x, x, np.broadcast_to(np.eye(dim), (n, dim, dim)))}
     for idx in range(model.n_controls):
-        for case, (xs, ps, Ys) in cases.items():
-            got, want = _kernel_rows(model, idx, xs, ps, Ys), _einsum_rows(model, idx, xs, ps, Ys)
-            for row, (g, w) in enumerate(zip(got, want)):
-                assert g.view(np.int64).tolist() == w.view(np.int64).tolist(), (idx, case, row)
+        for case, data in cases.items():
+            yield model, idx, case, *data
+
+
+def _tree_rows(model, idx, x, p, Y):
+    """The kernel's own trees walked by ``expr.evaluate``, each as a row."""
+    n, dim = x.shape
+    env = {**{f"x{i+1}": x[:, i] for i in range(dim)}, **{f"p{i+1}": p[:, i] for i in range(dim)},
+           **{f"Y{i+1}_{j+1}": Y[:, i, j] for i in range(dim) for j in range(dim)}}
+    with np.errstate(all="ignore"):
+        return [np.broadcast_to(ex.evaluate(t, env), (n,)) for t in verifier._margin_trees(model, idx)]
+
+
+def _summation_bounds(model, idx, x, p, Y):
+    """Per row, 2 k u sum|terms| with u = 2^-53: the most two orders of adding
+    the row's k terms can differ by.  The margin adds the p_i f_i and the
+    a_ij Y_ji, and |sigma^T p| the s_ik p_i.  The norms |sigma|_F, |f| and
+    |a|_F add the squares of their entries; the square root halves the
+    relative error of that sum, with room for its own rounding, so their
+    bound is 2 k u times the norm."""
+    n, m, u = model.dim_state, model.dim_noise, 2.0 ** -53
+    f, s, a = model.drift(x, idx), model.sigma(x, idx), al.eval_a(model, x, idx)
+    _, _, snorm, fnorm, anorm = _einsum_rows(model, idx, x, p, Y)
+    margin_terms = np.abs(p * f).sum(1) + np.abs(a * Y.transpose(0, 2, 1)).sum((1, 2))
+    return [2 * (n + n * n) * u * margin_terms, 2 * n * m * u * np.abs(s * p[:, :, None]).sum((1, 2)),
+            2 * n * m * u * snorm, 2 * n * u * fnorm, 2 * n * n * u * anorm]
+
+
+@pytest.mark.parametrize("name", _BUNDLED + ["inline2d_m2"])
+def test_margin_kernel_is_bit_equal_to_einsum(name):
+    # with at most two state and two noise dimensions, left to right is einsum's order
+    for model, idx, case, *data in _kernel_cases(name):
+        got, want = _kernel_rows(model, idx, *data), _einsum_rows(model, idx, *data)
+        for row, (g, w) in enumerate(zip(got, want)):
+            assert g.view(np.int64).tolist() == w.view(np.int64).tolist(), (idx, case, row)
+
+
+@pytest.mark.parametrize("name", _BUNDLED + list(_INLINE))
+def test_margin_kernel_is_bit_equal_to_its_trees(name):
+    for model, idx, case, *data in _kernel_cases(name):
+        got, want = _kernel_rows(model, idx, *data), _tree_rows(model, idx, *data)
+        for row, (g, w) in enumerate(zip(got, want)):
+            assert g.view(np.int64).tolist() == w.view(np.int64).tolist(), (idx, case, row)
+
+
+@pytest.mark.parametrize("name", list(_WIDE))
+def test_wide_margin_kernel_is_within_summation_bound_of_einsum(name):
+    for model, idx, case, *data in _kernel_cases(name):
+        got, want = _kernel_rows(model, idx, *data), _einsum_rows(model, idx, *data)
+        bounds = _summation_bounds(model, idx, *data)
+        for row, (g, w, bound) in enumerate(zip(got, want, bounds)):
+            assert np.isfinite(w).all() and (np.abs(g - w) <= bound).all(), (idx, case, row)
 
 
 def test_margin_kernels_are_built_once_per_control(rotational, bang1d):
