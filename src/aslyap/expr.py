@@ -5,9 +5,11 @@ function vocabulary (``sin cos exp log sqrt abs min max``), decimal literals
 and named variables.  Trees are immutable; differentiation, simplification
 and compilation all return new objects.
 
-``_compile_rows`` is the one code generator and ``_run`` runs its kernels
-over arrays of points; the tree walk ``evaluate`` folds constants and is the
-reference that the kernels are tested against.
+``_compile_rows`` is the one numpy code generator and ``_run`` runs its
+kernels over arrays of points; ``_c_sources`` renders the same trees, with
+the same repeated subtrees, as C statements, which ``_c_library`` builds.
+The tree walk ``evaluate`` folds constants and is the reference that the
+kernels are tested against.
 
 ``ifle(a, b, t, e)`` is an internal extension (t if a <= b else e) used by
 the differentiation of ``min``/``max``; the parser accepts it so derivative
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import re
 from dataclasses import dataclass
 
@@ -474,6 +477,17 @@ def _children(node: Node) -> tuple:
     return ()
 
 
+def _reads_var(node: Node) -> bool:
+    return isinstance(node, Var) or any(map(_reads_var, _children(node)))
+
+
+def _is_square(node: Node) -> bool:
+    """``e ^ 2`` whose base reads a variable, so that it is computed on arrays;
+    a constant base is a Python float, whose ``**`` is ``pow``, not ``x * x``."""
+    return (isinstance(node, Bin) and node.op == "^" and node.right == Num(2.0)
+            and _reads_var(node.left))
+
+
 def _render(node: Node, child) -> str:
     """numpy source of ``node``'s own operation; ``child`` renders its operands."""
     if isinstance(node, Num):
@@ -484,6 +498,8 @@ def _render(node: Node, child) -> str:
     if isinstance(node, Neg):
         return f"(-{child(node.arg)})"
     if isinstance(node, Bin):
+        if _is_square(node):  # what numpy runs for ``** 2.0`` on an array, without the check
+            return f"np.square({child(node.left)})"
         op = "**" if node.op == "^" else node.op
         return f"({child(node.left)} {op} {child(node.right)})"
     if node.fn == "ifle":
@@ -495,16 +511,16 @@ def _render(node: Node, child) -> str:
 _OUT_UFUNCS = {"+": "np.add", "-": "np.subtract", "*": "np.multiply", "/": "np.true_divide"}
 
 
-def _np_sources(trees: list[Node], arg_names: list[str]) -> list[str]:
-    """numpy statements that write tree i into ``_out[i]``, evaluating each
-    repeated subtree once.
+def _named(trees: list[Node], arg_names: list[str], render, bind):
+    """``source(node)``, the text ``render`` gives ``node`` with each subtree that
+    repeats across ``trees`` evaluated once, and ``uses(tree)``, how many
+    times ``tree`` occurs.
 
-    Subtrees are the same when their source is (so ``-0.0`` and ``0.0``
-    differ).  The first evaluation of a repeated subtree binds it to a name
-    with ``:=`` and later ones read that name; Python evaluates operands left
-    to right, so the first evaluation is the leftmost occurrence, in the
-    first tree that has one.  A top-level + - * / is computed in place in
-    its row.
+    Subtrees are the same when their numpy source is (so ``-0.0`` and ``0.0``
+    differ).  The first evaluation of a repeat is ``bind(name, text)`` and
+    later ones read ``name``; names are numbered in the order of first
+    evaluation, operands left to right and before their node, from the first
+    tree on.  Unknown identifiers raise ``ExprError``.
     """
     unknown = set().union(*map(free_vars, trees)) - set(arg_names)
     if unknown:
@@ -538,21 +554,144 @@ def _np_sources(trees: list[Node], arg_names: list[str]) -> list[str]:
         k = key(node)
         if k in names:
             return names[k]
-        s = _render(node, source)
+        s = render(node, source)
         if uses.get(k, 0) > 1:
             names[k] = f"{prefix}{len(names)}"
-            s = f"({names[k]} := {s})"
+            s = bind(names[k], s)
         return s
 
+    return source, lambda tree: uses.get(key(tree), 0)
+
+
+def _np_sources(trees: list[Node], arg_names: list[str]) -> list[str]:
+    """numpy statements that write tree i into ``_out[i]``, evaluating each
+    repeated subtree once (``_named``).
+
+    A repeat is bound with ``:=``; Python evaluates operands left to right,
+    so its first evaluation is its leftmost occurrence, in the first tree
+    that has one.  A top-level + - * / is computed in place in its row.
+    """
+    source, uses = _named(trees, arg_names, _render, lambda name, s: f"({name} := {s})")
     lines = []
     for i, tree in enumerate(trees):
         target = f"_out[{i}]"
-        if isinstance(tree, Bin) and tree.op in _OUT_UFUNCS and uses[key(tree)] == 1:
+        if isinstance(tree, Bin) and tree.op in _OUT_UFUNCS and uses(tree) == 1:
             lines.append(f"{_OUT_UFUNCS[tree.op]}({source(tree.left)}, "
                          f"{source(tree.right)}, out={target})")
         else:
             lines.append(f"{target} = {source(tree)}")
     return lines
+
+
+class _NoC(Exception):
+    """A node without a C rendering tested equal to its numpy one."""
+
+
+def _c_render(node: Node, child) -> str:
+    """C source of ``node``'s own operation, equal to ``_render``'s on arrays
+    in every bit of every value that is not NaN.
+
+    A constant subtree is evaluated here, as the numpy kernel evaluates it
+    in Python floats, and written as a hex literal.  Otherwise only + - * /,
+    negation, squares, sqrt, abs and ifle are rendered: C and numpy round
+    each of them the same way.  A NaN's sign may differ, as it does between
+    numpy's own SIMD lanes and scalar tail, and cc folds fabs(sqrt(x)) to
+    sqrt(x).  Any other node raises ``_NoC``.
+    """
+    if not _reads_var(node):
+        for c in _children(node):  # numbers the repeats as the numpy source does
+            child(c)
+        try:
+            value = float(evaluate(node, {}))
+        except (ArithmeticError, TypeError):  # TypeError: a complex power
+            raise _NoC from None
+        if not math.isfinite(value):
+            raise _NoC
+        return f"({value.hex()})"
+    if isinstance(node, Var):
+        return node.name
+    if isinstance(node, Neg):
+        return f"(-{child(node.arg)})"
+    if isinstance(node, Bin):
+        if _is_square(node):
+            return f"_sq({child(node.left)})"
+        if node.op in _OUT_UFUNCS:
+            return f"({child(node.left)} {node.op} {child(node.right)})"
+    elif node.fn in ("sqrt", "abs"):
+        return f"{'sqrt' if node.fn == 'sqrt' else 'fabs'}({child(node.args[0])})"
+    elif node.fn == "ifle":
+        a, b, t, e = (child(x) for x in node.args)
+        return f"({a} <= {b} ? {t} : {e})"
+    raise _NoC
+
+
+# The C helpers ``_c_sources`` statements may call.
+_C_PRELUDE = "#include <math.h>\nstatic inline double _sq(double v) { return v * v; }\n"
+
+
+def _c_sources(trees: list[Node], targets: list[str], arg_names: list[str]) -> list[str] | None:
+    """C statements that assign tree i to the lvalue ``targets[i]``, with the
+    repeats and their names of ``_np_sources``, or None when a node has no C
+    rendering (``_c_render``).
+
+    Each repeat is a ``const double`` computed before the statement that
+    first reads it; the variables are C doubles named as the ``arg_names``.
+    """
+    lines: list[str] = []
+
+    def bind(name, s):
+        lines.append(f"const double {name} = {s};")
+        return name
+
+    source, _ = _named(trees, arg_names, _c_render, bind)
+    try:
+        for target, tree in zip(targets, trees, strict=True):
+            lines.append(f"{target} = {source(tree)};")
+    except _NoC:
+        return None
+    return lines
+
+
+_LIBRARIES: dict = {}  # C source -> its loaded library, or None where it did not build
+_CC_SECONDS = 60
+
+
+def _c_library(source: str):
+    """``source`` built into a shared library and loaded with ``ctypes``,
+    memoized in the process by its text; None without a C compiler ``cc`` on
+    the PATH or when the build fails.
+
+    The flags are ``-O2 -ffp-contract=off``: no fused multiply-add, no
+    fast-math and no ``-march``, so that each operation rounds as numpy's
+    does.  The build directory is removed once the library is loaded, and
+    the compiler is killed past ``_CC_SECONDS``.  Forked children inherit the
+    loaded library.
+    """
+    if source not in _LIBRARIES:
+        _LIBRARIES[source] = _c_build(source)
+    return _LIBRARIES[source]
+
+
+def _c_build(source: str):
+    import ctypes
+    import shutil
+    import subprocess
+    import tempfile
+
+    cc = shutil.which("cc")
+    if cc is None:
+        return None
+    with tempfile.TemporaryDirectory(prefix="aslyap-") as tmp:
+        c_file, lib = os.path.join(tmp, "kernel.c"), os.path.join(tmp, "kernel.so")
+        with open(c_file, "w") as f:
+            f.write(source)
+        try:
+            built = subprocess.run(
+                [cc, "-O2", "-ffp-contract=off", "-shared", "-fPIC", "-o", lib, c_file, "-lm"],
+                stdin=subprocess.DEVNULL, capture_output=True, timeout=_CC_SECONDS)
+            return ctypes.CDLL(lib) if built.returncode == 0 else None
+        except (OSError, subprocess.SubprocessError):
+            return None
 
 
 def _compile_rows(trees: list[Node], arg_names: list[str]):

@@ -19,14 +19,23 @@ can use), no generator is built and nothing is drawn.  The post-step radius
 is computed once per step.  Its per-start maxima fill the timeline and
 decide the box test: the coordinates are flagged (``_inside``) only when a
 maximum is NaN or past the largest origin-centred ball in the box
-(``_inscribed``).  The gauge reads the radius, and so does the candidate,
-whose tree reads it in place of every subtree that computes |x|
-(``_share_radius``).
+(``_inscribed``).  The gauge reads the radius, and so do the candidate and
+the step rows, whose trees read it in place of every subtree that computes
+|x| (``_share_radius``).
+
+When a C compiler ``cc`` is on the PATH, the step loop of an ensemble is
+also emitted as one C function from the same trees, in the same order of
+operations (``_block_kernel``): one call per block steps and tracks every
+live path, and the numpy loop steps only a step where a path leaves the
+inscribed ball or its radius, V or l turns NaN.  The bits are the same
+either way; without a compiler, or where the C loop does not apply, the
+numpy loop runs alone.
 
 Which processes step and which draw follows the batch size, by the rule
 that ``_simulate_batch`` states.  On `rotational` with candidate and gauge
 tracking (dt 1e-3, workers=1, 2-core Xeon) a 10 000-path ensemble of 2000
-steps took a median of 0.74 s, 27 million path-steps/s (5 runs).
+steps took a median of 0.79 s with the C loop, 25 million path-steps/s,
+against 0.97 s with the numpy loop alone (5 runs each).
 
 Paths use counter-based per-path RNG streams keyed by (seed, path index), so
 ensembles are bit-identical for any chunk layout, and whether they run alone
@@ -250,8 +259,9 @@ def _step_trees(model, control_indices, integrator):
 def _compile_steps(model, control_indices, integrator):
     """One compiled step kernel per control, the integrator, and whether to draw.
 
-    Kernel ``steps[ci](*x, *w, dt, out)`` writes the next state of every
-    state row into ``out``; it runs without an error-state scope of its own,
+    Kernel ``steps[ci](*x, *w, r, dt, out)`` writes the next state of every
+    state row into ``out``, reading |x| from ``r``, the radius the loop holds
+    (``_share_radius``); it runs without an error-state scope of its own,
     since the step loop enters one per block.  When no control's rows read an
     increment, nothing is drawn and the kernels take no ``w``.
     """
@@ -259,8 +269,10 @@ def _compile_steps(model, control_indices, integrator):
     wvars = [f"w{j+1}" for j in range(model.dim_noise)]
     read = set().union(*(ex.free_vars(t) for rows in trees.values() for t in rows))
     draws = not read.isdisjoint(wvars)
-    args = [f"x{i+1}" for i in range(model.dim_state)] + (wvars if draws else []) + ["dt"]
-    return {ci: ex._compile_rows(rows, args) for ci, rows in trees.items()}, integrator, draws
+    xvars = [f"x{i+1}" for i in range(model.dim_state)]
+    args = xvars + (wvars if draws else []) + ["r", "dt"]
+    return ({ci: ex._compile_rows([_share_radius(t, xvars) for t in rows], args)
+             for ci, rows in trees.items()}, integrator, draws)
 
 
 def _inscribed(lower, upper):
@@ -298,6 +310,146 @@ def _share_radius(tree, xvars):
         return node
 
     return share(tree)
+
+
+_BLOCK_C = """
+#define GAUGE %(gauge_on)d
+#define CAND %(cand_on)d
+#include <stddef.h>
+typedef ptrdiff_t idx;  /* np.intp */
+idx aslyap_block(idx _n, idx _b, idx _e, idx _k, double dt, double _ball,
+                 const double *_w, idx _ws, idx _wm, const idx *_cols, const idx *_grp,
+                 double *_x, double *_xn, double *_r, double *_rn, double *_sup,
+                 double *_peak, idx _ps, double *_acc, double *_ln, double *_supv,
+                 double *_vn, double *_sm, double *_smt, const double *_v0,
+                 double *_occ, const double *_occr, idx _nocc)
+{
+    for (; _b < _e; _b++, _k++) {
+        for (idx _j = 0; _j < _n; _j++) {  /* step every path, commit nothing */
+            const double r = _r[_j];
+#if GAUGE
+            {
+%(gauge)s
+                if (isnan(_l))
+                    return _b;
+                _ln[_j] = _l;
+            }
+#endif
+%(load)s
+            double %(outs)s;
+            {
+%(step)s
+            }
+%(store)s
+            const double _rr = sqrt(%(norm)s);
+            if (!(_rr <= _ball))
+                return _b;
+            _rn[_j] = _rr;
+#if CAND
+            {
+%(moved)s
+%(cand)s
+                if (isnan(_v) || (_v == 0.0 && _supv[_j] == 0.0
+                                  && signbit(_v) != signbit(_supv[_j])))
+                    return _b;
+                _vn[_j] = _v;
+            }
+#endif
+        }
+        for (idx _j = 0; _j < _n; _j++) {  /* commit the step */
+            for (idx _i = 0; _i < _nocc; _i++)
+                _occ[_i * _n + _j] += _r[_j] > _occr[_i] ? dt : 0.0;
+#if GAUGE
+            _acc[_j] += _ln[_j] * dt;
+#endif
+            for (idx _i = 0; _i < %(dim)d; _i++)
+                _x[_i * _n + _j] = _xn[_i * _n + _j];
+            const double _rr = _r[_j] = _rn[_j];
+            if (_rr > _sup[_j])
+                _sup[_j] = _rr;
+            double *_p = _peak + _grp[_j] * _ps + _k + 1;
+            if (_j == 0 || _grp[_j] != _grp[_j - 1] || _rr > *_p)
+                *_p = _rr;
+#if CAND
+            const double _v = _vn[_j], _ex = _v + _acc[_j] - _v0[_j];
+            if (_v > _supv[_j])
+                _supv[_j] = _v;
+            if (_ex > _sm[_j])
+                _smt[_j] = (double)(_k + 1) * dt;
+            if (_ex > _sm[_j] || (isnan(_ex) && !isnan(_sm[_j])))
+                _sm[_j] = _ex;
+#endif
+        }
+    }
+    return _b;
+}
+"""
+
+
+def _block_kernel(model, control_index, integrator, draws, cand, gauge):
+    """The step loop of one ensemble compiled to C, or None where numpy steps it.
+
+    ``kernel(n, b, e, k, dt, ball, w, ws, wm, cols, grp, x, xn, r, rn, sup,
+    peak, ps, acc, ln, supv, vn, sm, smt, v0, occ, occr, nocc)`` runs block
+    steps b..e-1 (step k first) of the ``n`` live paths, with the trees,
+    sums and trackers of the numpy loop in ``_simulate_chunk``, and returns
+    the first step it did not commit, e if none.  A step is committed when
+    every post-step radius is at most ``ball`` (NaN is not) and no gauge or
+    candidate value is NaN or a zero of the other sign than the path's sup
+    of V; it then updates, per path, the occupation times and ∫l from the
+    pre-step radius, the state, radius, sup radius, the start group's
+    timeline peak (``peak[grp * ps + k + 1]``), sup V, the excess and the
+    supermax with its time.  So no NaN that the compiled trees compute is
+    ever committed.  The step it returns is left as it was, for the numpy
+    loop to step, exits and all.  ``w`` is read at ``w[b * ws + j * wm +
+    col]``, ``cols`` NULL meaning the live paths in order; ``xn``, ``rn``,
+    ``ln`` and ``vn`` are scratch.
+
+    None with several controls (the caller passes one only without a
+    feedback lookup), a value-field candidate, a knot gauge, eight or more
+    coordinates, a tree ``expr._c_sources`` does not render, or no compiled
+    library (``expr._c_library``).
+    """
+    n = model.dim_state
+    if n >= 8 or not isinstance(cand, (CandidateFunction, type(None))) or (
+            gauge is not None and gauge.expression is None):
+        return None
+    xvars = [f"x{i+1}" for i in range(n)]
+    wvars = [f"w{j+1}" for j in range(model.dim_noise)] if draws else []
+    outs = [f"_o{i}" for i in range(n)]
+    rows = _step_trees(model, [control_index], integrator)[0][control_index]
+    step = ex._c_sources([_share_radius(t, xvars) for t in rows], outs,
+                         [*xvars, *wvars, "r", "dt"])
+    l_row = v_row = []
+    if gauge is not None:
+        l_row = ex._c_sources([gauge.expression], ["const double _l"], ["r"])
+    if cand is not None:
+        v_row = ex._c_sources([_share_radius(cand.expression, xvars)], ["const double _v"],
+                              [*xvars, "r"])
+    if None in (step, l_row, v_row):
+        return None
+    source = ex._C_PRELUDE + _BLOCK_C % {
+        "gauge_on": gauge is not None, "cand_on": cand is not None, "dim": n,
+        "gauge": "\n".join(l_row), "cand": "\n".join(v_row), "step": "\n".join(step),
+        "load": "\n".join([f"const double {v} = _x[{i} * _n + _j];" for i, v in enumerate(xvars)]
+                          + [f"const double {v} = _w[_b * _ws + {j} * _wm + "
+                             f"(_cols ? _cols[_j] : _j)];" for j, v in enumerate(wvars)]),
+        "outs": ", ".join(outs),
+        "store": "\n".join(f"_xn[{i} * _n + _j] = {o};" for i, o in enumerate(outs)),
+        "norm": " + ".join(f"_sq({o})" for o in outs),  # left to right, as fields._norm
+        "moved": "const double " + ", ".join(f"{v} = {o}" for v, o in zip(xvars, outs))
+                 + ", r = _rr;",
+    }
+    lib = ex._c_library(source)
+    if lib is None:
+        return None
+    import ctypes
+
+    kernel = lib.aslyap_block
+    i, f, p = ctypes.c_ssize_t, ctypes.c_double, ctypes.c_void_p
+    kernel.argtypes = [i] * 4 + [f] * 2 + [p, i, i, p, p] + [p] * 6 + [i] + [p] * 9 + [i]
+    kernel.restype = i
+    return kernel
 
 
 def _inside(x, lower, upper, ok, flag):
@@ -444,7 +596,7 @@ def _group_starts(groups):
 
 def _simulate_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
                     increment_mode, control_index, feedback, steps, draws, cand, gauge,
-                    occ_radii, thin, spare):
+                    occ_radii, thin, kernel, spare):
     """Simulate batch paths path_lo..path_hi-1 and return their full-size statistics.
 
     Batch path p is path j = p % n_paths of ensemble g = p // n_paths: it
@@ -469,7 +621,10 @@ def _simulate_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
     stream is drawn in order, so neither the source nor the block length
     changes a bit.  The outputs equal the masked loop that steps every path
     bit for bit.  ``feedback`` is None when one control serves every path
-    (``control_index``).
+    (``control_index``).  ``kernel``, when not None, is that loop compiled
+    (``_block_kernel``): one call steps the block up to its end, or to the
+    next stored sample with ``thin``, and the step it does not commit (a
+    path past the inscribed ball, or NaN) is stepped here.
     """
     n = path_hi - path_lo
     dim = model.dim_state
@@ -521,6 +676,28 @@ def _simulate_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
 
     xn, ok, flag = buffers(n)
     w = ()  # the increments of one step, as rows (m, paths), when drawn
+    grp = group
+    if cand is not None and np.isnan(v0s).any() or ball == -np.inf:
+        kernel = None  # every step would be the numpy loop's
+    if kernel is not None:
+        scratch = np.empty((3, n))  # post-step radii, gauge and candidate values
+        occ_c = np.ascontiguousarray(occ_radii) if occ_radii is not None else None
+
+        def address(a):
+            return None if a is None else a.ctypes.data
+
+        def compiled(b, end, k, incs, cols):
+            """Steps b..end-1 of the block in C; the first step not committed."""
+            ws, wm = (s // 8 for s in incs.strides[:2]) if draws else (0, 0)
+            get = vars(live).get
+            return kernel(
+                len(index), b, end, k, dt, ball, address(incs if draws else None), ws, wm,
+                address(cols), address(grp), address(live.x), address(xn), address(live.radius),
+                address(scratch[0]), address(live.sup_radius), address(timeline), n_steps + 1,
+                address(get("acc_l")), address(scratch[1] if gauge is not None else None),
+                address(get("sup_v")), address(scratch[2]), address(get("supermax")),
+                address(get("supermax_t")), address(v0 if cand is not None else None),
+                address(get("occupation")), address(occ_c), 0 if occ_c is None else len(occ_c))
     with _increments(draws, spare, seeds, n_paths, path_lo, path_hi, m, increment_mode, root_dt,
                      n_steps) as (block_steps, take):
         step_index = 0
@@ -529,7 +706,17 @@ def _simulate_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
             # cols: the block's columns of the live paths, None while they are all of them
             incs, cols = take(block, index)
             with np.errstate(all="ignore"):
-                for b in range(block):
+                b = 0
+                while b < block:
+                    if kernel is not None:
+                        end = block if not thin else min(block, b + thin - (step_index + b) % thin)
+                        done = compiled(b, end, step_index + b, incs, cols)
+                        if thin and done > b and (step_index + done) % thin == 0:
+                            stored[sample_row, index] = live.x.T
+                            sample_row += 1
+                        b = done
+                        if b == end:
+                            continue
                     k = step_index + b
                     if draws:
                         w = incs[b] if cols is None else incs[b].take(cols, axis=-1)
@@ -541,14 +728,15 @@ def _simulate_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
                         live.occupation += dt * (live.radius > occ_col)
 
                     if feedback is None:
-                        steps[control_index](*x, *w, dt, xn)
+                        steps[control_index](*x, *w, live.radius, dt, xn)
                     else:
                         indices = feedback.lookup(x.T)
                         for ci in np.unique(indices):
                             mask = indices == ci
                             xm = x.compress(mask, axis=-1)
                             wm = w.compress(mask, axis=-1) if draws else ()
-                            xn[:, mask] = steps[ci](*xm, *wm, dt, np.empty_like(xm))
+                            xn[:, mask] = steps[ci](*xm, *wm, live.radius.compress(mask), dt,
+                                                    np.empty_like(xm))
 
                     radius = fields._norm(xn.T)
                     peaks = np.maximum.reduceat(radius, starts)
@@ -571,10 +759,11 @@ def _simulate_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
                         if not len(index):
                             break
                         radius = radius.take(kept)
-                        present, starts = _group_starts(group[index])
+                        grp = group[index]
+                        present, starts = _group_starts(grp)
                         peaks = np.maximum.reduceat(radius, starts)
                         if cand is not None:
-                            v0 = v0s[group[index]]
+                            v0 = v0s[grp]
                     live.x, xn = xn, x  # the pre-step buffer takes the next step
 
                     live.radius = radius
@@ -589,6 +778,7 @@ def _simulate_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
                     if thin and (k + 1) % thin == 0:
                         stored[sample_row, index] = live.x.T
                         sample_row += 1
+                    b += 1
             step_index += block
 
     for key, arr in vars(live).items():
@@ -770,6 +960,9 @@ def _simulate_batch(model, x0s, dt, T, n_paths, seeds, feedback=None,
     if increment_mode != "gaussian":
         integrator = "euler"
     steps, integrator, draws = _compile_steps(model, used_controls, integrator)
+    # built before any chunk forks, so that every stepping process has it
+    kernel = (_block_kernel(model, control_index, integrator, draws, candidate, gauge)
+              if feedback is None else None)
     occ = np.asarray(occupation_radii, dtype=float) if occupation_radii is not None else None
 
     # workers chunks by the size of one ensemble, as when each ensemble ran alone
@@ -780,7 +973,7 @@ def _simulate_batch(model, x0s, dt, T, n_paths, seeds, feedback=None,
     points = np.array([np.atleast_1d(x0) for x0 in x0s])
     args = [
         (model, points, dt, n_steps, int(lo), int(hi), seeds, n_paths, increment_mode,
-         control_index, feedback, steps, draws, candidate, gauge, occ, thin)
+         control_index, feedback, steps, draws, candidate, gauge, occ, thin, kernel)
         for lo, hi in zip(chunk_bounds[:-1], chunk_bounds[1:])
     ]
     results = _run_chunks(args)

@@ -1,4 +1,8 @@
 import ast
+import os
+import shutil
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -239,3 +243,152 @@ def test_only_expr_generates_code():
                 if name in ("eval", "exec", "_np_sources"):
                     callers.add(path.name)
     assert callers == {"expr.py"}
+
+
+# --------------------------------------------------------------- C rows
+
+def _finite_rows(rng, n_args, n=4099):
+    """Random finite values: normal, wide magnitudes (subnormal to 1e308), both
+    signed zeros and small integers, each with its own sign."""
+    kinds = rng.integers(0, 4, (n_args, n))
+    normal = rng.standard_normal((n_args, n))
+    wide = rng.choice([-1.0, 1.0], (n_args, n)) * 10.0 ** rng.uniform(-320, 308, (n_args, n))
+    zeros = rng.choice([0.0, -0.0], (n_args, n))
+    small = rng.integers(-3, 4, (n_args, n)).astype(float)
+    return np.choose(kinds, [normal, wide, zeros, small])
+
+
+def _c_rows(trees, args, values):
+    """The rows that ``expr._c_sources`` statements compute at ``values``, shaped
+    (args, points), built with ``expr._c_library``."""
+    import ctypes
+
+    lines = ex._c_sources(trees, [f"_out[{i} * _n + _j]" for i in range(len(trees))], args)
+    assert lines is not None
+    loads = " ".join(f"const double {a} = _in[{k} * _n + _j];" for k, a in enumerate(args))
+    source = (ex._C_PRELUDE + "void rows(long _n, const double *_in, double *_out) {\n"
+              f"for (long _j = 0; _j < _n; _j++) {{ {loads}\n" + "\n".join(lines) + "}}\n")
+    lib = ex._c_library(source)
+    if lib is None:
+        assert shutil.which("cc") is None, "cc did not build the rows"
+        pytest.skip("no C compiler: only the numpy loop runs")
+    values = np.ascontiguousarray(values)
+    out = np.full((len(trees), values.shape[1]), -1.0)
+    lib.rows.argtypes = [ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p]
+    lib.rows(values.shape[1], values.ctypes.data, out.ctypes.data)
+    return out
+
+
+def _assert_c_rows_match_tree_walk(trees, args, values):
+    got = _c_rows(trees, args, values)
+    with np.errstate(all="ignore"):
+        for tree, row in zip(trees, got):
+            walk = np.asarray(np.broadcast_to(ex.evaluate(tree, dict(zip(args, values))),
+                                              row.shape), float)
+            # Bit for bit as int64 views, signed zeros too, and NaN where the walk
+            # has NaN.  A NaN's sign is kept by neither side: for the same operands
+            # numpy's SIMD lanes and its scalar tail return NaNs of opposite signs,
+            # and cc folds fabs(sqrt(x)) to sqrt(x).  The step loop commits no NaN
+            # that the C rows compute, so no such sign reaches an ensemble.
+            nan = np.isnan(walk)
+            assert np.array_equal(np.isnan(row), nan), ex.to_source(tree)
+            assert np.array_equal(row[~nan].view(np.int64), walk[~nan].view(np.int64)), \
+                ex.to_source(tree)
+
+
+@pytest.mark.parametrize("name", ["rotational", "circle_target", "bang1d", "linear1d",
+                                  "unstable1d", "unstable2d"])
+def test_c_rows_of_bundled_models_match_tree_walk(request, name):
+    # the trees the compiled step loop runs: each control's step rows, the
+    # candidate and the gauge, with |x| read from r
+    from aslyap import simulate
+
+    pm = request.getfixturevalue(name)
+    model, n = pm.model, pm.model.dim_state
+    xvars = [f"x{i+1}" for i in range(n)]
+    args = [*xvars, *(f"w{j+1}" for j in range(model.dim_noise)), "r", "dt"]
+    trees, _ = simulate._step_trees(model, range(model.n_controls), "milstein")
+    rows = [simulate._share_radius(t, xvars) for ts in trees.values() for t in ts]
+    rows.append(simulate._share_radius(pm.candidate.expression, xvars))
+    if pm.gauge is not None:
+        rows.append(pm.gauge.expression)
+    values = _finite_rows(np.random.default_rng(len(name)), len(args))
+    _assert_c_rows_match_tree_walk(rows, args, values)
+
+
+def _c_vocabulary_tree(rng, depth):
+    """A random tree of the nodes ``expr._c_render`` emits, ifle among them."""
+    if depth == 0 or rng.random() < 0.15:
+        if rng.random() < 0.3:
+            return ex.Num(float(rng.choice([0.0, -0.0, 0.5, 3.0, -1.25, 1e300, 3e-310])))
+        return ex.Var(str(rng.choice(["x1", "x2"])))
+    kind = rng.integers(5)
+
+    def sub():
+        return _c_vocabulary_tree(rng, depth - 1)
+
+    if kind == 0:
+        return ex.Bin(str(rng.choice(list("+-*/"))), sub(), sub())
+    if kind == 1:
+        return ex.Neg(sub())
+    if kind == 2:
+        return ex.Bin("^", sub(), ex.Num(2.0))
+    if kind == 3:
+        return ex.Call(str(rng.choice(["sqrt", "abs"])), (sub(),))
+    return ex.Call("ifle", (sub(), sub(), sub(), sub()))
+
+
+def test_c_rows_match_tree_walk_on_every_emitted_node():
+    rng = np.random.default_rng(5)
+    trees = []
+    while len(trees) < 120:
+        tree = _c_vocabulary_tree(rng, 4)
+        if ex._c_sources([tree], ["y"], ["x1", "x2"]) is not None:  # no constant 1/0
+            trees.append(tree)
+    # shared subtrees too, as in the step rows
+    trees += [ex.Bin("+", trees[i], trees[i + 1]) for i in range(0, 20, 2)]
+    _assert_c_rows_match_tree_walk(trees, ["x1", "x2"], _finite_rows(rng, 2))
+
+
+@pytest.mark.parametrize("text", ["sin(x1)", "exp(x1) + 1", "log(x2)", "x1^3", "x1^0.5",
+                                  "min(x1, x2)", "max(x1, 1)", "1/0 + x1", "2^2000*x1"])
+def test_c_rendering_refuses_unproven_nodes(text):
+    # the numpy loop runs these: other functions and powers, min and max (no
+    # test holds C to numpy's choice between signed zeros and NaNs) and
+    # constants without a finite value
+    assert ex._c_sources([ex.parse_expr(text)], ["y"], ["x1", "x2"]) is None
+
+
+def test_c_rendering_shares_the_numpy_repeats():
+    trees = [ex.parse_expr("(x1*x2)^2 + sqrt(x1*x2)"), ex.parse_expr("-(x1*x2) + x1^2")]
+    np_lines = ex._np_sources(trees, ["x1", "x2"])
+    c_lines = ex._c_sources(trees, ["a", "b"], ["x1", "x2"])
+    assert "(_t0 := (x1 * x2))" in np_lines[0]
+    assert c_lines[0] == "const double _t0 = (x1 * x2);"
+    assert c_lines[1:] == ["a = (_sq(_t0) + sqrt(_t0));", "b = ((-_t0) + _sq(x1));"]
+
+
+def test_squares_of_variables_only_use_np_square():
+    # a constant base stays a Python float power, as the tree walk computes it
+    tree = ex.parse_expr("3^2*x1 + x1^2")
+    (line,) = ex._np_sources([tree], ["x1"])
+    assert "(3.0 ** 2.0)" in line and "np.square(x1)" in line
+    x1 = _finite_rows(np.random.default_rng(2), 1)[0]
+    out = np.empty((1, len(x1)))
+    with np.errstate(all="ignore"):
+        ex._compile_rows([tree], ["x1"])(x1, out)
+        walk = ex.evaluate(tree, {"x1": x1})
+    assert np.array_equal(out[0].view(np.int64), walk.view(np.int64))
+
+
+def test_import_and_parse_build_nothing():
+    # the C loop is built on the first ensemble that can use it, never before
+    code = ("import sys, aslyap, aslyap.cli\n"
+            "from aslyap import expr\n"
+            "aslyap.parse_model(open(sys.argv[1]).read())\n"
+            "print('subprocess' in sys.modules, expr._LIBRARIES)\n")
+    model = Path(__file__).resolve().parent.parent / "models" / "rotational.model"
+    src = Path(ex.__file__).resolve().parent.parent
+    out = subprocess.run([sys.executable, "-c", code, str(model)], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert out.stdout.split() == ["False", "{}"]

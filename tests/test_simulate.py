@@ -5,7 +5,9 @@ import inspect
 import itertools
 import os
 import re
+import shutil
 import signal
+import tempfile
 import threading
 import time
 import tracemalloc
@@ -103,6 +105,33 @@ def _reference_ensemble(monkeypatch, model, **kw):
         return al.simulate_ensemble(model, **{**kw, "workers": 1})
 
 
+_BACKENDS = ("c", "numpy")
+
+
+def _compiles(backend):
+    """Whether the C loop must run: asked for, and a compiler to build it (a
+    broken one fails the tests that expect it)."""
+    return backend == "c" and shutil.which("cc") is not None
+
+
+def _on_backend(mp, backend):
+    """Step with the compiled block loop ("c") or force the numpy loop
+    ("numpy") with a C build that yields no library; returns the list of the
+    compiled loop's calls in this process, each its first step."""
+    calls = []
+    if backend == "numpy":
+        mp.setattr(ex, "_c_library", lambda source: None)
+        return calls
+    build = simulate._block_kernel
+
+    def spy(*args):
+        kernel = build(*args)
+        return kernel and (lambda *a: calls.append(a[1]) or kernel(*a))
+
+    mp.setattr(simulate, "_block_kernel", spy)
+    return calls
+
+
 def _assert_same_arrays(new, ref):
     for field in _ENSEMBLE_ARRAYS:
         a, b = getattr(new, field), getattr(ref, field)
@@ -115,7 +144,7 @@ def _assert_same_arrays(new, ref):
 
 def _reference_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
                      increment_mode, control_index, feedback, steps, draws, cand, gauge,
-                     occ_radii, thin, spare):
+                     occ_radii, thin, kernel, spare):
     """The masked loop for one ensemble: every path is stepped every step, exited or not;
     it draws inline whether or not a core is ``spare``."""
     (x0,), (seed,) = x0s, seeds
@@ -304,43 +333,50 @@ def test_step_loop_matches_reference(monkeypatch, name, rotational, unstable1d,
     monkeypatch.setattr(simulate, "_MIN_CHUNK_PATHS", 1)
     # one process, so the spies see every chunk
     monkeypatch.setattr(fields, "_cpus", lambda: 1)
-    seen = {"kernels": set(), "+inf": False, "-inf": False, "nan": False}
-    compile_steps, path_generator = simulate._compile_steps, simulate._path_generator
-    generators = []
-
-    def spy(kernel):
-        def step(*args):
-            out = kernel(*args)
-            seen["kernels"].add(id(kernel))
-            seen["+inf"] |= bool(np.isposinf(out).any())
-            seen["-inf"] |= bool(np.isneginf(out).any())
-            seen["nan"] |= bool(np.isnan(out).any())
-            return out
-        return step
-
-    def spy_compile(*args):
-        steps, integrator, draws = compile_steps(*args)
-        return {ci: spy(kernel) for ci, kernel in steps.items()}, integrator, draws
-
-    with monkeypatch.context() as mp:
-        mp.setattr(simulate, "_compile_steps", spy_compile)
-        mp.setattr(simulate, "_path_generator", lambda *a: generators.append(a)
-                   or path_generator(*a))
-        new = al.simulate_ensemble(pm.model, **kw)
     ref = _reference_ensemble(monkeypatch, pm.model, **kw)
-    _assert_same_arrays(new, ref)
     # each case reaches the regime it is named for
     if name in ("unstable1d", "unstable2d"):
         assert ref.exited.all() and ref.exit_times.max() < kw["T"] / 2
     elif name in ("noisy-repeller", "signed-bernoulli", "infinite-domain",
                   "uneven-workers", "noisy-and-calm-controls", "nine-coordinates"):
         assert 0 < ref.exited.sum() < kw["n_paths"]
-    two = name in ("bang1d-two-controls", "noisy-and-calm-controls")
-    assert len(seen["kernels"]) == (2 if two else 1)
-    assert seen["+inf"] == seen["-inf"] == seen["nan"] == (name == "infinite-domain")
-    # noise-free models draw nothing; one noisy control makes the batch draw
-    noise_free = name in ("unstable1d", "unstable2d", "bang1d-two-controls")
-    assert len(generators) == (0 if noise_free else kw["n_paths"])
+    compile_steps, path_generator = simulate._compile_steps, simulate._path_generator
+    for backend in _BACKENDS:
+        seen = {"kernels": set(), "+inf": False, "-inf": False, "nan": False}
+        generators = []
+
+        def spy(kernel):
+            def step(*args):
+                out = kernel(*args)
+                seen["kernels"].add(id(kernel))
+                seen["+inf"] |= bool(np.isposinf(out).any())
+                seen["-inf"] |= bool(np.isneginf(out).any())
+                seen["nan"] |= bool(np.isnan(out).any())
+                return out
+            return step
+
+        def spy_compile(*args):
+            steps, integrator, draws = compile_steps(*args)
+            return {ci: spy(kernel) for ci, kernel in steps.items()}, integrator, draws
+
+        with monkeypatch.context() as mp:
+            compiled = _on_backend(mp, backend)
+            mp.setattr(simulate, "_compile_steps", spy_compile)
+            mp.setattr(simulate, "_path_generator", lambda *a: generators.append(a)
+                       or path_generator(*a))
+            new = al.simulate_ensemble(pm.model, **kw)
+        _assert_same_arrays(new, ref)
+        # two controls, nine coordinates and a cube (x1^3) keep the numpy loop
+        numpy_only = ("bang1d-two-controls", "noisy-and-calm-controls", "nine-coordinates",
+                      "infinite-domain")
+        assert bool(compiled) == (_compiles(backend) and name not in numpy_only)
+        if backend == "numpy":
+            two = name in ("bang1d-two-controls", "noisy-and-calm-controls")
+            assert len(seen["kernels"]) == (2 if two else 1)
+            assert seen["+inf"] == seen["-inf"] == seen["nan"] == (name == "infinite-domain")
+        # noise-free models draw nothing; one noisy control makes the batch draw
+        noise_free = name in ("unstable1d", "unstable2d", "bang1d-two-controls")
+        assert len(generators) == (0 if noise_free else kw["n_paths"])
 
 
 @pytest.mark.parametrize("candidate, gauge_text", [
@@ -355,27 +391,31 @@ def test_trackers_match_reference(monkeypatch, candidate, gauge_text):
              if gauge_text == "knots" else al.GaugeFunction.from_expression(gauge_text))
     kw = dict(x0=[0.2, 0.1], dt=1e-3, T=2.0, n_paths=40, seed=13, candidate=cand,
               gauge=gauge)
-    calls = {"value": 0, "gauge": 0}
     value, call = al.CandidateFunction.value, al.GaugeFunction.__call__
-
-    def counted(key, fn):
-        def spy(*args):
-            calls[key] += 1
-            return fn(*args)
-        return spy
-
-    with monkeypatch.context() as mp:
-        mp.setattr(al.CandidateFunction, "value", counted("value", value))
-        mp.setattr(al.GaugeFunction, "__call__", counted("gauge", call))
-        new = al.simulate_ensemble(pm.model, **kw)
     ref = _reference_ensemble(monkeypatch, pm.model, **kw)
-    _assert_same_arrays(new, ref)
-    assert 0 < new.exited.sum() < kw["n_paths"]
-    if candidate == "1":
-        assert np.all(new.sup_candidate == 1.0)
-    assert np.all(new.supermax_excess > 0) and np.all(new.integral_gauge > 0)
-    assert calls["value"] == 1  # V(x0) only
-    assert (calls["gauge"] > 0) == (gauge.expression is None)
+    for backend in _BACKENDS:
+        calls = {"value": 0, "gauge": 0}
+
+        def counted(key, fn):
+            def spy(*args):
+                calls[key] += 1
+                return fn(*args)
+            return spy
+
+        with monkeypatch.context() as mp:
+            compiled = _on_backend(mp, backend)
+            mp.setattr(al.CandidateFunction, "value", counted("value", value))
+            mp.setattr(al.GaugeFunction, "__call__", counted("gauge", call))
+            new = al.simulate_ensemble(pm.model, **kw)
+        _assert_same_arrays(new, ref)
+        assert 0 < new.exited.sum() < kw["n_paths"]
+        if candidate == "1":
+            assert np.all(new.sup_candidate == 1.0)
+        assert np.all(new.supermax_excess > 0) and np.all(new.integral_gauge > 0)
+        assert calls["value"] == 1  # V(x0) only
+        assert (calls["gauge"] > 0) == (gauge.expression is None)
+        # a knot gauge keeps the numpy loop
+        assert bool(compiled) == (_compiles(backend) and gauge.expression is not None)
 
 
 # ------------------------------------------------- box test from the radius
@@ -515,10 +555,71 @@ def test_radius_sharing_ensemble_is_bit_equal(monkeypatch, request, model_name):
     x0 = {"circle_target": [1.2, 0.0]}.get(model_name, [0.5, 0.0])
     kw = dict(x0=x0, dt=1e-3, T=0.6, n_paths=30, seed=17, candidate=pm.candidate,
               gauge=pm.gauge)
-    shared = al.simulate_ensemble(pm.model, **kw)
-    monkeypatch.setattr(simulate, "_share_radius", lambda node, xvars: node)
-    _assert_same_ensemble(shared, al.simulate_ensemble(pm.model, **kw))
+    with monkeypatch.context() as mp:
+        mp.setattr(simulate, "_share_radius", lambda node, xvars: node)
+        unshared = al.simulate_ensemble(pm.model, **kw)
+    # the step rows, the candidate and the C loop alike read the held radius
+    for backend in _BACKENDS:
+        with monkeypatch.context() as mp:
+            _on_backend(mp, backend)
+            _assert_same_ensemble(al.simulate_ensemble(pm.model, **kw), unshared)
 
+
+
+# ------------------------------------------------------- compiled block loop
+
+@pytest.mark.parametrize("name", ["rotational", "circle_target", "bang1d", "linear1d",
+                                  "unstable1d", "unstable2d"])
+def test_compiled_loop_runs_on_every_bundled_model(monkeypatch, request, name):
+    # fails if a bundled model with a candidate silently fell back to numpy
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler: only the numpy loop runs")
+    pm = request.getfixturevalue(name)
+    monkeypatch.setattr(fields, "_cpus", lambda: 1)  # one process: the spy sees every call
+    x0 = [0.5] + [0.0] * (pm.model.dim_state - 1)
+    kw = dict(x0=x0, dt=1e-3, T=0.3, n_paths=40, seed=4, candidate=pm.candidate,
+              gauge=pm.gauge)
+    got = {}
+    for backend in _BACKENDS:
+        with monkeypatch.context() as mp:
+            compiled = _on_backend(mp, backend)
+            got[backend] = al.simulate_ensemble(pm.model, **kw)
+        assert bool(compiled) == (_compiles(backend))
+    _assert_same_ensemble(got["c"], got["numpy"])
+
+
+def _fake_cc(tmp_path, code):
+    """A ``cc`` on a PATH of its own that exits with ``code``."""
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    cc = bin_dir / "cc"
+    cc.write_text(f"#!/bin/sh\nexit {code}\n")
+    cc.chmod(0o755)
+    return str(bin_dir)
+
+
+@pytest.mark.parametrize("compiler", ["none", "failing"])
+def test_numpy_loop_runs_without_a_working_compiler(monkeypatch, tmp_path, compiler,
+                                                    rotational):
+    kw = dict(x0=[0.5, 0.0], dt=1e-3, T=0.3, n_paths=30, seed=8,
+              candidate=rotational.candidate, gauge=rotational.gauge)
+    with monkeypatch.context() as mp:
+        _on_backend(mp, "numpy")
+        numpy_loop = al.simulate_ensemble(rotational.model, **kw)
+    monkeypatch.setattr(ex, "_LIBRARIES", {})  # built nothing yet
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    if compiler == "none":
+        monkeypatch.setattr(shutil, "which", lambda name, *a, **k: None)
+    else:
+        monkeypatch.setenv("PATH", _fake_cc(tmp_path, 1))
+    compiled = _on_backend(monkeypatch, "c")
+    got = al.simulate_ensemble(rotational.model, **kw)
+    _assert_same_ensemble(got, numpy_loop)
+    assert not compiled and list(ex._LIBRARIES.values()) == [None]
+    assert list(scratch.iterdir()) == []  # no build directory left
+    _no_children_left()  # the compiler, if it ran, was reaped
 
 @pytest.mark.parametrize("text, shared", [
     ("sqrt(x1^2 + x2^2)", "r"), ("sqrt(x1*x1 + x2^2)", None),
@@ -676,18 +777,25 @@ def test_batch_matches_separate_ensembles(monkeypatch, forks, name, rotational, 
     if name == "forked-workers":
         monkeypatch.setattr(fields, "_cpus", lambda: 2)
     seeds = [40 + 3 * g for g in range(len(x0s))]
-    alone = [al.simulate_ensemble(pm.model, x0, seed=seed, **{**kw, "workers": 1})
-             for x0, seed in zip(x0s, seeds)]
-    # the block length changes no bit, whether a block ends before, at or after an exit
-    for block_steps in _BLOCK_LENGTHS:
-        with monkeypatch.context() as mp:
-            mp.setattr(simulate, "_BLOCK_STEPS", block_steps)
-            batch = simulate._simulate_batch(pm.model, x0s, seeds=seeds, **kw)
-        assert len(batch) == len(x0s)
-        for got, ens in zip(batch, alone):
-            _assert_same_ensemble(got, ens)
+    with monkeypatch.context() as mp:
+        _on_backend(mp, "numpy")
+        alone = [al.simulate_ensemble(pm.model, x0, seed=seed, **{**kw, "workers": 1})
+                 for x0, seed in zip(x0s, seeds)]
+    # the block length changes no bit, whether a block ends before, at or after an exit,
+    # and neither does the backend
+    for backend in _BACKENDS:
+        for block_steps in _BLOCK_LENGTHS:
+            with monkeypatch.context() as mp:
+                compiled = _on_backend(mp, backend)
+                mp.setattr(simulate, "_BLOCK_STEPS", block_steps)
+                batch = simulate._simulate_batch(pm.model, x0s, seeds=seeds, **kw)
+            assert len(batch) == len(x0s)
+            for got, ens in zip(batch, alone):
+                _assert_same_ensemble(got, ens)
+            two = name in ("bang1d-two-controls", "noisy-and-calm-controls")
+            assert bool(compiled) == (_compiles(backend) and not two)
     if name == "forked-workers":  # a producer per ensemble stepped alone, a child per batch
-        assert len(forks) == len(x0s) + len(_BLOCK_LENGTHS)
+        assert len(forks) == len(x0s) + len(_BACKENDS) * len(_BLOCK_LENGTHS)
     exited = [ens.exited.all() for ens in batch]
     if name == "staggered-exits":  # two ensembles empty while the third runs on
         assert exited == [True, False, True]
@@ -1113,15 +1221,23 @@ def test_forked_workers_match_one_worker(monkeypatch, forks, workers, batch):
     seeds = [21, 22][:len(x0s)]
     kw = dict(dt=1e-3, T=2.0, n_paths=25, thin=25, occupation_radii=[0.3],
               candidate=pm.candidate, gauge=pm.gauge)
-    got = simulate._simulate_batch(pm.model, x0s, seeds=seeds, workers=workers, **kw)
-    assert len(forks) == workers - 1
-    _no_children_left()
-    for x0, seed, ens in zip(x0s, seeds, got):
-        alone = al.simulate_ensemble(pm.model, x0, seed=seed, workers=1, **kw)
-        _assert_same_ensemble(ens, alone)
+    with monkeypatch.context() as mp:
+        _on_backend(mp, "numpy")
+        alone = [al.simulate_ensemble(pm.model, x0, seed=seed, workers=1, **kw)
+                 for x0, seed in zip(x0s, seeds)]
     # one chunk on spare cores: one producer per ensemble, no chunk child
-    assert len(forks) == workers - 1 + len(x0s)
-    assert any(0 < ens.exited.sum() < kw["n_paths"] for ens in got)
+    assert len(forks) == len(x0s)
+    for backend in _BACKENDS:
+        made = len(forks)
+        with monkeypatch.context() as mp:
+            compiled = _on_backend(mp, backend)
+            got = simulate._simulate_batch(pm.model, x0s, seeds=seeds, workers=workers, **kw)
+        assert len(forks) - made == workers - 1
+        _no_children_left()
+        for ens, ens_alone in zip(got, alone, strict=True):
+            _assert_same_ensemble(ens, ens_alone)
+        assert bool(compiled) == (_compiles(backend))
+        assert any(0 < ens.exited.sum() < kw["n_paths"] for ens in got)
 
 
 def _failing_chunk(monkeypatch, in_child):
@@ -1262,15 +1378,20 @@ def test_producer_matches_inline_draws(monkeypatch, forks, name, block_steps):
     monkeypatch.setattr(simulate, "_path_generator",
                         lambda *a: generators.append(a) or path_generator(*a))
     runs = {}
-    for cpus in (1, 2):
+    for backend, cpus in itertools.product(_BACKENDS, (1, 2)):
         with monkeypatch.context() as mp:
+            compiled = _on_backend(mp, backend)
             mp.setattr(fields, "_cpus", lambda: cpus)
-            runs[cpus] = simulate._simulate_batch(pm.model, x0s, **kw)
+            runs[backend, cpus] = simulate._simulate_batch(pm.model, x0s, **kw)
+        assert bool(compiled) == (_compiles(backend) and name != "feedback")
     # two usable cores, one chunk: the producer builds the generators and draws
-    assert len(forks) == 1
-    assert len(generators) == len(x0s) * kw["n_paths"]  # seen here for the inline run only
-    for inline, produced in zip(runs[1], runs[2]):
-        _assert_same_ensemble(produced, inline)
+    assert len(forks) == len(_BACKENDS)
+    # seen here for the inline runs only
+    assert len(generators) == len(_BACKENDS) * len(x0s) * kw["n_paths"]
+    for backend, cpus in runs:
+        for got, inline in zip(runs[backend, cpus], runs["numpy", 1], strict=True):
+            _assert_same_ensemble(got, inline)
+    runs = {cpus: runs["c", cpus] for cpus in (1, 2)}
     exits = np.concatenate([ens.exit_times[ens.exited] for ens in runs[2]])
     if name == "all-exit":
         assert len(exits) == len(x0s) * kw["n_paths"] and exits.max() < kw["T"] / 2
@@ -1324,6 +1445,7 @@ def test_killed_producer_is_named(monkeypatch, forks, rotational):
 
 def test_stepper_error_kills_and_reaps_the_producer(monkeypatch, forks, rotational):
     _two_cores_drawing(monkeypatch, lambda drawn: drawn == 3 and time.sleep(60))
+    _on_backend(monkeypatch, "numpy")  # the numpy loop runs the failing step kernel
     compile_steps = simulate._compile_steps
     stepped = []
 
@@ -1358,6 +1480,7 @@ def test_producer_and_stepper_run_on_cpus_apart(monkeypatch, tmp_path, rotationa
             log.write_text(repr(sorted(os.sched_getaffinity(0))))
 
     _two_cores_drawing(monkeypatch, in_producer)
+    _on_backend(monkeypatch, "numpy")  # the numpy loop runs the spied step kernel
     compile_steps, stepper = simulate._compile_steps, []
 
     def spied_steps(*args):
