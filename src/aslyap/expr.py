@@ -594,9 +594,12 @@ def _c_render(node: Node, child) -> str:
     A constant subtree is evaluated here, as the numpy kernel evaluates it
     in Python floats, and written as a hex literal.  Otherwise only + - * /,
     negation, squares, sqrt, abs and ifle are rendered: C and numpy round
-    each of them the same way.  A NaN's sign may differ, as it does between
-    numpy's own SIMD lanes and scalar tail, and cc folds fabs(sqrt(x)) to
-    sqrt(x).  Any other node raises ``_NoC``.
+    each of them the same way.  A NaN's sign may differ: numpy's SIMD lanes
+    and its scalar tail give opposite signs for the same operands, and cc
+    folds sign operations that leave every other value alone, such as
+    (-a)*(-a) or fabs(a)*fabs(a) to a*a.  So the step loop commits no NaN
+    that C computes (``simulate._block_kernel``).  Any other node raises
+    ``_NoC``.
     """
     if not _reads_var(node):
         for c in _children(node):  # numbers the repeats as the numpy source does
@@ -656,10 +659,11 @@ _LIBRARIES: dict = {}  # C source -> its loaded library, or None where it did no
 _CC_SECONDS = 60
 
 
-def _c_library(source: str):
+def _c_library(source: str, build: bool = True):
     """``source`` built into a shared library and loaded with ``ctypes``,
     memoized in the process by its text; None without a C compiler ``cc`` on
-    the PATH or when the build fails.
+    the PATH or when the build fails.  With ``build`` false, only a library
+    built before is returned, and None if there is none.
 
     The flags are ``-O2 -ffp-contract=off``: no fused multiply-add, no
     fast-math and no ``-march``, so that each operation rounds as numpy's
@@ -668,6 +672,8 @@ def _c_library(source: str):
     loaded library.
     """
     if source not in _LIBRARIES:
+        if not build:
+            return None
         _LIBRARIES[source] = _c_build(source)
     return _LIBRARIES[source]
 

@@ -27,9 +27,10 @@ When a C compiler ``cc`` is on the PATH, the step loop of an ensemble is
 also emitted as one C function from the same trees, in the same order of
 operations (``_block_kernel``): one call per block steps and tracks every
 live path, and the numpy loop steps only a step where a path leaves the
-inscribed ball or its radius, V or l turns NaN.  The bits are the same
-either way; without a compiler, or where the C loop does not apply, the
-numpy loop runs alone.
+box or its V or l turns NaN.  A batch too small to pay back the 0.1 s
+build (``_BUILD_PAYS``) uses a library only if one is built already.  The
+bits are the same either way; without a compiler, or where the C loop does
+not apply, the numpy loop runs alone.
 
 Which processes step and which draw follows the batch size, by the rule
 that ``_simulate_batch`` states.  On `rotational` with candidate and gauge
@@ -257,12 +258,14 @@ def _step_trees(model, control_indices, integrator):
 
 
 def _compile_steps(model, control_indices, integrator):
-    """One compiled step kernel per control, the integrator, and whether to draw.
+    """One compiled step kernel per control, the integrator, whether to draw,
+    and the rows each kernel runs.
 
     Kernel ``steps[ci](*x, *w, r, dt, out)`` writes the next state of every
     state row into ``out``, reading |x| from ``r``, the radius the loop holds
     (``_share_radius``); it runs without an error-state scope of its own,
-    since the step loop enters one per block.  When no control's rows read an
+    since the step loop enters one per block.  ``rows[ci]`` are its trees,
+    which ``_block_kernel`` renders in C.  When no control's rows read an
     increment, nothing is drawn and the kernels take no ``w``.
     """
     trees, integrator = _step_trees(model, control_indices, integrator)
@@ -271,8 +274,9 @@ def _compile_steps(model, control_indices, integrator):
     draws = not read.isdisjoint(wvars)
     xvars = [f"x{i+1}" for i in range(model.dim_state)]
     args = xvars + (wvars if draws else []) + ["r", "dt"]
-    return ({ci: ex._compile_rows([_share_radius(t, xvars) for t in rows], args)
-             for ci, rows in trees.items()}, integrator, draws)
+    rows = {ci: [_share_radius(t, xvars) for t in ts] for ci, ts in trees.items()}
+    return ({ci: ex._compile_rows(ts, args) for ci, ts in rows.items()}, integrator, draws,
+            rows)
 
 
 def _inscribed(lower, upper):
@@ -312,16 +316,26 @@ def _share_radius(tree, xvars):
     return share(tree)
 
 
+# A C build (``_block_kernel``) takes 0.10-0.14 s of wall and CPU, and the
+# compiled loop saves about 20 ns x (paths + _STEP_PATHS) per step over the
+# numpy loop (gcc 12 and numpy 2.4 on a 2-core Xeon, rotational and
+# circle_target, 10 to 3000 paths).  So a batch of fewer than _BUILD_PAYS
+# steps x (paths + _STEP_PATHS) runs a library built before, if any, and
+# starts no build; paths that exit early still pay one.
+_STEP_PATHS = 1500
+_BUILD_PAYS = 6_500_000
+
+
 _BLOCK_C = """
 #define GAUGE %(gauge_on)d
 #define CAND %(cand_on)d
 #include <stddef.h>
 typedef ptrdiff_t idx;  /* np.intp */
-idx aslyap_block(idx _n, idx _b, idx _e, idx _k, double dt, double _ball,
-                 const double *_w, idx _ws, idx _wm, const idx *_cols, const idx *_grp,
-                 double *_x, double *_xn, double *_r, double *_rn, double *_sup,
-                 double *_peak, idx _ps, double *_acc, double *_ln, double *_supv,
-                 double *_vn, double *_sm, double *_smt, const double *_v0,
+idx aslyap_block(idx _b, idx _e, idx _k, idx _n, double dt, double _ball,
+                 const double *_lo, const double *_hi, const double *_w, idx _ws, idx _wm,
+                 const idx *_cols, const idx *_grp, double *_x, double *_xn, double *_r,
+                 double *_rn, double *_sup, double *_peak, idx _ps, double *_acc, double *_ln,
+                 double *_supv, double *_vn, double *_sm, double *_smt, const double *_v0,
                  double *_occ, const double *_occr, idx _nocc)
 {
     for (; _b < _e; _b++, _k++) {
@@ -342,8 +356,8 @@ idx aslyap_block(idx _n, idx _b, idx _e, idx _k, double dt, double _ball,
             }
 %(store)s
             const double _rr = sqrt(%(norm)s);
-            if (!(_rr <= _ball))
-                return _b;
+            if (!(_rr <= _ball) && !(%(inside)s))
+                return _b;  /* the path leaves the box, or is NaN */
             _rn[_j] = _rr;
 #if CAND
             {
@@ -386,18 +400,21 @@ idx aslyap_block(idx _n, idx _b, idx _e, idx _k, double dt, double _ball,
 """
 
 
-def _block_kernel(model, control_index, integrator, draws, cand, gauge):
+def _block_kernel(model, rows, draws, cand, gauge, build):
     """The step loop of one ensemble compiled to C, or None where numpy steps it.
 
-    ``kernel(n, b, e, k, dt, ball, w, ws, wm, cols, grp, x, xn, r, rn, sup,
-    peak, ps, acc, ln, supv, vn, sm, smt, v0, occ, occr, nocc)`` runs block
-    steps b..e-1 (step k first) of the ``n`` live paths, with the trees,
-    sums and trackers of the numpy loop in ``_simulate_chunk``, and returns
-    the first step it did not commit, e if none.  A step is committed when
-    every post-step radius is at most ``ball`` (NaN is not) and no gauge or
-    candidate value is NaN or a zero of the other sign than the path's sup
-    of V; it then updates, per path, the occupation times and ∫l from the
-    pre-step radius, the state, radius, sup radius, the start group's
+    ``rows`` are the step trees of the one control in use (``_compile_steps``),
+    and ``build`` says whether to build a library that is not built yet.
+    ``kernel(b, e, k, n, dt, ball, lo, hi, w, ws, wm, cols, grp, x, xn, r,
+    rn, sup, peak, ps, acc, ln, supv, vn, sm, smt, v0, occ, occr, nocc)``
+    runs block steps b..e-1 (step k first) of the ``n`` live paths, with the
+    trees, sums and trackers of the numpy loop in ``_simulate_chunk``, and
+    returns the first step it did not commit, e if none.  A step is
+    committed when every path stays in the box ``lo``..``hi`` (tested per
+    coordinate only past the radius ``ball``; NaN never stays) and no gauge
+    or candidate value is NaN or a zero of the other sign than the path's
+    sup of V; it then updates, per path, the occupation times and ∫l from
+    the pre-step radius, the state, radius, sup radius, the start group's
     timeline peak (``peak[grp * ps + k + 1]``), sup V, the excess and the
     supermax with its time.  So no NaN that the compiled trees compute is
     ever committed.  The step it returns is left as it was, for the numpy
@@ -405,8 +422,7 @@ def _block_kernel(model, control_index, integrator, draws, cand, gauge):
     col]``, ``cols`` NULL meaning the live paths in order; ``xn``, ``rn``,
     ``ln`` and ``vn`` are scratch.
 
-    None with several controls (the caller passes one only without a
-    feedback lookup), a value-field candidate, a knot gauge, eight or more
+    None with a value-field candidate, a knot gauge, eight or more
     coordinates, a tree ``expr._c_sources`` does not render, or no compiled
     library (``expr._c_library``).
     """
@@ -417,9 +433,7 @@ def _block_kernel(model, control_index, integrator, draws, cand, gauge):
     xvars = [f"x{i+1}" for i in range(n)]
     wvars = [f"w{j+1}" for j in range(model.dim_noise)] if draws else []
     outs = [f"_o{i}" for i in range(n)]
-    rows = _step_trees(model, [control_index], integrator)[0][control_index]
-    step = ex._c_sources([_share_radius(t, xvars) for t in rows], outs,
-                         [*xvars, *wvars, "r", "dt"])
+    step = ex._c_sources(rows, outs, [*xvars, *wvars, "r", "dt"])
     l_row = v_row = []
     if gauge is not None:
         l_row = ex._c_sources([gauge.expression], ["const double _l"], ["r"])
@@ -437,17 +451,19 @@ def _block_kernel(model, control_index, integrator, draws, cand, gauge):
         "outs": ", ".join(outs),
         "store": "\n".join(f"_xn[{i} * _n + _j] = {o};" for i, o in enumerate(outs)),
         "norm": " + ".join(f"_sq({o})" for o in outs),  # left to right, as fields._norm
+        "inside": " && ".join(f"{o} >= _lo[{i}] && {o} <= _hi[{i}]"  # as _inside
+                              for i, o in enumerate(outs)),
         "moved": "const double " + ", ".join(f"{v} = {o}" for v, o in zip(xvars, outs))
                  + ", r = _rr;",
     }
-    lib = ex._c_library(source)
+    lib = ex._c_library(source, build)
     if lib is None:
         return None
     import ctypes
 
     kernel = lib.aslyap_block
     i, f, p = ctypes.c_ssize_t, ctypes.c_double, ctypes.c_void_p
-    kernel.argtypes = [i] * 4 + [f] * 2 + [p, i, i, p, p] + [p] * 6 + [i] + [p] * 9 + [i]
+    kernel.argtypes = [i] * 4 + [f] * 2 + [p] * 3 + [i] * 2 + [p] * 8 + [i] + [p] * 9 + [i]
     kernel.restype = i
     return kernel
 
@@ -624,7 +640,7 @@ def _simulate_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
     (``control_index``).  ``kernel``, when not None, is that loop compiled
     (``_block_kernel``): one call steps the block up to its end, or to the
     next stored sample with ``thin``, and the step it does not commit (a
-    path past the inscribed ball, or NaN) is stepped here.
+    path that leaves the box, or a NaN V or l) is stepped here.
     """
     n = path_hi - path_lo
     dim = model.dim_state
@@ -677,27 +693,29 @@ def _simulate_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
     xn, ok, flag = buffers(n)
     w = ()  # the increments of one step, as rows (m, paths), when drawn
     grp = group
-    if cand is not None and np.isnan(v0s).any() or ball == -np.inf:
+    if cand is not None and np.isnan(v0s).any():
         kernel = None  # every step would be the numpy loop's
     if kernel is not None:
         scratch = np.empty((3, n))  # post-step radii, gauge and candidate values
         occ_c = np.ascontiguousarray(occ_radii) if occ_radii is not None else None
+        box = np.array([lower, upper])
 
         def address(a):
             return None if a is None else a.ctypes.data
 
-        def compiled(b, end, k, incs, cols):
-            """Steps b..end-1 of the block in C; the first step not committed."""
+        def pointers(incs, cols):
+            """The kernel's arguments after the step range, for the live arrays as they are."""
             ws, wm = (s // 8 for s in incs.strides[:2]) if draws else (0, 0)
             get = vars(live).get
-            return kernel(
-                len(index), b, end, k, dt, ball, address(incs if draws else None), ws, wm,
-                address(cols), address(grp), address(live.x), address(xn), address(live.radius),
-                address(scratch[0]), address(live.sup_radius), address(timeline), n_steps + 1,
-                address(get("acc_l")), address(scratch[1] if gauge is not None else None),
-                address(get("sup_v")), address(scratch[2]), address(get("supermax")),
-                address(get("supermax_t")), address(v0 if cand is not None else None),
-                address(get("occupation")), address(occ_c), 0 if occ_c is None else len(occ_c))
+            return (len(index), dt, ball, address(box[0]), address(box[1]),
+                    address(incs if draws else None), ws, wm, address(cols), address(grp),
+                    address(live.x), address(xn), address(live.radius), address(scratch[0]),
+                    address(live.sup_radius), address(timeline), n_steps + 1,
+                    address(get("acc_l")), address(scratch[1] if gauge is not None else None),
+                    address(get("sup_v")), address(scratch[2]), address(get("supermax")),
+                    address(get("supermax_t")), address(v0 if cand is not None else None),
+                    address(get("occupation")), address(occ_c),
+                    0 if occ_c is None else len(occ_c))
     with _increments(draws, spare, seeds, n_paths, path_lo, path_hi, m, increment_mode, root_dt,
                      n_steps) as (block_steps, take):
         step_index = 0
@@ -707,10 +725,12 @@ def _simulate_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
             incs, cols = take(block, index)
             with np.errstate(all="ignore"):
                 b = 0
+                args = None  # the kernel's pointers, taken again after a numpy step
                 while b < block:
                     if kernel is not None:
                         end = block if not thin else min(block, b + thin - (step_index + b) % thin)
-                        done = compiled(b, end, step_index + b, incs, cols)
+                        args = args or pointers(incs, cols)
+                        done = kernel(b, end, step_index + b, *args)
                         if thin and done > b and (step_index + done) % thin == 0:
                             stored[sample_row, index] = live.x.T
                             sample_row += 1
@@ -718,6 +738,7 @@ def _simulate_chunk(model, x0s, dt, n_steps, path_lo, path_hi, seeds, n_paths,
                         if b == end:
                             continue
                     k = step_index + b
+                    args = None
                     if draws:
                         w = incs[b] if cols is None else incs[b].take(cols, axis=-1)
                     x = live.x
@@ -924,7 +945,10 @@ def _simulate_batch(model, x0s, dt, T, n_paths, seeds, feedback=None,
     allowed and a usable core is left over: the calling process's chunks
     then draw in a forked producer (``_increments``).  Each step's box test
     reads the radius first: ``_inside`` runs only when a path is NaN or past
-    the box's inscribed radius.
+    the box's inscribed radius.  With one control in use, the blocks are
+    stepped by the compiled loop (``_block_kernel``) where it applies and a
+    library is built, or the batch pays for a build (``_BUILD_PAYS``); the
+    bits are the numpy loop's either way.
     """
     whole = (int, np.integer)
     for name, value, need, ok in (
@@ -959,9 +983,10 @@ def _simulate_batch(model, x0s, dt, T, n_paths, seeds, feedback=None,
         feedback = None
     if increment_mode != "gaussian":
         integrator = "euler"
-    steps, integrator, draws = _compile_steps(model, used_controls, integrator)
+    steps, integrator, draws, rows = _compile_steps(model, used_controls, integrator)
     # built before any chunk forks, so that every stepping process has it
-    kernel = (_block_kernel(model, control_index, integrator, draws, candidate, gauge)
+    pays = n_steps * (len(x0s) * n_paths + _STEP_PATHS) >= _BUILD_PAYS
+    kernel = (_block_kernel(model, rows[control_index], draws, candidate, gauge, pays)
               if feedback is None else None)
     occ = np.asarray(occupation_radii, dtype=float) if occupation_radii is not None else None
 

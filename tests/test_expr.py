@@ -288,8 +288,9 @@ def _assert_c_rows_match_tree_walk(trees, args, values):
             # Bit for bit as int64 views, signed zeros too, and NaN where the walk
             # has NaN.  A NaN's sign is kept by neither side: for the same operands
             # numpy's SIMD lanes and its scalar tail return NaNs of opposite signs,
-            # and cc folds fabs(sqrt(x)) to sqrt(x).  The step loop commits no NaN
-            # that the C rows compute, so no such sign reaches an ensemble.
+            # and cc folds (-a)*(-a) and fabs(a)*fabs(a) to a*a.  The step loop
+            # commits no NaN that the C rows compute, so no such sign reaches an
+            # ensemble (test_nan_values_are_committed_by_the_numpy_step).
             nan = np.isnan(walk)
             assert np.array_equal(np.isnan(row), nan), ex.to_source(tree)
             assert np.array_equal(row[~nan].view(np.int64), walk[~nan].view(np.int64)), \

@@ -88,14 +88,15 @@ def _reference_steps(model, control_indices, integrator):
     """Stands in for ``simulate._compile_steps``: the tree walk of each row of the
     same trees instead of one kernel per control; the masked loop always draws."""
     trees, integrator = simulate._step_trees(model, control_indices, integrator)
-    args = ([f"x{i+1}" for i in range(model.dim_state)]
-            + [f"w{j+1}" for j in range(model.dim_noise)] + ["dt"])
+    xvars = [f"x{i+1}" for i in range(model.dim_state)]
+    args = xvars + [f"w{j+1}" for j in range(model.dim_noise)] + ["dt"]
 
     def walk(tree):
         return lambda *values: ex.evaluate(tree, dict(zip(args, values)))
 
     rows = {ci: [walk(t) for t in ts] for ci, ts in trees.items()}
-    return rows, integrator, True
+    shared = {ci: [simulate._share_radius(t, xvars) for t in ts] for ci, ts in trees.items()}
+    return rows, integrator, True, shared
 
 
 def _reference_ensemble(monkeypatch, model, **kw):
@@ -115,18 +116,20 @@ def _compiles(backend):
 
 
 def _on_backend(mp, backend):
-    """Step with the compiled block loop ("c") or force the numpy loop
-    ("numpy") with a C build that yields no library; returns the list of the
-    compiled loop's calls in this process, each its first step."""
+    """Step with the compiled block loop ("c"), built for any batch, or force
+    the numpy loop ("numpy") with a C build that yields no library; returns
+    the list of the compiled loop's calls in this process, each its first
+    step."""
     calls = []
     if backend == "numpy":
-        mp.setattr(ex, "_c_library", lambda source: None)
+        mp.setattr(ex, "_c_library", lambda source, build=True: None)
         return calls
+    mp.setattr(simulate, "_BUILD_PAYS", 0)  # however small the batch
     build = simulate._block_kernel
 
     def spy(*args):
         kernel = build(*args)
-        return kernel and (lambda *a: calls.append(a[1]) or kernel(*a))
+        return kernel and (lambda *a: calls.append(a[0]) or kernel(*a))
 
     mp.setattr(simulate, "_block_kernel", spy)
     return calls
@@ -356,8 +359,8 @@ def test_step_loop_matches_reference(monkeypatch, name, rotational, unstable1d,
             return step
 
         def spy_compile(*args):
-            steps, integrator, draws = compile_steps(*args)
-            return {ci: spy(kernel) for ci, kernel in steps.items()}, integrator, draws
+            steps, integrator, draws, rows = compile_steps(*args)
+            return {ci: spy(kernel) for ci, kernel in steps.items()}, integrator, draws, rows
 
         with monkeypatch.context() as mp:
             compiled = _on_backend(mp, backend)
@@ -418,6 +421,35 @@ def test_trackers_match_reference(monkeypatch, candidate, gauge_text):
         assert bool(compiled) == (_compiles(backend) and gauge.expression is not None)
 
 
+def test_nan_values_are_committed_by_the_numpy_step(monkeypatch):
+    # V is NaN where x1 < 0 and l where r < 0.15: the compiled loop hands each
+    # such step to the numpy loop, so every NaN in the trackers has numpy's bits
+    pm = al.parse_model(_NOISY_REPELLER)
+    kw = dict(x0=[0.2, 0.1], dt=1e-3, T=2.0, n_paths=40, seed=13,
+              candidate=al.CandidateFunction("sqrt(x1)", 2),
+              gauge=al.GaugeFunction.from_expression("sqrt(r - 0.15)"))
+    monkeypatch.setattr(fields, "_cpus", lambda: 1)  # one process: the spies see every step
+    ref = _reference_ensemble(monkeypatch, pm.model, **kw)
+    assert np.isnan(ref.integral_gauge).any() and np.isnan(ref.supermax_excess).any()
+    compile_steps = simulate._compile_steps
+    for backend in _BACKENDS:
+        numpy_steps = []
+
+        def spied_steps(*args):
+            steps, integrator, draws, rows = compile_steps(*args)
+            return ({ci: lambda *a, step=step: numpy_steps.append(1) or step(*a)
+                     for ci, step in steps.items()}, integrator, draws, rows)
+
+        with monkeypatch.context() as mp:
+            compiled = _on_backend(mp, backend)
+            mp.setattr(simulate, "_compile_steps", spied_steps)
+            new = al.simulate_ensemble(pm.model, **kw)
+        _assert_same_arrays(new, ref)
+        assert bool(compiled) == _compiles(backend)
+        exits = len(np.unique(new.exit_times[new.exited]))
+        assert len(numpy_steps) > exits if compiled else len(numpy_steps) == 2000
+
+
 # ------------------------------------------------- box test from the radius
 
 def _still(n, lower, upper):
@@ -464,20 +496,24 @@ _BOX_CASES = {  # name -> (model, start points, whether each start's paths exit)
 
 
 def _fast_and_flagged(monkeypatch, model, x0s, **kw):
-    """The batch with the radius box test and with the flags alone, and how many times
-    each ran ``_inside``."""
+    """The batch of the numpy loop with the radius box test and with the flags alone,
+    and how many times each ran ``_inside``; the compiled loop, which tests the box
+    in C, gives the same batch."""
     monkeypatch.setattr(fields, "_cpus", lambda: 1)  # one process: the spy sees each step
+    seeds = list(range(len(x0s)))
+    compiled = simulate._simulate_batch(model, x0s, seeds=seeds, **kw)
+    _on_backend(monkeypatch, "numpy")
     calls = []
     inside = simulate._inside
     monkeypatch.setattr(simulate, "_inside", lambda *a: calls.append(1) or inside(*a))
-    seeds = list(range(len(x0s)))
     fast = simulate._simulate_batch(model, x0s, seeds=seeds, **kw)
     n_fast = len(calls)
     with monkeypatch.context() as mp:
         mp.setattr(simulate, "_inscribed", lambda lower, upper: -np.inf)
         flagged = simulate._simulate_batch(model, x0s, seeds=seeds, **kw)
-    for a, b in zip(fast, flagged, strict=True):
+    for a, b, c in zip(fast, flagged, compiled, strict=True):
         _assert_same_ensemble(a, b)
+        _assert_same_ensemble(a, c)
     return fast, n_fast, len(calls) - n_fast
 
 
@@ -586,6 +622,50 @@ def test_compiled_loop_runs_on_every_bundled_model(monkeypatch, request, name):
             got[backend] = al.simulate_ensemble(pm.model, **kw)
         assert bool(compiled) == (_compiles(backend))
     _assert_same_ensemble(got["c"], got["numpy"])
+
+
+def test_compiled_loop_hands_over_exits_only(monkeypatch):
+    # paths roam the corners of the square box, past its inscribed ball, and
+    # leave it one by one: numpy steps exactly the steps at which some path exits
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler: only the numpy loop runs")
+    pm = al.parse_model(_NOISY_REPELLER)
+    monkeypatch.setattr(fields, "_cpus", lambda: 1)  # one process: the spies see every step
+    compile_steps, numpy_steps = simulate._compile_steps, []
+
+    def spied_steps(*args):
+        steps, integrator, draws, rows = compile_steps(*args)
+        return ({ci: lambda *a, step=step: numpy_steps.append(1) or step(*a)
+                 for ci, step in steps.items()}, integrator, draws, rows)
+
+    monkeypatch.setattr(simulate, "_compile_steps", spied_steps)
+    compiled = _on_backend(monkeypatch, "c")
+    ens = al.simulate_ensemble(pm.model, x0=[0.2, 0.1], dt=1e-3, T=3.0, n_paths=60, seed=5,
+                               candidate=pm.candidate, gauge=pm.gauge)
+    assert compiled and (ens.sup_radius > 1.0).any() and ens.exited.any()
+    assert len(numpy_steps) == len(np.unique(ens.exit_times[ens.exited]))
+
+
+def test_only_a_batch_that_pays_for_a_build_starts_one(monkeypatch, rotational):
+    # steps x (paths + _STEP_PATHS) below _BUILD_PAYS runs numpy until a library
+    # is built; at the bound the batch builds it, and smaller ones then use it
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler: only the numpy loop runs")
+    pays = simulate._BUILD_PAYS
+    compiled = _on_backend(monkeypatch, "c")
+    monkeypatch.setattr(simulate, "_BUILD_PAYS", pays)
+    monkeypatch.setattr(ex, "_LIBRARIES", {})
+    builds, build = [], ex._c_build
+    monkeypatch.setattr(ex, "_c_build", lambda source: builds.append(1) or build(source))
+    dt = 1e-3
+    least = -(-pays // (1 + simulate._STEP_PATHS))  # steps of one path that pay
+    kw = dict(x0=[0.5, 0.0], dt=dt, n_paths=1, seed=2, candidate=rotational.candidate,
+              gauge=rotational.gauge)
+    for steps, built, ran in ((least - 1, 0, False), (least, 1, True), (least - 1, 1, True)):
+        compiled.clear()
+        ens = al.simulate_ensemble(rotational.model, T=steps * dt, **kw)
+        assert len(ens.timeline_times) == steps + 1
+        assert len(builds) == built and bool(compiled) == ran
 
 
 def _fake_cc(tmp_path, code):
@@ -1450,7 +1530,7 @@ def test_stepper_error_kills_and_reaps_the_producer(monkeypatch, forks, rotation
     stepped = []
 
     def failing_steps(*args):
-        steps, integrator, draws = compile_steps(*args)
+        steps, integrator, draws, rows = compile_steps(*args)
 
         def step(*a):
             stepped.append(None)
@@ -1458,7 +1538,7 @@ def test_stepper_error_kills_and_reaps_the_producer(monkeypatch, forks, rotation
                 raise KeyError("step 200")
             return steps[0](*a)
 
-        return {0: step}, integrator, draws
+        return {0: step}, integrator, draws, rows
 
     monkeypatch.setattr(simulate, "_compile_steps", failing_steps)
     start = time.perf_counter()
@@ -1484,13 +1564,13 @@ def test_producer_and_stepper_run_on_cpus_apart(monkeypatch, tmp_path, rotationa
     compile_steps, stepper = simulate._compile_steps, []
 
     def spied_steps(*args):
-        steps, integrator, draws = compile_steps(*args)
+        steps, integrator, draws, rows = compile_steps(*args)
 
         def step(*a):
             stepper.append(os.sched_getaffinity(0))
             return steps[0](*a)
 
-        return {0: step}, integrator, draws
+        return {0: step}, integrator, draws, rows
 
     monkeypatch.setattr(simulate, "_compile_steps", spied_steps)
     al.simulate_ensemble(rotational.model, **_SMALL)
